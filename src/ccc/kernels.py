@@ -12,6 +12,10 @@ accumulation order, so integer outputs (label draws, annotator picks)
 are bit-identical across backends and float outputs agree to rounding.
 Within one backend every kernel is fully deterministic. All randomness
 is injected as pre-drawn uniform arrays; kernels consume no RNG state.
+The numpy kernels scatter per-annotation terms into per-row sums with
+np.bincount over flattened (row, column) indices, which adds each bin's
+terms in annotation order, the same per-bin order as np.add.at and the
+numba loops.
 
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true
@@ -64,7 +68,21 @@ if _want_numba is not False:
 # numpy reference implementations
 # ---------------------------------------------------------------------------
 
-def crowd_grads_np(P, ann_i, ann_r, ann_y, M, R):
+def _scatter_rows(index, values, rows):
+    """Sum values (A, ...) into a (rows, ...) array at the given row index.
+
+    Equal bit for bit to np.add.at on zeros: np.bincount adds each bin's
+    weights in input order, starting from 0.0, just as np.add.at does.
+    Rows no index names are exactly 0.
+    """
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=rows * width)
+    return out.reshape((rows,) + tail)
+
+
+def crowd_grads_np(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
     """Loss and gradients of the per-annotation transition loss.
 
     P      (n, C)   softmax outputs per batch instance
@@ -77,14 +95,12 @@ def crowd_grads_np(P, ann_i, ann_r, ann_y, M, R):
     gradients via softmax backprop and dM (R, C, C) accumulates the
     matrix gradients. Nothing is normalized; callers divide by the
     annotation count. Annotators absent from the batch keep exact-zero
-    rows in dM.
+    rows in dM. With want_dM=False, dM is None and never built.
     """
     n, C = P.shape
     A = ann_i.shape[0]
-    dZ = np.zeros((n, C))
-    dM = np.zeros((R, C, C))
     if A == 0:
-        return 0.0, dZ, dM
+        return 0.0, np.zeros((n, C)), np.zeros((R, C, C)) if want_dM else None
     idx = np.arange(A)
     p = P[ann_i]
     Ma = M[ann_r]
@@ -103,12 +119,11 @@ def crowd_grads_np(P, ann_i, ann_r, ann_y, M, R):
     g_q[idx, ann_y] -= m[idx, ann_y] / qyg
     g_q[~active] = 0.0
 
-    np.add.at(dM, ann_r, p[:, :, None] * g_q[:, None, :])
+    dM = _scatter_rows(ann_r, p[:, :, None] * g_q[:, None, :], R) if want_dM else None
     g_p = np.einsum("acj,aj->ac", Ma, g_q)
     s = (p * g_p).sum(axis=1)
     dZa = p * (g_p - s[:, None])
-    np.add.at(dZ, ann_i, dZa)
-    return loss_sum, dZ, dM
+    return loss_sum, _scatter_rows(ann_i, dZa, n), dM
 
 
 def crowd_loss_np(P, ann_i, ann_r, ann_y, M):
@@ -141,9 +156,8 @@ def hyper_grads_np(P, U, ann_i, ann_r, ann_y, M, group_of, G):
     """
     C = P.shape[1]
     A_count = ann_i.shape[0]
-    dV = np.zeros((G, C, C))
     if A_count == 0:
-        return dV
+        return np.zeros((G, C, C))
     idx = np.arange(A_count)
     p = P[ann_i]
     Ma = M[ann_r]
@@ -172,8 +186,7 @@ def hyper_grads_np(P, U, ann_i, ann_r, ann_y, M, group_of, G):
     t[~active] = 0.0
 
     contrib = v[:, :, None] * g_q[:, None, :] + p[:, :, None] * t[:, None, :]
-    np.add.at(dV, group_of[ann_r], contrib)
-    return dV
+    return _scatter_rows(group_of[ann_r], contrib, G)
 
 
 def draw_labels_np(cum_rows, truth, u):
@@ -410,7 +423,9 @@ if _numba_ok:
                 out[i, d] = pick
         return out
 
-    def crowd_grads_nb(P, ann_i, ann_r, ann_y, M, R):
+    def crowd_grads_nb(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
+        # The jitted loop builds dM as it goes; want_dM is accepted for
+        # call compatibility with crowd_grads_np and dM is returned anyway.
         return _crowd_grads_nb(P, ann_i, ann_r, ann_y, M, R)
 
     def crowd_loss_nb(P, ann_i, ann_r, ann_y, M):

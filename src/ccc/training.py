@@ -245,14 +245,16 @@ def _resolve_eval(ds: CrowdDataset, eval_set):
 
 def _crowd_step(clf: Classifier, conf: ConfusionSet, V: np.ndarray,
                 group_of: np.ndarray, batch: Batch, lr: float,
-                momentum: float, weight_decay: float):
+                momentum: float, weight_decay: float, forward=None):
     """One joint SGD step on (classifier, transitions) for a batch.
 
     Corrections V stay constant; their group gather contributes to the
-    forward transition only. Returns (mean loss, normalized dT).
+    forward transition only. `forward` is batch_forward(clf, features)
+    when the caller already has it for the current parameters. Returns
+    (mean loss, normalized dT).
     """
     M = conf.T + V[group_of]
-    pre, H, P = batch_forward(clf, batch.features)
+    pre, H, P = batch_forward(clf, batch.features) if forward is None else forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                                    batch.ann_label, M, conf.T.shape[0])
     a = max(batch.ann_instance.shape[0], 1)
@@ -337,7 +339,7 @@ def auto_meta_lr(T: np.ndarray, g_cor: np.ndarray, gamma: float) -> float:
 def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
                         group_of: np.ndarray, batch: Batch,
                         meta_features: np.ndarray, meta_labels: np.ndarray,
-                        eta_v: float) -> np.ndarray:
+                        eta_v: float, forward=None) -> np.ndarray:
     """Exact gradient of the meta loss w.r.t. the group corrections.
 
     The virtual step moves only the last layer: (W, b) minus eta_v times
@@ -346,6 +348,10 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     penultimate map. Its total derivative w.r.t. V is -eta_v times the
     V-gradient of <grad_{W,b} batch loss, meta-loss gradient at the
     virtual point>, accumulated per annotation in the kernel.
+
+    `forward` is batch_forward(clf, batch.features) when the caller
+    already has it; only the last layer moves, so the batch forward at
+    the current parameters is all the virtual step needs.
     """
     W, b, penultimate_fn = last_layer_snapshot(clf)
     G, C = V.shape[0], V.shape[1]
@@ -353,9 +359,9 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     if a == 0 or meta_labels.shape[0] == 0:
         return np.zeros((G, C, C))
     M = T + V[group_of]
-    _, H, P = batch_forward(clf, batch.features)
+    _, H, P = batch_forward(clf, batch.features) if forward is None else forward
     _, dZ, _ = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
-                           batch.ann_label, M, T.shape[0])
+                           batch.ann_label, M, T.shape[0], want_dM=False)
     gW = H.T @ dZ / a
     gb = dZ.sum(axis=0) / a
     W_hat = W - eta_v * gW
@@ -378,7 +384,8 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
 
 
 def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
-                   cfg: TrainConfig, eta_v: float | None = None) -> CorrectionSet:
+                   cfg: TrainConfig, eta_v: float | None = None,
+                   forward=None) -> CorrectionSet:
     """Virtual + meta stage: update corrections, leave the model untouched."""
     meta_features, meta_labels = meta_batch
     cor = state.corrections
@@ -388,7 +395,7 @@ def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
     eta = cfg.lr if eta_v is None else eta_v
     g_cor = correction_gradient(state.clf, state.confusions.T, cor.V,
                                 cor.group_of, train_batch,
-                                meta_features, meta_labels, eta)
+                                meta_features, meta_labels, eta, forward)
     eta_m = auto_meta_lr(state.confusions.T, g_cor, cfg.gamma)
     if eta_m != 0.0:
         cor.V -= eta_m * g_cor
@@ -396,16 +403,12 @@ def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
 
 
 def ccc_actual_step(state: CccState, train_batch: Batch, cfg: TrainConfig,
-                    lr: float | None = None):
+                    lr: float | None = None, forward=None):
     """Inner stage: full joint step under corrected transitions."""
-    V = state.corrections.V if state.corrections is not None else None
-    group_of = (state.corrections.group_of if state.corrections is not None
-                else np.zeros(state.confusions.T.shape[0], dtype=np.int64))
-    if V is None:
-        V = np.zeros((1,) + state.confusions.T.shape[1:])
-    return _crowd_step(state.clf, state.confusions, V, group_of, train_batch,
-                       cfg.lr if lr is None else lr, cfg.momentum,
-                       cfg.weight_decay)
+    cor = state.corrections
+    return _crowd_step(state.clf, state.confusions, cor.V, cor.group_of,
+                       train_batch, cfg.lr if lr is None else lr, cfg.momentum,
+                       cfg.weight_decay, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +502,11 @@ def train_ccc(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None):
     t0 = time.perf_counter()
     eval_X, eval_y = _resolve_eval(ds, eval_set)
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
+    if cfg.meta_size < C:
+        raise ConfigError(f"meta_size={cfg.meta_size} is below the class count {C}: "
+                          "every class would get an empty meta quota")
+    if G > R:
+        raise ConfigError(f"groups={G} exceeds the annotator count {R}")
     master = RngStream(cfg.seed)
     kmeans_rng = master.split("kmeans")
     tags = ("model1", "model2")
@@ -567,8 +575,12 @@ def train_ccc(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None):
                         mb = (meta.features[sel], meta.labels[sel])
                     else:
                         mb = (np.empty((0, ds.d)), np.empty(0, dtype=np.int64))
-                    ccc_outer_step(state, batch, mb, cfg, eta_v=lr)
-                    loss, dT = ccc_actual_step(state, batch, cfg, lr=lr)
+                    # The outer step leaves the classifier as it is, so
+                    # one forward serves both stages.
+                    fwd = batch_forward(state.clf, batch.features)
+                    ccc_outer_step(state, batch, mb, cfg, eta_v=lr, forward=fwd)
+                    loss, dT = ccc_actual_step(state, batch, cfg, lr=lr,
+                                               forward=fwd)
                     if on_step is not None:
                         on_step({"model": tag, "epoch": epoch, "step": steps[kk],
                                  "phase": "ccc", "loss": loss, "dT": dT,

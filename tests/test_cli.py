@@ -245,6 +245,13 @@ class TestTrain:
             results[name] = (agg["best"], agg["last"])
         assert results["seq"] == results["par"]
 
+    def test_ccc_config_that_data_cannot_meet_exit_code(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "bad", c=4, r=10)
+        for name, flags in (("meta", {"meta-size": 3}), ("groups", {"groups": 11})):
+            out = tmp_path / f"bad-{name}"
+            assert main(_train_args(ds_dir, out, "ccc", **flags)) == 2
+            assert not (out / "run.json").exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         ds_dir = _simulate(tmp_path, "cfg")
         cfg = tmp_path / "train.cfg"

@@ -25,7 +25,7 @@ ATOL_SCALE = 1e-12  # absolute slack, per unit of the largest oracle entry
 # ---------------------------------------------------------------------------
 
 def _annotation_terms(p, Mr, y):
-    """Loss and, when the annotation is active, (q_raw, g_q, S_g, qy_g)."""
+    """Loss and, when the annotation is active, (mask, g_q, S_g, qy_g)."""
     C = len(p)
     q_raw = [sum(p[c] * Mr[c][j] for c in range(C)) for j in range(C)]
     qc = [q if q > EPS else EPS for q in q_raw]
@@ -149,6 +149,9 @@ def _check_crowd_grads(P, ann_i, ann_r, ann_y, M):
     absent = np.setdiff1d(np.arange(R), ann_r)
     assert (dM[absent] == 0.0).all()
     assert (dZ[np.setdiff1d(np.arange(P.shape[0]), ann_i)] == 0.0).all()
+    # Skipping dM leaves the loss and dZ bit for bit as they were.
+    loss_z, dZ_z, _ = kernels.crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=False)
+    assert loss_z == loss and np.array_equal(dZ_z, dZ)
 
 
 def _check_hyper_grads(G, P, U, ann_i, ann_r, ann_y, M, group_of):
@@ -193,3 +196,20 @@ def test_edges_match_oracle(name):
         assert ((q > EPS) & (q < GRAD_FLOOR))[np.arange(ann_y.size), ann_y].any()
     _check_crowd_grads(P, ann_i, ann_r, ann_y, M)
     _check_hyper_grads(G, P, U, ann_i, ann_r, ann_y, M, group_of)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 8), A=st.integers(0, 40),
+       tail=st.sampled_from([(), (1,), (3,), (2, 2), (4, 4)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scatter_rows_equals_add_at(rows, A, tail, seed):
+    rng = np.random.default_rng(seed)
+    A = A if rows else 0
+    index = rng.integers(0, max(rows, 1), A).astype(np.int64)
+    values = rng.normal(size=(A,) + tail) * rng.integers(0, 2, (A,) + tail)
+    want = np.zeros((rows,) + tail)
+    np.add.at(want, index, values)
+    got = kernels._scatter_rows(index, values, rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert (got[np.setdiff1d(np.arange(rows), index)] == 0.0).all()

@@ -433,6 +433,22 @@ class TestActualStep:
 
 
 class TestTrainCcc:
+    def test_meta_size_below_class_count_rejected_before_training(self):
+        ds = _blob_crowd(seed=30)
+        steps = []
+        with pytest.raises(ConfigError, match="meta_size=3"):
+            train_ccc(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, meta_size=3),
+                      on_step=steps.append)
+        assert steps == []
+
+    def test_more_groups_than_annotators_rejected_before_training(self):
+        ds = _blob_crowd(seed=31)
+        steps = []
+        with pytest.raises(ConfigError, match="groups=9"):
+            train_ccc(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, groups=9),
+                      on_step=steps.append)
+        assert steps == []
+
     def test_gamma_zero_reduces_to_crowdlayer_bitwise(self):
         ds = _blob_crowd(seed=18)
         test_X, test_y = make_blobs(60, 4, 6, 0.2, RngStream(19))
@@ -500,7 +516,8 @@ class TestTrainCcc:
         X, y = make_blobs(150, 10, 6, 0.2, master.split("feat"))
         pool = build_pool("COR-II", 10, R=25, k=3, rng=master.split("pool"))
         ds = generate(y, X, pool, master.split("lab"))
-        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=8)
+        # ten classes need a meta set of at least ten
+        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=8, meta_size=20)
         (res1, res2), _, _ = train_ccc(ds, cfg)
         assert len(res1.curves["model1"]) == 4
         assert all(np.isfinite(v) for v in res1.curves["model1"])
