@@ -14,7 +14,7 @@ from .data import CrowdDataset, MetaSet, load_dataset, make_blobs, save_dataset
 from .models import Classifier, init_classifier
 from .rng import RngStream
 from .simulate import AnnotatorPool, PatternSpec, build_pool, generate
-from .training import TrainConfig, train_ccc, train_crowdlayer, train_majority
+from .training import TrainConfig, train
 
 __all__ = [
     "AnnotatorPool",
@@ -30,8 +30,6 @@ __all__ = [
     "load_dataset",
     "make_blobs",
     "save_dataset",
-    "train_ccc",
-    "train_crowdlayer",
-    "train_majority",
+    "train",
     "__version__",
 ]

@@ -30,8 +30,7 @@ from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
 from .simulate import PRESETS, PatternSpec, build_pool, generate
-from .training import (TrainConfig, train_ccc, train_crowdlayer,
-                       train_majority)
+from .training import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,12 +97,12 @@ def _parse_feature_source(expr: str):
                 raise ConfigError(f"bad blobs parameter {part!r}")
             key, value = part.split("=", 1)
             key = key.strip()
-            if key in ("N", "C", "D"):
-                params[key] = int(value)
-            elif key in ("spread", "radius"):
-                params[key] = float(value)
-            else:
+            if key not in ("N", "C", "D", "spread", "radius"):
                 raise ConfigError(f"unknown blobs parameter {key!r}")
+            try:
+                params[key] = int(value) if key in ("N", "C", "D") else float(value)
+            except ValueError:
+                raise ConfigError(f"bad blobs value {part!r}") from None
         for req in ("N", "C", "D"):
             if req not in params:
                 raise ConfigError(f"blobs source needs {req}=")
@@ -146,10 +145,13 @@ def _parse_pattern_file(path) -> list[PatternSpec]:
 def _parse_pair_map(expr: str, C: int) -> np.ndarray:
     pm = np.full(C, -1, dtype=np.int64)
     for part in expr.split(","):
-        if ":" not in part:
-            raise ConfigError(f"bad pair map entry {part!r}")
-        a, b = part.split(":", 1)
-        pm[int(a)] = int(b)
+        try:
+            a, b = (int(v) for v in part.split(":"))
+        except ValueError:
+            raise ConfigError(f"bad pair map entry {part!r}: expected int:int") from None
+        if not 0 <= a < C or pm[a] >= 0:
+            raise ConfigError(f"pair map source class {a} is out of range or repeated")
+        pm[a] = b
     if (pm < 0).any():
         raise ConfigError("pair map must cover every class")
     return pm
@@ -319,50 +321,49 @@ def _write_confusions(path: Path, confusions: dict[str, np.ndarray]) -> None:
 def _run_one_seed(ds, args, seed, eval_set, out_dir: Path) -> dict:
     cfg = _train_config_from(args, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.algo == "majority":
-        res, clf = train_majority(ds, cfg, eval_set)
-        save_model(clf, out_dir / "model1.bin")
-        curves, confs, groups = res.curves, {}, []
-        payload_extra = {"best": res.best, "last": res.last}
-        wall = res.wall_time_sec
-    elif cfg.algo == "crowdlayer":
-        res, state = train_crowdlayer(ds, cfg, eval_set)
-        save_model(state.clf, out_dir / "model1.bin")
-        curves = res.curves
-        confs = {"model1": res.confusions}
-        groups = []
-        payload_extra = {"best": res.best, "last": res.last}
-        wall = res.wall_time_sec
-    else:
-        (res1, res2), (state1, state2), merged = train_ccc(ds, cfg, eval_set)
-        save_model(state1.clf, out_dir / "model1.bin")
-        save_model(state2.clf, out_dir / "model2.bin")
-        curves = merged.curves
-        confs = {"model1": res1.confusions, "model2": res2.confusions}
-        groups = merged.groups_by_epoch
-        payload_extra = {"best": merged.best, "last": merged.last}
-        wall = merged.wall_time_sec
-
-    final_eval = {k: curves[k][-1] for k in curves}
+    res = train(ds, cfg, eval_set)
+    for tag, state in res.states.items():
+        save_model(state.clf, out_dir / f"{tag}.bin")
     payload = {
         "algo": cfg.algo, "seed": seed, "config": cfg.echo(),
-        "wall_time_sec": wall, "final_eval": final_eval,
+        "wall_time_sec": res.wall_time_sec,
+        "final_eval": {k: v[-1] for k, v in res.curves.items()},
+        "best": res.best, "last": res.last,
     }
-    payload.update(payload_extra)
     _write_json(out_dir / "run.json", payload)
-    _write_curves(out_dir / "curves.csv", curves)
-    if confs:
-        _write_confusions(out_dir / "confusions.csv", confs)
-    if groups:
+    _write_curves(out_dir / "curves.csv", res.curves)
+    if res.confusions:
+        _write_confusions(out_dir / "confusions.csv", res.confusions)
+    if res.groups_by_epoch:
         with open(out_dir / "groups.csv", "w", newline="") as fh:
             fh.write("epoch,annotator,group\n")
-            for epoch, assignment in groups:
+            for epoch, assignment in res.groups_by_epoch:
                 for r, g in enumerate(assignment):
                     fh.write(f"{epoch},{r},{g}\n")
     return payload
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {text!r}")
+    return seeds
+
+
+def _thread_count() -> int:
+    raw = os.environ.get("CCC_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"CCC_THREADS must be an integer, got {raw!r}") from None
+
+
 def cmd_train(args) -> int:
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    threads = _thread_count() if seeds else 1
     ds = load_dataset(args.data)
     eval_set = None
     if args.test is not None:
@@ -373,14 +374,12 @@ def cmd_train(args) -> int:
             raise ConfigError(f"test set feature dim {X.shape[1]} != dataset {ds.d}")
         eval_set = (X, y)
     out_dir = Path(args.out)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     if seeds is None:
         payload = _run_one_seed(ds, args, _resolve(args, "seed", int, 0),
                                 eval_set, out_dir)
         print(f"best: {payload['best']}  last: {payload['last']}")
         return EXIT_OK
 
-    threads = max(1, int(os.environ.get("CCC_THREADS", "1")))
     dirs = [out_dir / f"seed-{s}" for s in seeds]
     if threads == 1:
         payloads = [_run_one_seed(ds, args, s, eval_set, d)

@@ -1,24 +1,27 @@
 """Training algorithms over crowd annotations.
 
-Three trainers share one evaluation/bookkeeping harness:
+One loop, `train`, drives all three algorithms epoch by epoch over the
+run's models, with one evaluation and bookkeeping path:
 
   * majority: aggregate each instance's labels by majority vote, then
-    plain cross-entropy training.
+    plain cross-entropy training on those fixed labels.
   * crowdlayer: jointly fit the classifier and one transition matrix per
     annotator; an annotation (i, r, y) is scored by the clamped,
-    renormalized distribution p_i @ T[r].
-  * ccc: two coupled crowdlayer models. After a warmup phase each epoch
-    distills a class-balanced meta set for the other model (small-loss
-    selection over majority-vote candidates), clusters annotators by
-    their learned transitions, and runs a three-stage update per batch:
-    a discarded virtual step of the last layer, a meta update of the
-    per-group correction matrices through that step (exact last-layer
-    hypergradient), and the actual step on corrected transitions.
+    renormalized distribution p_i @ T[r]. Every epoch is this step.
+  * ccc: two coupled crowdlayer models. Warmup epochs are the crowdlayer
+    step; after them each epoch distills a class-balanced meta set for
+    the other model (small-loss selection over majority-vote
+    candidates), clusters annotators by their learned transitions, and
+    runs a three-stage update per batch: a discarded virtual step of the
+    last layer, a meta update of the per-group correction matrices
+    through that step (exact last-layer hypergradient), and the actual
+    step on corrected transitions.
 
 RNG streams are split per purpose (init/batches/meta per model, plus one
-for clustering), so the ccc trainer with corrections disabled (gamma=0)
-consumes batch randomness exactly like the plain crowdlayer trainer and
-reproduces its trajectory bit for bit.
+for clustering), so ccc with corrections disabled (gamma=0) consumes
+batch randomness exactly like crowdlayer and reproduces its trajectory
+bit for bit. After each model's epoch the loop checks that its
+parameters are finite and stops a diverged run with ConfigError.
 
 Weight decay applies to classifier parameters only; transition matrices
 carry momentum but no decay, so annotators absent from a batch receive
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -106,23 +109,24 @@ class CorrectionSet:
 @dataclass
 class CccState:
     clf: Classifier
-    confusions: ConfusionSet
+    confusions: ConfusionSet | None    # None (and no corrections) for majority
     corrections: CorrectionSet | None
     meta_set: MetaSet | None
-    epoch: int
 
 
 @dataclass
 class RunResult:
+    """One run: per-model-tag curves and best/last (plus "mean" for ccc)."""
     algo: str
     seed: int
     curves: dict[str, list[float]]
     best: dict[str, float]
     last: dict[str, float]
-    confusions: np.ndarray | None
+    confusions: dict[str, np.ndarray]  # learned T per tag; empty for majority
+    states: dict[str, CccState]        # majority states carry no T or V
     config: dict
     wall_time_sec: float
-    groups_by_epoch: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    groups_by_epoch: list[tuple[int, np.ndarray]]
 
 
 @dataclass
@@ -201,14 +205,10 @@ def init_confusion_votes(ds: CrowdDataset, smoothing: float = 1e-6) -> np.ndarra
 # batch plumbing
 # ---------------------------------------------------------------------------
 
-def _csr(ds: CrowdDataset):
-    return ds.instance_slices()
-
-
 def make_batch(ds: CrowdDataset, idx: np.ndarray, csr=None) -> Batch:
     """Gather one batch's features and annotations (batch-local indices)."""
     if csr is None:
-        csr = _csr(ds)
+        csr = ds.instance_slices()
     _, ar, al, ptr = csr
     idx = np.asarray(idx, dtype=np.int64)
     counts = ptr[idx + 1] - ptr[idx]
@@ -300,32 +300,25 @@ def distill_meta_set(ds: CrowdDataset, scorer: Classifier, M: int) -> MetaSet:
     return MetaSet(ds.features[sel], np.concatenate(labels))
 
 
-def group_annotators(T1: np.ndarray, T2: np.ndarray, G: int,
-                     rng: RngStream, restarts: int = 1) -> np.ndarray:
-    """Joint clustering over both models' flattened transitions.
+def group_annotators(Ts: list[np.ndarray], G: int, rng: RngStream,
+                     restarts: int = 1) -> np.ndarray:
+    """Cluster annotators by the concatenated flattened transitions of Ts.
 
     With restarts > 1 the lowest-inertia run wins (50 points in a couple
     hundred dimensions leave Lloyd prone to local minima).
     """
-    if T1.shape != T2.shape:
-        raise ContractError("both confusion sets must have the same shape")
-    R = T1.shape[0]
+    if any(T.shape != Ts[0].shape for T in Ts):
+        raise ContractError("all confusion sets must have the same shape")
+    R = Ts[0].shape[0]
     if G > R:
         raise ContractError(f"G={G} exceeds annotator count {R}")
-    feats = np.concatenate([T1.reshape(R, -1), T2.reshape(R, -1)], axis=1)
+    feats = np.concatenate([T.reshape(R, -1) for T in Ts], axis=1)
     best = None
     for _ in range(max(1, restarts)):
         res = kmeans(feats, G, rng=rng)
         if best is None or res.inertia < best.inertia:
             best = res
     return best.assignments
-
-
-def _group_single(T: np.ndarray, G: int, rng: RngStream) -> np.ndarray:
-    R = T.shape[0]
-    if G > R:
-        raise ContractError(f"G={G} exceeds annotator count {R}")
-    return kmeans(T.reshape(R, -1), G, rng=rng).assignments
 
 
 def auto_meta_lr(T: np.ndarray, g_cor: np.ndarray, gamma: float) -> float:
@@ -402,54 +395,9 @@ def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
     return cor
 
 
-def ccc_actual_step(state: CccState, train_batch: Batch, cfg: TrainConfig,
-                    lr: float | None = None, forward=None):
-    """Inner stage: full joint step under corrected transitions."""
-    cor = state.corrections
-    return _crowd_step(state.clf, state.confusions, cor.V, cor.group_of,
-                       train_batch, cfg.lr if lr is None else lr, cfg.momentum,
-                       cfg.weight_decay, forward)
-
-
 # ---------------------------------------------------------------------------
-# trainers
+# the training loop
 # ---------------------------------------------------------------------------
-
-def _finish(algo: str, cfg: TrainConfig, curves: dict, confusions, t0: float,
-            groups_by_epoch=None) -> RunResult:
-    best = {k: float(max(v)) for k, v in curves.items()}
-    last = {k: float(v[-1]) for k, v in curves.items()}
-    if len(curves) == 2:
-        mean_curve = [(a + b) / 2 for a, b in zip(*curves.values())]
-        best["mean"] = float(max(mean_curve))
-        last["mean"] = float(mean_curve[-1])
-    return RunResult(algo=algo, seed=cfg.seed, curves=curves, best=best,
-                     last=last, confusions=confusions, config=cfg.echo(),
-                     wall_time_sec=time.perf_counter() - t0,
-                     groups_by_epoch=groups_by_epoch or [])
-
-
-def train_majority(ds: CrowdDataset, cfg: TrainConfig, eval_set=None):
-    """Majority-vote aggregation followed by single-label training."""
-    cfg.validate()
-    t0 = time.perf_counter()
-    eval_X, eval_y = _resolve_eval(ds, eval_set)
-    master = RngStream(cfg.seed)
-    clf = init_classifier(cfg.model, ds.d,
-                          cfg.hidden_dim if cfg.model == "mlp" else 0,
-                          ds.class_count, master.split("init-model1"))
-    batch_rng = master.split("batches-model1")
-    mv = aggregate_majority(ds)
-    curve = []
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        for idx in _epoch_chunks(batch_rng.permutation(ds.n), cfg.batch_size):
-            _, grads = loss_and_grads(clf, ds.features[idx], single_label_ce(mv[idx]))
-            sgd_step(clf, grads, lr, cfg.momentum, cfg.weight_decay)
-        curve.append(evaluate_accuracy(clf, eval_X, eval_y))
-    res = _finish("majority", cfg, {"model1": curve}, None, t0)
-    return res, clf
-
 
 def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> ConfusionSet:
     if cfg.confusion_init == "identity":
@@ -461,143 +409,132 @@ def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> ConfusionSet:
     return ConfusionSet(T=T0, mom=np.zeros_like(T0))
 
 
-def train_crowdlayer(ds: CrowdDataset, cfg: TrainConfig, eval_set=None,
-                     on_step=None, model_tag: str = "model1"):
-    """Joint classifier + transition training over all annotations."""
-    cfg.validate()
-    t0 = time.perf_counter()
-    eval_X, eval_y = _resolve_eval(ds, eval_set)
-    master = RngStream(cfg.seed)
-    clf = init_classifier(cfg.model, ds.d,
-                          cfg.hidden_dim if cfg.model == "mlp" else 0,
-                          ds.class_count, master.split(f"init-{model_tag}"))
-    batch_rng = master.split(f"batches-{model_tag}")
-    conf = _init_confusions(ds, cfg)
-    V0 = np.zeros((1, ds.class_count, ds.class_count))
-    g0 = np.zeros(ds.annotator_count, dtype=np.int64)
-    csr = _csr(ds)
-    curve = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        for idx in _epoch_chunks(batch_rng.permutation(ds.n), cfg.batch_size):
-            batch = make_batch(ds, idx, csr)
-            loss, dT = _crowd_step(clf, conf, V0, g0, batch, lr,
-                                   cfg.momentum, cfg.weight_decay)
-            if on_step is not None:
-                on_step({"model": model_tag, "epoch": epoch, "step": step,
-                         "phase": "crowdlayer", "loss": loss, "dT": dT,
-                         "present": np.unique(batch.ann_annotator)})
-            step += 1
-        curve.append(evaluate_accuracy(clf, eval_X, eval_y))
-    res = _finish("crowdlayer", cfg, {"model1": curve}, conf.T.copy(), t0)
-    state = CccState(clf=clf, confusions=conf, corrections=None,
-                     meta_set=None, epoch=cfg.epochs)
-    return res, state
+def _meta_batches(meta: MetaSet, rng: RngStream, size: int, d: int):
+    """Endless meta batches cycling through one permutation of the meta set."""
+    if not meta.size:
+        empty = (np.empty((0, d)), np.empty(0, dtype=np.int64))
+        while True:
+            yield empty
+    order = rng.permutation(meta.size)
+    take = min(size, meta.size)
+    cursor = 0
+    while True:
+        sel = order[(cursor + np.arange(take)) % meta.size]
+        cursor = (cursor + take) % meta.size
+        yield meta.features[sel], meta.labels[sel]
 
 
-def train_ccc(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None):
-    """Coupled training: warmup, then distill/cluster/correct per epoch."""
+def _check_finite(state: CccState, epoch: int, tag: str, phase: str) -> None:
+    arrays = dict(state.clf.params)
+    if state.confusions is not None:
+        arrays["T"] = state.confusions.T
+        arrays["V"] = state.corrections.V
+    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise ConfigError(f"training diverged in epoch {epoch}, {tag}, {phase} phase: "
+                          f"non-finite {', '.join(bad)} (try a smaller lr)")
+
+
+def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
+          model_tag: str = "model1") -> RunResult:
+    """Train cfg.algo on ds in one epoch loop over the run's models.
+
+    majority and crowdlayer train one model, named `model_tag`; ccc
+    trains model1 and model2. The tag names the model's RNG streams and
+    its entries in the result. `on_step` receives one dict per crowd step.
+    """
     cfg.validate()
     t0 = time.perf_counter()
     eval_X, eval_y = _resolve_eval(ds, eval_set)
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
-    if cfg.meta_size < C:
+    ccc = cfg.algo == "ccc"
+    if ccc and cfg.meta_size < C:
         raise ConfigError(f"meta_size={cfg.meta_size} is below the class count {C}: "
                           "every class would get an empty meta quota")
-    if G > R:
+    if ccc and G > R:
         raise ConfigError(f"groups={G} exceeds the annotator count {R}")
+    labels = aggregate_majority(ds) if cfg.algo == "majority" else None
     master = RngStream(cfg.seed)
     kmeans_rng = master.split("kmeans")
-    tags = ("model1", "model2")
-    states = []
-    batch_rngs = []
-    meta_rngs = []
-    for tag in tags:
+    states, batch_rngs, meta_rngs = {}, {}, {}
+    for tag in ("model1", "model2") if ccc else (model_tag,):
         clf = init_classifier(cfg.model, ds.d,
                               cfg.hidden_dim if cfg.model == "mlp" else 0,
                               C, master.split(f"init-{tag}"))
-        states.append(CccState(
-            clf=clf, confusions=_init_confusions(ds, cfg),
-            corrections=CorrectionSet(V=np.zeros((G, C, C)),
-                                      group_of=np.zeros(R, dtype=np.int64)),
-            meta_set=None, epoch=0))
-        batch_rngs.append(master.split(f"batches-{tag}"))
-        meta_rngs.append(master.split(f"meta-{tag}"))
-    csr = _csr(ds)
-    curves = {tag: [] for tag in tags}
+        conf = cor = None
+        if labels is None:
+            # corrections stay all-zero until the first ccc epoch
+            conf = _init_confusions(ds, cfg)
+            cor = CorrectionSet(V=np.zeros((G, C, C)),
+                                group_of=np.zeros(R, dtype=np.int64))
+        states[tag] = CccState(clf=clf, confusions=conf, corrections=cor,
+                               meta_set=None)
+        batch_rngs[tag] = master.split(f"batches-{tag}")
+        meta_rngs[tag] = master.split(f"meta-{tag}")
+    csr = ds.instance_slices() if labels is None else None
+    curves = {tag: [] for tag in states}
     groups_by_epoch = []
-    steps = [0, 0]
+    steps = dict.fromkeys(states, 0)
 
     for epoch in range(cfg.epochs):
         lr = _lr_at(cfg, epoch)
-        if epoch < cfg.warmup:
-            for kk, (tag, state) in enumerate(zip(tags, states)):
-                for idx in _epoch_chunks(batch_rngs[kk].permutation(ds.n),
-                                         cfg.batch_size):
-                    batch = make_batch(ds, idx, csr)
-                    # corrections are still all-zero during warmup
-                    loss, dT = _crowd_step(state.clf, state.confusions,
-                                           state.corrections.V,
-                                           state.corrections.group_of, batch, lr,
-                                           cfg.momentum, cfg.weight_decay)
-                    if on_step is not None:
-                        on_step({"model": tag, "epoch": epoch, "step": steps[kk],
-                                 "phase": "warmup", "loss": loss, "dT": dT,
-                                 "present": np.unique(batch.ann_annotator)})
-                    steps[kk] += 1
-        else:
-            states[0].meta_set = distill_meta_set(ds, states[1].clf, cfg.meta_size)
-            states[1].meta_set = distill_meta_set(ds, states[0].clf, cfg.meta_size)
+        phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
+        if phase == "ccc":
+            m1, m2 = states["model1"], states["model2"]
+            m1.meta_set = distill_meta_set(ds, m2.clf, cfg.meta_size)
+            m2.meta_set = distill_meta_set(ds, m1.clf, cfg.meta_size)
+            Ts = [m1.confusions.T, m2.confusions.T]
             if cfg.grouping == "joint":
-                shared = group_annotators(states[0].confusions.T,
-                                          states[1].confusions.T, G, kmeans_rng)
-                group_maps = [shared, shared]
+                group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
             else:
-                group_maps = [_group_single(s.confusions.T, G, kmeans_rng)
-                              for s in states]
+                group_maps = [group_annotators([T], G, kmeans_rng) for T in Ts]
             groups_by_epoch.append((epoch, group_maps[0].copy()))
-            for kk, (tag, state) in enumerate(zip(tags, states)):
+            for state, group_of in zip((m1, m2), group_maps):
                 state.corrections = CorrectionSet(V=np.zeros((G, C, C)),
-                                                  group_of=group_maps[kk])
-                meta = state.meta_set
-                meta_order = meta_rngs[kk].permutation(meta.size) if meta.size else None
-                cursor = 0
-                for idx in _epoch_chunks(batch_rngs[kk].permutation(ds.n),
-                                         cfg.batch_size):
-                    batch = make_batch(ds, idx, csr)
+                                                  group_of=group_of)
+        for tag, state in states.items():
+            if phase == "ccc":
+                meta_batches = _meta_batches(state.meta_set, meta_rngs[tag],
+                                             cfg.meta_batch, ds.d)
+            for idx in _epoch_chunks(batch_rngs[tag].permutation(ds.n),
+                                     cfg.batch_size):
+                if labels is not None:
+                    _, grads = loss_and_grads(state.clf, ds.features[idx],
+                                              single_label_ce(labels[idx]))
+                    sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
+                    continue
+                batch = make_batch(ds, idx, csr)
+                cor = state.corrections
+                fwd = None
+                if phase == "ccc":
                     if cfg.v_reset == "iteration":
-                        state.corrections.V[:] = 0.0
-                    if meta.size:
-                        take = min(cfg.meta_batch, meta.size)
-                        sel = meta_order[(cursor + np.arange(take)) % meta.size]
-                        cursor = (cursor + take) % meta.size
-                        mb = (meta.features[sel], meta.labels[sel])
-                    else:
-                        mb = (np.empty((0, ds.d)), np.empty(0, dtype=np.int64))
+                        cor.V[:] = 0.0
                     # The outer step leaves the classifier as it is, so
                     # one forward serves both stages.
                     fwd = batch_forward(state.clf, batch.features)
-                    ccc_outer_step(state, batch, mb, cfg, eta_v=lr, forward=fwd)
-                    loss, dT = ccc_actual_step(state, batch, cfg, lr=lr,
-                                               forward=fwd)
-                    if on_step is not None:
-                        on_step({"model": tag, "epoch": epoch, "step": steps[kk],
-                                 "phase": "ccc", "loss": loss, "dT": dT,
-                                 "present": np.unique(batch.ann_annotator)})
-                    steps[kk] += 1
-        for tag, state in zip(tags, states):
+                    ccc_outer_step(state, batch, next(meta_batches), cfg,
+                                   eta_v=lr, forward=fwd)
+                loss, dT = _crowd_step(state.clf, state.confusions, cor.V,
+                                       cor.group_of, batch, lr, cfg.momentum,
+                                       cfg.weight_decay, fwd)
+                if on_step is not None:
+                    on_step({"model": tag, "epoch": epoch, "step": steps[tag],
+                             "phase": phase, "loss": loss, "dT": dT,
+                             "present": np.unique(batch.ann_annotator)})
+                steps[tag] += 1
+            _check_finite(state, epoch, tag, phase)
+        for tag, state in states.items():
             curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y))
-        states[0].epoch = states[1].epoch = epoch + 1
 
-    results = []
-    for tag, state in zip(tags, states):
-        res = _finish("ccc", cfg, {tag: curves[tag]},
-                      state.confusions.T.copy(), t0,
-                      groups_by_epoch=groups_by_epoch)
-        results.append(res)
-    # merged two-curve view for reporting
-    merged = _finish("ccc", cfg, curves,
-                     np.stack([s.confusions.T for s in states]), t0,
+    best = {k: float(max(v)) for k, v in curves.items()}
+    last = {k: float(v[-1]) for k, v in curves.items()}
+    if ccc:
+        mean_curve = [(a + b) / 2 for a, b in zip(*curves.values())]
+        best["mean"] = float(max(mean_curve))
+        last["mean"] = float(mean_curve[-1])
+    return RunResult(algo=cfg.algo, seed=cfg.seed, curves=curves, best=best,
+                     last=last, states=states, config=cfg.echo(),
+                     confusions={tag: s.confusions.T for tag, s in states.items()
+                                 if s.confusions is not None},
+                     wall_time_sec=time.perf_counter() - t0,
                      groups_by_epoch=groups_by_epoch)
-    return (results[0], results[1]), (states[0], states[1]), merged

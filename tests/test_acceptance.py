@@ -24,8 +24,7 @@ from ccc.numerics import CE_FLOOR, softmax_rows
 from ccc.rng import RngStream
 from ccc.simulate import AnnotatorPool, PatternSpec, build_pool, generate
 from ccc.training import (Batch, TrainConfig, correction_gradient,
-                          group_annotators, majority_vote, train_ccc,
-                          train_crowdlayer, train_majority)
+                          group_annotators, majority_vote, train)
 
 # Desk-scale experiment configuration (criterion 2): blob geometry chosen
 # so a linear softmax reaches ~95% clean-label test accuracy; training
@@ -97,9 +96,9 @@ def test_criterion_02_algorithm_ordering():
     for seed in (1, 2, 3, 4, 5):
         ds, _, ev = _desk_dataset(seed)
         cfg = dict(DESK, seed=seed)
-        res_mv, _ = train_majority(ds, TrainConfig(algo="majority", **cfg), ev)
-        res_cl, _ = train_crowdlayer(ds, TrainConfig(algo="crowdlayer", **cfg), ev)
-        (_, _), _, merged = train_ccc(ds, TrainConfig(algo="ccc", **cfg), ev)
+        res_mv = train(ds, TrainConfig(algo="majority", **cfg), ev)
+        res_cl = train(ds, TrainConfig(algo="crowdlayer", **cfg), ev)
+        merged = train(ds, TrainConfig(algo="ccc", **cfg), ev)
         mv_last.append(res_mv.last["model1"])
         cl_last.append(res_cl.last["model1"])
         ccc_last.append(merged.last["mean"])
@@ -170,16 +169,15 @@ def test_criterion_04_reduction_equivalence():
     cfg = dict(epochs=20, warmup=5, batch_size=64, meta_batch=50, lr=0.05,
                momentum=0.9, weight_decay=5e-4, meta_size=100, groups=5,
                seed=13, lr_decay_epoch=None, model="mlp", hidden_dim=32)
-    (res1, res2), _, _ = train_ccc(ds, TrainConfig(algo="ccc", gamma=0.0, **cfg),
-                                   (Xt, yt))
-    ref1, _ = train_crowdlayer(ds, TrainConfig(algo="crowdlayer", **cfg),
-                               (Xt, yt), model_tag="model1")
-    ref2, _ = train_crowdlayer(ds, TrainConfig(algo="crowdlayer", **cfg),
-                               (Xt, yt), model_tag="model2")
+    res = train(ds, TrainConfig(algo="ccc", gamma=0.0, **cfg), (Xt, yt))
+    ref1 = train(ds, TrainConfig(algo="crowdlayer", **cfg), (Xt, yt),
+                 model_tag="model1")
+    ref2 = train(ds, TrainConfig(algo="crowdlayer", **cfg), (Xt, yt),
+                 model_tag="model2")
     elapsed = time.perf_counter() - t0
-    assert res1.curves["model1"] == ref1.curves["model1"]
-    assert res2.curves["model2"] == ref2.curves["model1"]
-    assert len(res1.curves["model1"]) == 20
+    assert res.curves["model1"] == ref1.curves["model1"]
+    assert res.curves["model2"] == ref2.curves["model2"]
+    assert len(res.curves["model1"]) == 20
     assert elapsed < 60.0
     print(f"[PASS] criterion 4: gamma=0 curves bitwise equal over 20 epochs "
           f"for both coupled models, {elapsed:.1f}s")
@@ -206,7 +204,7 @@ def test_criterion_05_sparsity_gradient_law():
                       meta_batch=30, lr=0.05, momentum=0.9, weight_decay=0.0,
                       gamma=0.5, meta_size=60, groups=3, seed=2,
                       lr_decay_epoch=None, model="linear", hidden_dim=0)
-    train_ccc(ds, cfg, (X, y), on_step=check)
+    train(ds, cfg, (X, y), on_step=check)
     assert steps >= 100, f"only {steps} steps observed"
     assert violations == 0
     print(f"[PASS] criterion 5: exact-zero transition gradients for absent "
@@ -287,11 +285,11 @@ def test_criterion_08_grouping_recovery():
                    lr=0.1, momentum=0.9, weight_decay=0.0, gamma=0.5,
                    meta_size=200, groups=5, seed=seed, lr_decay_epoch=None,
                    model="mlp", hidden_dim=128, confusion_init="votes")
-        _, st1 = train_crowdlayer(ds, TrainConfig(algo="crowdlayer", **cfg),
-                                  (X, y))
-        _, st2 = train_crowdlayer(ds, TrainConfig(algo="crowdlayer", **cfg),
-                                  (X, y), model_tag="model2")
-        groups = group_annotators(st1.confusions.T, st2.confusions.T, 5,
+        st1 = train(ds, TrainConfig(algo="crowdlayer", **cfg),
+                    (X, y)).states["model1"]
+        st2 = train(ds, TrainConfig(algo="crowdlayer", **cfg),
+                    (X, y), model_tag="model2").states["model2"]
+        groups = group_annotators([st1.confusions.T, st2.confusions.T], 5,
                                   master.split("kmeans"), restarts=10)
         well = counts >= 100
         best = 0.0

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ccc.cli import main
 from ccc.data import load_dataset, save_eval_set
@@ -88,6 +89,26 @@ class TestSimulate:
         # epsilon 1.0 routes every label through the explicit pair map
         pair = np.array([2, 0, 1])
         assert np.array_equal(ds.ann_label, pair[ds.truth[ds.ann_instance]])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pair-map", "0:2,1:0,9:2"),     # source class out of range
+        ("--pair-map", "0:2,1:0,-1:2"),    # negative source class
+        ("--pair-map", "0:2,1:0,3:x"),     # target not an integer
+        ("--pair-map", "0:2,x:0,2:1"),     # source not an integer
+        ("--pair-map", "0:2,0:1,2:1"),     # source class repeated
+        ("--features", "blobs:N=x,C=3,D=4"),
+        ("--features", "blobs:N=30,C=3,D=4,spread=wide"),
+    ])
+    def test_bad_pair_map_or_blobs_value_exit_code(self, tmp_path, capsys, flag, value):
+        patterns = tmp_path / "pair.txt"
+        patterns.write_text("2 pair 1.0\n")
+        out = tmp_path / "bad"
+        argv = {"--features": "blobs:N=30,C=3,D=4", "--patterns": str(patterns),
+                "--pair-map": "0:2,1:0,2:1", "--out": str(out)}
+        argv[flag] = value
+        assert main(["simulate", *(x for kv in argv.items() for x in kv)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_binary_features_through_pipeline(self, tmp_path):
         out = tmp_path / "bin-ds"
@@ -251,6 +272,33 @@ class TestTrain:
             out = tmp_path / f"bad-{name}"
             assert main(_train_args(ds_dir, out, "ccc", **flags)) == 2
             assert not (out / "run.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exit_code(self, tmp_path, capsys):
+        ds_dir = _simulate(tmp_path, "div")
+        out = tmp_path / "div-run"
+        argv = _train_args(ds_dir, out, "crowdlayer", epochs=3)
+        argv[argv.index("--lr") + 1] = "1e200"
+        assert main(argv) == 2
+        assert "diverged in epoch 0, model1, crowdlayer phase" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("seeds, threads", [
+        ("1,x", "1"),     # seed not an integer
+        ("1,2", "abc"),   # thread count not an integer
+        ("1,1", "1"),     # repeated seed would share seed-1/
+        ("1,1", "2"),
+    ])
+    def test_bad_seeds_or_threads_exit_code(self, tmp_path, monkeypatch, capsys,
+                                            seeds, threads):
+        ds_dir = _simulate(tmp_path, "seeds")
+        monkeypatch.setenv("CCC_THREADS", threads)
+        out = tmp_path / "seeds-run"
+        argv = _train_args(ds_dir, out, "majority")
+        argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", seeds]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         ds_dir = _simulate(tmp_path, "cfg")

@@ -4,17 +4,16 @@ import pytest
 from ccc.data import CrowdDataset, make_blobs
 from ccc.errors import ConfigError, ContractError
 from ccc.models import batch_forward, init_classifier, last_layer_snapshot
-from ccc.numerics import CE_FLOOR, softmax_rows
+from ccc.numerics import CE_FLOOR, kmeans, softmax_rows
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import (Batch, CccState, ConfusionSet, CorrectionSet,
                           TrainConfig, aggregate_majority, auto_meta_lr,
-                          ccc_actual_step, ccc_outer_step, correction_gradient,
+                          ccc_outer_step, correction_gradient,
                           crowdlayer_instance_loss, distill_meta_set,
                           group_annotators, init_confusion_identity,
                           init_confusion_votes, majority_vote, make_batch,
-                          train_ccc, train_crowdlayer, train_majority,
-                          _crowd_step)
+                          train, _check_finite, _crowd_step)
 from ccc import kernels
 
 
@@ -132,7 +131,7 @@ class TestCrowdlayerTraining:
             if not all((info["dT"][r] == 0.0).all() for r in absent):
                 violations.append(info["step"])
 
-        train_crowdlayer(ds, _tiny_cfg(epochs=2, batch_size=16), on_step=check)
+        train(ds, _tiny_cfg(epochs=2, batch_size=16), on_step=check)
         assert violations == []
 
     def test_hand_two_class_gradients(self):
@@ -175,21 +174,22 @@ class TestCrowdlayerTraining:
         losses = []
         cfg = _tiny_cfg(epochs=50, batch_size=64, lr=0.05, momentum=0.0,
                         weight_decay=0.0)
-        train_crowdlayer(ds, cfg, on_step=lambda info: losses.append(info["loss"]))
+        train(ds, cfg, on_step=lambda info: losses.append(info["loss"]))
         assert len(losses) == 50
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_curve_length_and_best_last(self):
         ds = _blob_crowd(seed=4)
-        res, state = train_crowdlayer(ds, _tiny_cfg(epochs=5))
+        res = train(ds, _tiny_cfg(epochs=5))
+        state = res.states["model1"]
         assert len(res.curves["model1"]) == 5
         assert res.best["model1"] >= res.last["model1"]
         assert state.confusions.T.shape == (ds.annotator_count, 4, 4)
 
     def test_deterministic(self):
         ds = _blob_crowd(seed=5)
-        r1, _ = train_crowdlayer(ds, _tiny_cfg(epochs=3))
-        r2, _ = train_crowdlayer(ds, _tiny_cfg(epochs=3))
+        r1 = train(ds, _tiny_cfg(epochs=3))
+        r2 = train(ds, _tiny_cfg(epochs=3))
         assert r1.curves == r2.curves
 
 
@@ -197,13 +197,13 @@ class TestMajorityTraining:
     def test_noiseless_equals_truth_training(self):
         ds = _blob_crowd(seed=6, eps=0.0)
         assert np.array_equal(aggregate_majority(ds), ds.truth)
-        res, _ = train_majority(ds, _tiny_cfg(algo="majority", epochs=4))
+        res = train(ds, _tiny_cfg(algo="majority", epochs=4))
         assert len(res.curves["model1"]) == 4
 
     def test_determinism(self):
         ds = _blob_crowd(seed=7)
-        a, _ = train_majority(ds, _tiny_cfg(algo="majority", epochs=3))
-        b, _ = train_majority(ds, _tiny_cfg(algo="majority", epochs=3))
+        a = train(ds, _tiny_cfg(algo="majority", epochs=3))
+        b = train(ds, _tiny_cfg(algo="majority", epochs=3))
         assert a.curves == b.curves
 
 
@@ -264,7 +264,7 @@ class TestGrouping:
         base = np.stack([np.eye(3)] * 4)
         base[2] += 0.5
         base[3] += 0.5
-        groups = group_annotators(base, base, 2, rng)
+        groups = group_annotators([base, base], 2, rng)
         assert groups[0] == groups[1]
         assert groups[2] == groups[3]
         assert groups[0] != groups[2]
@@ -272,12 +272,18 @@ class TestGrouping:
     def test_r_equals_g(self):
         rng = RngStream(1)
         T = np.stack([np.eye(2) * (i + 1) for i in range(4)])
-        groups = group_annotators(T, T, 4, rng)
+        groups = group_annotators([T, T], 4, rng)
         assert sorted(groups.tolist()) == [0, 1, 2, 3]
+
+    def test_single_model_grouping_is_kmeans_on_flattened_transitions(self):
+        T = RngStream(2).normal((6, 3, 3))
+        groups = group_annotators([T], 3, RngStream(3))
+        expected = kmeans(T.reshape(6, -1), 3, rng=RngStream(3)).assignments
+        assert np.array_equal(groups, expected)
 
     def test_g_exceeds_r(self):
         with pytest.raises(ContractError):
-            group_annotators(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 3, RngStream(0))
+            group_annotators([np.zeros((2, 2, 2)), np.zeros((2, 2, 2))], 3, RngStream(0))
 
 
 class TestAutoMetaLr:
@@ -369,7 +375,7 @@ class TestOuterStep:
         conf = ConfusionSet(T=T.copy(), mom=np.zeros_like(T))
         cor = CorrectionSet(V=np.zeros((1, 3, 3)), group_of=group_of)
         state = CccState(clf=clf, confusions=conf, corrections=cor,
-                         meta_set=None, epoch=0)
+                         meta_set=None)
         W_before = clf.params["W"].copy()
         T_before = conf.T.copy()
         cfg = _tiny_cfg(algo="ccc", gamma=0.5, epochs=4, warmup=1)
@@ -383,7 +389,7 @@ class TestOuterStep:
         cor = CorrectionSet(V=np.zeros((1, 3, 3)), group_of=group_of)
         state = CccState(clf=clf,
                          confusions=ConfusionSet(T=T.copy(), mom=np.zeros_like(T)),
-                         corrections=cor, meta_set=None, epoch=0)
+                         corrections=cor, meta_set=None)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
         ccc_outer_step(state, batch, (np.empty((0, 4)), np.empty(0, dtype=np.int64)), cfg)
         assert (cor.V == 0.0).all()
@@ -409,8 +415,10 @@ class TestActualStep:
                          corrections=CorrectionSet(
                              V=np.zeros((3, 4, 4)),
                              group_of=(np.arange(ds.annotator_count) % 3).astype(np.int64)),
-                         meta_set=None, epoch=0)
-        ccc_actual_step(state, batch, cfg)
+                         meta_set=None)
+        _crowd_step(state.clf, state.confusions, state.corrections.V,
+                    state.corrections.group_of, batch, lr=cfg.lr,
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         assert np.array_equal(clf_a.params["W"], clf_b.params["W"])
         assert np.array_equal(conf_a.T, conf_b.T)
 
@@ -426,10 +434,33 @@ class TestActualStep:
             confusions=ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0)),
             corrections=CorrectionSet(V=np.zeros((2, 4, 4)),
                                       group_of=np.zeros(ds.annotator_count, dtype=np.int64)),
-            meta_set=None, epoch=0)
-        ccc_actual_step(state, batch, _tiny_cfg(algo="ccc", epochs=4, warmup=1))
+            meta_set=None)
+        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
+        _crowd_step(state.clf, state.confusions, state.corrections.V,
+                    state.corrections.group_of, batch, lr=cfg.lr,
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         for r in absent:
             assert np.array_equal(state.confusions.T[r], np.eye(4))
+
+
+class TestDivergenceGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo, phase", [("majority", "majority"),
+                                             ("crowdlayer", "crowdlayer"),
+                                             ("ccc", "warmup")])
+    def test_blow_up_stops_in_its_first_epoch(self, algo, phase):
+        ds = _blob_crowd(seed=32)
+        steps = []
+        with pytest.raises(ConfigError, match=f"epoch 0, model1, {phase} phase"):
+            train(ds, _tiny_cfg(algo=algo, lr=1e200, epochs=3), on_step=steps.append)
+        assert {info["epoch"] for info in steps} <= {0}
+
+    def test_non_finite_correction_names_v(self):
+        ds = _blob_crowd(seed=33)
+        state = train(ds, _tiny_cfg(algo="ccc", epochs=2, warmup=1)).states["model2"]
+        state.corrections.V[0, 0, 0] = np.nan
+        with pytest.raises(ConfigError, match=r"epoch 1, model2, ccc phase: non-finite V"):
+            _check_finite(state, 1, "model2", "ccc")
 
 
 class TestTrainCcc:
@@ -437,16 +468,16 @@ class TestTrainCcc:
         ds = _blob_crowd(seed=30)
         steps = []
         with pytest.raises(ConfigError, match="meta_size=3"):
-            train_ccc(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, meta_size=3),
-                      on_step=steps.append)
+            train(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, meta_size=3),
+                  on_step=steps.append)
         assert steps == []
 
     def test_more_groups_than_annotators_rejected_before_training(self):
         ds = _blob_crowd(seed=31)
         steps = []
         with pytest.raises(ConfigError, match="groups=9"):
-            train_ccc(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, groups=9),
-                      on_step=steps.append)
+            train(ds, _tiny_cfg(algo="ccc", epochs=4, warmup=1, groups=9),
+                  on_step=steps.append)
         assert steps == []
 
     def test_gamma_zero_reduces_to_crowdlayer_bitwise(self):
@@ -454,49 +485,50 @@ class TestTrainCcc:
         test_X, test_y = make_blobs(60, 4, 6, 0.2, RngStream(19))
         cfg_ccc = _tiny_cfg(algo="ccc", epochs=6, warmup=2, gamma=0.0, seed=3)
         cfg_cl = _tiny_cfg(algo="crowdlayer", epochs=6, seed=3)
-        (res1, res2), _, _ = train_ccc(ds, cfg_ccc, eval_set=(test_X, test_y))
-        res_cl, _ = train_crowdlayer(ds, cfg_cl, eval_set=(test_X, test_y))
-        assert res1.curves["model1"] == res_cl.curves["model1"]
+        res = train(ds, cfg_ccc, eval_set=(test_X, test_y))
+        res_cl = train(ds, cfg_cl, eval_set=(test_X, test_y))
+        assert res.curves["model1"] == res_cl.curves["model1"]
 
     def test_curve_lengths_and_best_last(self):
         ds = _blob_crowd(seed=20)
         cfg = _tiny_cfg(algo="ccc", epochs=5, warmup=2, seed=1)
-        (res1, res2), states, merged = train_ccc(ds, cfg)
-        assert len(res1.curves["model1"]) == 5
-        assert len(res2.curves["model2"]) == 5
-        for res, key in ((res1, "model1"), (res2, "model2")):
+        res = train(ds, cfg)
+        assert len(res.curves["model1"]) == 5
+        assert len(res.curves["model2"]) == 5
+        for key in ("model1", "model2"):
             assert res.best[key] >= res.last[key]
-        assert "mean" in merged.best
-        assert merged.groups_by_epoch[0][0] == cfg.warmup
+        assert "mean" in res.best
+        assert res.groups_by_epoch[0][0] == cfg.warmup
 
     def test_deterministic(self):
         ds = _blob_crowd(seed=22)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=5)
-        (a1, a2), _, _ = train_ccc(ds, cfg)
-        (b1, b2), _, _ = train_ccc(ds, cfg)
-        assert a1.curves == b1.curves
-        assert a2.curves == b2.curves
+        a = train(ds, cfg)
+        b = train(ds, cfg)
+        assert a.curves["model1"] == b.curves["model1"]
+        assert a.curves["model2"] == b.curves["model2"]
 
     def test_models_differ(self):
         ds = _blob_crowd(seed=23)
         cfg = _tiny_cfg(algo="ccc", epochs=3, warmup=1, seed=2)
-        _, states, _ = train_ccc(ds, cfg)
-        assert not np.array_equal(states[0].clf.params["W"], states[1].clf.params["W"])
+        states = train(ds, cfg).states
+        assert not np.array_equal(states["model1"].clf.params["W"],
+                                  states["model2"].clf.params["W"])
 
     def test_bad_config_rejected(self):
         ds = _blob_crowd(seed=24)
         with pytest.raises(ConfigError):
-            train_ccc(ds, _tiny_cfg(algo="ccc", epochs=3, warmup=3))
+            train(ds, _tiny_cfg(algo="ccc", epochs=3, warmup=3))
         with pytest.raises(ConfigError):
-            train_ccc(ds, _tiny_cfg(algo="ccc", gamma=-1.0, epochs=3, warmup=1))
+            train(ds, _tiny_cfg(algo="ccc", gamma=-1.0, epochs=3, warmup=1))
 
     def test_epoch_reset_and_per_model_grouping_run(self):
         ds = _blob_crowd(seed=25)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=6,
                         v_reset="epoch", grouping="per-model")
-        (res1, res2), states, _ = train_ccc(ds, cfg)
-        assert len(res1.curves["model1"]) == 4
-        assert np.isfinite(states[0].confusions.T).all()
+        res = train(ds, cfg)
+        assert len(res.curves["model1"]) == 4
+        assert np.isfinite(res.states["model1"].confusions.T).all()
 
     def test_votes_init_trains(self):
         ds = _blob_crowd(seed=26)
@@ -507,9 +539,9 @@ class TestTrainCcc:
         T0 = _init_confusions(ds, cfg).T
         assert T0.min() >= 0.0
         assert np.allclose(T0.sum(axis=2), 1.0, atol=1e-4)
-        (res1, _), states, _ = train_ccc(ds, cfg)
-        assert len(res1.curves["model1"]) == 4
-        assert np.isfinite(states[0].confusions.T).all()
+        res = train(ds, cfg)
+        assert len(res.curves["model1"]) == 4
+        assert np.isfinite(res.states["model1"].confusions.T).all()
 
     def test_correlated_preset_trains(self):
         master = RngStream(27)
@@ -518,6 +550,6 @@ class TestTrainCcc:
         ds = generate(y, X, pool, master.split("lab"))
         # ten classes need a meta set of at least ten
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=8, meta_size=20)
-        (res1, res2), _, _ = train_ccc(ds, cfg)
-        assert len(res1.curves["model1"]) == 4
-        assert all(np.isfinite(v) for v in res1.curves["model1"])
+        res = train(ds, cfg)
+        assert len(res.curves["model1"]) == 4
+        assert all(np.isfinite(v) for v in res.curves["model1"])
