@@ -151,6 +151,9 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
             raise ConfigError(f"bad pair map entry {part!r}: expected int:int") from None
         if not 0 <= a < C or pm[a] >= 0:
             raise ConfigError(f"pair map source class {a} is out of range or repeated")
+        if not 0 <= b < C or b == a:
+            raise ConfigError(f"pair map target class {b} is out of range or equal to "
+                              f"its source {a}")
         pm[a] = b
     if (pm < 0).any():
         raise ConfigError("pair map must cover every class")

@@ -39,16 +39,6 @@ class Classifier:
         if not self.momentum:
             self.momentum = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def copy(self) -> "Classifier":
-        return Classifier(
-            self.kind,
-            self.input_dim,
-            self.hidden_dim,
-            self.class_count,
-            {k: v.copy() for k, v in self.params.items()},
-            {k: v.copy() for k, v in self.momentum.items()},
-        )
-
 
 def init_classifier(kind: str, input_dim: int, hidden_dim: int, class_count: int,
                     rng: RngStream) -> Classifier:
@@ -98,12 +88,6 @@ def batch_forward(clf: Classifier, X: np.ndarray):
     Z = H @ clf.params["W" if clf.kind == "linear" else "W2"] + clf.params[
         "b" if clf.kind == "linear" else "b2"]
     return pre, H, softmax_rows(Z)
-
-
-def forward(clf: Classifier, x: np.ndarray):
-    """Single-instance forward: (penultimate, probability vector)."""
-    _, H, P = batch_forward(clf, np.asarray(x, dtype=np.float64)[None, :])
-    return H[0], P[0]
 
 
 def backprop(clf: Classifier, X: np.ndarray, pre, H, dZ) -> dict[str, np.ndarray]:

@@ -13,18 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .kernels import select_k
 from .rng import RngStream
 
 CE_FLOOR = 1e-12
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a 1-D logit vector (max subtraction)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
@@ -33,37 +24,6 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(p: np.ndarray, label: int) -> float:
-    """-log p[label], floored at CE_FLOOR so the result is always finite."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= label < p.shape[0]:
-        raise ContractError(f"label {label} out of range for {p.shape[0]} classes")
-    return float(-np.log(max(p[label], CE_FLOOR)))
-
-
-def sample_beta(alpha: float, beta: float, rng: RngStream) -> float:
-    if alpha <= 0 or beta <= 0:
-        raise ContractError(f"beta parameters must be positive, got ({alpha}, {beta})")
-    return float(rng.beta(alpha, beta))
-
-
-def weighted_sample_without_replacement(weights, k: int, rng: RngStream) -> np.ndarray:
-    """k distinct indices, each successive draw proportional to the
-    remaining weights. Zero-weight indices are never returned."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ContractError("weights must be a 1-D vector")
-    if np.any(w < 0):
-        raise ContractError("weights must be nonnegative")
-    positive = int((w > 0).sum())
-    if k > positive:
-        raise ContractError(f"k={k} exceeds the {positive} strictly positive weights")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    U = rng.uniform((1, k))
-    return select_k(w, U)[0]
 
 
 @dataclass

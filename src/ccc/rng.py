@@ -44,9 +44,6 @@ class RngStream:
     def uniform_range(self, low: float, high: float, size=None):
         return self.gen.uniform(low, high, size)
 
-    def integer(self, n: int) -> int:
-        return int(self.gen.integers(0, n))
-
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 

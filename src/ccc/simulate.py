@@ -121,33 +121,6 @@ def pattern_matrix(spec: PatternSpec, C: int, pair_map=None) -> np.ndarray:
     return mat
 
 
-def sample_independent_label(spec: PatternSpec, true_label: int, C: int,
-                             rng: RngStream, pair_map=None) -> int:
-    row_cum = np.cumsum(pattern_matrix(spec, C, pair_map)[true_label])
-    u = rng.uniform()
-    return min(int((u >= row_cum).sum()), C - 1)
-
-
-def sample_correlated_label(spec: PatternSpec, true_label: int, target_label: int,
-                            C: int, rng: RngStream) -> int:
-    """Resolve one correlated annotation given the target's label.
-
-    supportive and opposite always consume one uniform so that draw
-    counts do not depend on the data.
-    """
-    if spec.independent:
-        raise ContractError(f"{spec.kind} is not a correlated kind")
-    if target_label is None:
-        raise ContractError("correlated sampling needs the target's label")
-    if spec.kind == "copy":
-        return int(target_label)
-    u = rng.uniform()
-    uniform_label = min(int(u * C), C - 1)
-    if spec.kind == "supportive":
-        return int(true_label) if target_label == true_label else uniform_label
-    return int(true_label) if target_label != true_label else uniform_label
-
-
 # Preset pools: five pattern groups each (canonically 50 annotators per
 # group). Class lists are 0-based.
 PRESETS: dict[str, list[PatternSpec]] = {

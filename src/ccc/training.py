@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import CrowdDataset, MetaSet, evaluate_accuracy
 from .errors import ConfigError, ContractError
-from .kernels import EPS, crowd_grads, hyper_grads
+from .kernels import crowd_grads, hyper_grads
 from .models import (Classifier, backprop, batch_forward, init_classifier,
                      last_layer_snapshot, loss_and_grads, sgd_step,
                      single_label_ce)
@@ -142,15 +142,8 @@ class Batch:
 # label aggregation
 # ---------------------------------------------------------------------------
 
-def majority_vote(labels) -> int:
-    """Modal label; ties break toward the lowest class index."""
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.size == 0:
-        raise ContractError("majority_vote needs a nonempty label multiset")
-    return int(np.bincount(arr).argmax())
-
-
 def aggregate_majority(ds: CrowdDataset) -> np.ndarray:
+    """Modal label per instance; ties break toward the lowest class index."""
     counts = np.zeros((ds.n, ds.class_count), dtype=np.int64)
     np.add.at(counts, (ds.ann_instance, ds.ann_label), 1)
     if (counts.sum(axis=1) == 0).any():
@@ -159,21 +152,8 @@ def aggregate_majority(ds: CrowdDataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses and confusion initialization
+# confusion initialization
 # ---------------------------------------------------------------------------
-
-def crowdlayer_instance_loss(p, T_r, label: int, V_g=None) -> float:
-    """Cross entropy of the clamped, renormalized reported-label law."""
-    p = np.asarray(p, dtype=np.float64)
-    M = np.asarray(T_r, dtype=np.float64)
-    if V_g is not None:
-        M = M + V_g
-    if M.shape != (p.shape[0], p.shape[0]):
-        raise ContractError("transition matrix shape must match class count")
-    q = np.maximum(p @ M, EPS)
-    ratio = q[label] / q.sum()
-    return float(-np.log(max(ratio, EPS)))
-
 
 def init_confusion_identity(R: int, C: int) -> np.ndarray:
     return np.broadcast_to(np.eye(C), (R, C, C)).copy()
@@ -476,55 +456,58 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     groups_by_epoch = []
     steps = dict.fromkeys(states, 0)
 
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
-        if phase == "ccc":
-            m1, m2 = states["model1"], states["model2"]
-            m1.meta_set = distill_meta_set(ds, m2.clf, cfg.meta_size)
-            m2.meta_set = distill_meta_set(ds, m1.clf, cfg.meta_size)
-            Ts = [m1.confusions.T, m2.confusions.T]
-            if cfg.grouping == "joint":
-                group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
-            else:
-                group_maps = [group_annotators([T], G, kmeans_rng) for T in Ts]
-            groups_by_epoch.append((epoch, group_maps[0].copy()))
-            for state, group_of in zip((m1, m2), group_maps):
-                state.corrections = CorrectionSet(V=np.zeros((G, C, C)),
-                                                  group_of=group_of)
-        for tag, state in states.items():
+    # A blow-up makes numpy warn at every overflowing op; _check_finite
+    # reports it once, at the end of the epoch where it happens.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = _lr_at(cfg, epoch)
+            phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
             if phase == "ccc":
-                meta_batches = _meta_batches(state.meta_set, meta_rngs[tag],
-                                             cfg.meta_batch, ds.d)
-            for idx in _epoch_chunks(batch_rngs[tag].permutation(ds.n),
-                                     cfg.batch_size):
-                if labels is not None:
-                    _, grads = loss_and_grads(state.clf, ds.features[idx],
-                                              single_label_ce(labels[idx]))
-                    sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
-                    continue
-                batch = make_batch(ds, idx, csr)
-                cor = state.corrections
-                fwd = None
+                m1, m2 = states["model1"], states["model2"]
+                m1.meta_set = distill_meta_set(ds, m2.clf, cfg.meta_size)
+                m2.meta_set = distill_meta_set(ds, m1.clf, cfg.meta_size)
+                Ts = [m1.confusions.T, m2.confusions.T]
+                if cfg.grouping == "joint":
+                    group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
+                else:
+                    group_maps = [group_annotators([T], G, kmeans_rng) for T in Ts]
+                groups_by_epoch.append((epoch, group_maps[0].copy()))
+                for state, group_of in zip((m1, m2), group_maps):
+                    state.corrections = CorrectionSet(V=np.zeros((G, C, C)),
+                                                      group_of=group_of)
+            for tag, state in states.items():
                 if phase == "ccc":
-                    if cfg.v_reset == "iteration":
-                        cor.V[:] = 0.0
-                    # The outer step leaves the classifier as it is, so
-                    # one forward serves both stages.
-                    fwd = batch_forward(state.clf, batch.features)
-                    ccc_outer_step(state, batch, next(meta_batches), cfg,
-                                   eta_v=lr, forward=fwd)
-                loss, dT = _crowd_step(state.clf, state.confusions, cor.V,
-                                       cor.group_of, batch, lr, cfg.momentum,
-                                       cfg.weight_decay, fwd)
-                if on_step is not None:
-                    on_step({"model": tag, "epoch": epoch, "step": steps[tag],
-                             "phase": phase, "loss": loss, "dT": dT,
-                             "present": np.unique(batch.ann_annotator)})
-                steps[tag] += 1
-            _check_finite(state, epoch, tag, phase)
-        for tag, state in states.items():
-            curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y))
+                    meta_batches = _meta_batches(state.meta_set, meta_rngs[tag],
+                                                 cfg.meta_batch, ds.d)
+                for idx in _epoch_chunks(batch_rngs[tag].permutation(ds.n),
+                                         cfg.batch_size):
+                    if labels is not None:
+                        _, grads = loss_and_grads(state.clf, ds.features[idx],
+                                                  single_label_ce(labels[idx]))
+                        sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
+                        continue
+                    batch = make_batch(ds, idx, csr)
+                    cor = state.corrections
+                    fwd = None
+                    if phase == "ccc":
+                        if cfg.v_reset == "iteration":
+                            cor.V[:] = 0.0
+                        # The outer step leaves the classifier as it is, so
+                        # one forward serves both stages.
+                        fwd = batch_forward(state.clf, batch.features)
+                        ccc_outer_step(state, batch, next(meta_batches), cfg,
+                                       eta_v=lr, forward=fwd)
+                    loss, dT = _crowd_step(state.clf, state.confusions, cor.V,
+                                           cor.group_of, batch, lr, cfg.momentum,
+                                           cfg.weight_decay, fwd)
+                    if on_step is not None:
+                        on_step({"model": tag, "epoch": epoch, "step": steps[tag],
+                                 "phase": phase, "loss": loss, "dT": dT,
+                                 "present": np.unique(batch.ann_annotator)})
+                    steps[tag] += 1
+                _check_finite(state, epoch, tag, phase)
+            for tag, state in states.items():
+                curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y))
 
     best = {k: float(max(v)) for k, v in curves.items()}
     last = {k: float(v[-1]) for k, v in curves.items()}

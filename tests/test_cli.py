@@ -96,6 +96,8 @@ class TestSimulate:
         ("--pair-map", "0:2,1:0,3:x"),     # target not an integer
         ("--pair-map", "0:2,x:0,2:1"),     # source not an integer
         ("--pair-map", "0:2,0:1,2:1"),     # source class repeated
+        ("--pair-map", "0:2,1:0,2:9"),     # target class out of range
+        ("--pair-map", "0:2,1:1,2:0"),     # target equal to its source
         ("--features", "blobs:N=x,C=3,D=4"),
         ("--features", "blobs:N=30,C=3,D=4,spread=wide"),
     ])
@@ -273,14 +275,17 @@ class TestTrain:
             assert main(_train_args(ds_dir, out, "ccc", **flags)) == 2
             assert not (out / "run.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exit_code(self, tmp_path, capsys):
         ds_dir = _simulate(tmp_path, "div")
+        capsys.readouterr()
         out = tmp_path / "div-run"
         argv = _train_args(ds_dir, out, "crowdlayer", epochs=3)
         argv[argv.index("--lr") + 1] = "1e200"
         assert main(argv) == 2
-        assert "diverged in epoch 0, model1, crowdlayer phase" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "diverged in epoch 0, model1, crowdlayer phase" in err[0]
         assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("seeds, threads", [

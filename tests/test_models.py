@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccc.errors import ContractError
-from ccc.models import (PARAM_KEYS, batch_forward, forward, init_classifier,
+from ccc.models import (PARAM_KEYS, batch_forward, init_classifier,
                         last_layer_snapshot, load_model, loss_and_grads,
                         save_model, sgd_step, single_label_ce)
 from ccc.rng import RngStream
@@ -75,8 +75,9 @@ class TestForward:
     def test_zero_weights_uniform(self):
         clf = init_classifier("linear", 3, 0, 4, RngStream(0))
         clf.params["W"][:] = 0.0
-        _, p = forward(clf, np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(p, 0.25)
+        _, _, P = batch_forward(clf, np.array([[1.0, -2.0, 0.5]]))
+        assert P.shape == (1, 4)
+        assert np.allclose(P[0], 0.25)
 
     def test_hand_mlp(self):
         clf = init_classifier("mlp", 2, 2, 2, RngStream(0))
@@ -84,11 +85,11 @@ class TestForward:
         clf.params["b1"][:] = 0.0
         clf.params["W2"][:] = np.eye(2)
         clf.params["b2"][:] = 0.0
-        pen, p = forward(clf, np.array([1.0, -2.0]))
+        _, H, P = batch_forward(clf, np.array([[1.0, -2.0]]))
         # hand: hidden = relu([1, -2]) = [1, 0]; logits = [1, 0]
-        assert np.array_equal(pen, [1.0, 0.0])
+        assert np.array_equal(H, [[1.0, 0.0]])
         e = np.exp(1.0)
-        assert np.allclose(p, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
+        assert np.allclose(P, [[e / (1 + e), 1 / (1 + e)]], atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         clf = init_classifier("mlp", 5, 7, 6, RngStream(4))
@@ -98,7 +99,7 @@ class TestForward:
     def test_dim_mismatch(self):
         clf = init_classifier("linear", 3, 0, 2, RngStream(0))
         with pytest.raises(ContractError):
-            forward(clf, np.zeros(4))
+            batch_forward(clf, np.zeros((1, 4)))
 
 
 class TestLossAndGrads:

@@ -4,105 +4,109 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccc.errors import ContractError
-from ccc.numerics import (cross_entropy, kmeans, sample_beta, softmax,
-                          softmax_rows, weighted_sample_without_replacement)
+from ccc.kernels import select_k
+from ccc.models import single_label_ce
+from ccc.numerics import kmeans, softmax_rows
 from ccc.rng import RngStream
+from ccc.simulate import PatternSpec, build_pool
+
+
+def _softmax_row(logits):
+    return softmax_rows(np.asarray(logits, dtype=np.float64)[None, :])[0]
+
+
+def _ce(p, label):
+    """The majority trainer's per-instance loss on one (1, C) row."""
+    losses, _ = single_label_ce([label])(np.asarray(p, dtype=np.float64)[None, :])
+    return float(losses[0])
 
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        assert np.allclose(softmax([0.0, 0.0, 0.0, 0.0]), 0.25)
+        assert np.allclose(_softmax_row([0.0, 0.0, 0.0, 0.0]), 0.25)
 
     def test_known_values(self):
         # cross-checked against a 40-digit mpmath evaluation
         expected = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
-        assert np.allclose(softmax([1.0, 2.0, 3.0]), expected, atol=1e-12)
+        assert np.allclose(_softmax_row([1.0, 2.0, 3.0]), expected, atol=1e-12)
 
     def test_shift_invariance(self):
         v = np.array([0.3, -1.2, 4.0, 2.2])
-        assert np.allclose(softmax(v), softmax(v + 123.456), atol=1e-12)
+        assert np.allclose(_softmax_row(v), _softmax_row(v + 123.456), atol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one_and_positive(self, logits):
-        p = softmax(logits)
+        p = _softmax_row(logits)
         assert abs(p.sum() - 1.0) < 1e-6
         assert (p > 0).all()
 
     def test_rows_matches_single(self):
+        def softmax_1d(z):  # oracle: stable softmax of one logit vector
+            e = np.exp(z - z.max())
+            return e / e.sum()
+
         Z = RngStream(1).normal((5, 4))
         P = softmax_rows(Z)
         for i in range(5):
-            assert np.allclose(P[i], softmax(Z[i]), atol=1e-15)
+            assert np.allclose(P[i], softmax_1d(Z[i]), atol=1e-15)
 
 
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert _ce(np.array([0.0, 1.0, 0.0]), 1) == 0.0
 
     def test_uniform_ten_classes(self):
         p = np.full(10, 0.1)
-        assert abs(cross_entropy(p, 3) - 2.302585092994046) < 1e-12
+        assert abs(_ce(p, 3) - 2.302585092994046) < 1e-12
 
     def test_known_value(self):
-        assert abs(cross_entropy(np.array([0.7, 0.3]), 1) - 1.203972804325936) < 1e-12
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ContractError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+        assert abs(_ce(np.array([0.7, 0.3]), 1) - 1.203972804325936) < 1e-12
 
     def test_zero_probability_is_finite(self):
-        v = cross_entropy(np.array([1.0, 0.0]), 1)
+        v = _ce(np.array([1.0, 0.0]), 1)
         assert np.isfinite(v) and v == pytest.approx(-np.log(1e-12))
 
     @given(st.integers(0, 4))
     @settings(max_examples=20, deadline=None)
     def test_nonnegative(self, label):
-        p = softmax(RngStream(label).normal(5))
-        assert cross_entropy(p, label) >= 0.0
+        p = _softmax_row(RngStream(label).normal(5))
+        assert _ce(p, label) >= 0.0
 
 
 class TestSampleBeta:
     def test_moments(self):
-        rng = RngStream(5)
-        draws = np.array([sample_beta(1.5, 3.0, rng) for _ in range(100_000)])
+        draws = RngStream(5).beta(1.5, 3.0, 100_000)
         assert (draws > 0).all() and (draws < 1).all()
         assert abs(draws.mean() - 1.0 / 3.0) < 0.01
         # analytic variance a*b / ((a+b)^2 (a+b+1))
         assert abs(draws.var() - 0.04040404040404041) < 0.003
 
     def test_bad_params(self):
-        rng = RngStream(0)
+        specs = [PatternSpec("dummy")]
         with pytest.raises(ContractError):
-            sample_beta(0.0, 1.0, rng)
+            build_pool(specs, 4, k=1, alpha=0.0, beta=1.0, rng=RngStream(0))
         with pytest.raises(ContractError):
-            sample_beta(1.0, -2.0, rng)
+            build_pool(specs, 4, k=1, alpha=1.0, beta=-2.0, rng=RngStream(0))
 
 
 class TestWeightedSampling:
     def test_single_positive_weight(self):
-        idx = weighted_sample_without_replacement([1.0, 0.0, 0.0], 1, RngStream(0))
+        idx = select_k(np.array([1.0, 0.0, 0.0]), RngStream(0).uniform((1, 1)))[0]
         assert set(idx) == {0}
 
     def test_exhaustive_equal_weights(self):
-        idx = weighted_sample_without_replacement(np.ones(6), 6, RngStream(3))
+        idx = select_k(np.ones(6), RngStream(3).uniform((1, 6)))[0]
         assert sorted(idx) == list(range(6))
 
     def test_first_draw_proportions(self):
-        rng = RngStream(17)
-        hits = sum(weighted_sample_without_replacement([3.0, 1.0], 1, rng)[0] == 0
-                   for _ in range(100_000))
+        picks = select_k(np.array([3.0, 1.0]), RngStream(17).uniform((100_000, 1)))
+        hits = int((picks[:, 0] == 0).sum())
         assert abs(hits / 100_000 - 0.75) < 0.01
 
-    def test_k_exceeds_positive_weights(self):
-        with pytest.raises(ContractError):
-            weighted_sample_without_replacement([1.0, 0.0, 2.0], 3, RngStream(0))
-
     def test_no_duplicates_and_no_zero_weight(self):
-        rng = RngStream(23)
         w = np.array([0.0, 2.0, 0.5, 0.0, 1.0, 3.0, 0.0, 0.25])
-        for _ in range(500):
-            idx = weighted_sample_without_replacement(w, 4, rng)
+        for idx in select_k(w, RngStream(23).uniform((500, 4))):
             assert len(set(idx.tolist())) == 4
             assert (w[idx] > 0).all()
 

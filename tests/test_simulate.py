@@ -6,8 +6,7 @@ from ccc.data import (annotation_histogram, annotation_noise_rate,
 from ccc.errors import ConfigError, ContractError
 from ccc.rng import RngStream
 from ccc.simulate import (PRESETS, AnnotatorPool, PatternSpec, build_pool,
-                          generate, pattern_matrix, sample_correlated_label,
-                          sample_independent_label)
+                          generate, pattern_matrix)
 
 
 class TestPatternMatrix:
@@ -54,51 +53,54 @@ class TestPatternMatrix:
             PatternSpec("symmetric", epsilon=1.5)
 
 
+def _dense_labels(specs, C, true_label, n, seed, pair_map=None):
+    """Phase-1 labels (n, R) of a k=1 pool on n instances of one true class."""
+    pool = build_pool(specs, C, k=1, rng=RngStream(seed), pair_map=pair_map)
+    truth = np.full(n, true_label, dtype=np.int64)
+    _, dense = generate(truth, np.zeros((n, 1)), pool, RngStream(seed).split("labels"),
+                        return_dense=True)
+    return dense
+
+
 class TestIndependentSampling:
     def test_noiseless_always_truth(self):
-        spec = PatternSpec("symmetric", epsilon=0.0)
-        rng = RngStream(0)
-        assert all(sample_independent_label(spec, 2, 5, rng) == 2 for _ in range(50))
+        dense = _dense_labels([PatternSpec("symmetric", epsilon=0.0)], 5, 2, 50, 0)
+        assert (dense[:, 0] == 2).all()
 
     def test_dummy_uniform_frequencies(self):
-        rng = RngStream(1)
-        draws = np.array([sample_independent_label(PatternSpec("dummy"), 3, 10, rng)
-                          for _ in range(100_000)])
-        freq = np.bincount(draws, minlength=10) / draws.size
+        dense = _dense_labels([PatternSpec("dummy")], 10, 3, 100_000, 1)
+        freq = np.bincount(dense[:, 0], minlength=10) / dense.shape[0]
         assert np.abs(freq - 0.1).max() < 0.01
 
     def test_pair_frequencies(self):
-        spec = PatternSpec("pair", epsilon=0.6)
-        rng = RngStream(2)
-        draws = np.array([sample_independent_label(spec, 2, 10, rng)
-                          for _ in range(100_000)])
-        freq = np.bincount(draws, minlength=10) / draws.size
+        dense = _dense_labels([PatternSpec("pair", epsilon=0.6)], 10, 2, 100_000, 2)
+        freq = np.bincount(dense[:, 0], minlength=10) / dense.shape[0]
         assert abs(freq[3] - 0.6) < 0.01
         assert abs(freq[2] - 0.4) < 0.01
 
 
 class TestCorrelatedSampling:
+    # Annotator 0 is the independent target; annotator 1 reacts to it.
     def test_copy(self):
-        spec = PatternSpec("copy")
-        rng = RngStream(0)
-        assert sample_correlated_label(spec, 1, 7, 10, rng) == 7
+        # pair-1.0 with 1 -> 7 always reports 7 on class 1
+        pair_map = [1, 7, 3, 4, 5, 6, 7, 8, 9, 0]
+        specs = [PatternSpec("pair", epsilon=1.0), PatternSpec("copy", target=0)]
+        dense = _dense_labels(specs, 10, 1, 50, 0, pair_map=pair_map)
+        assert (dense[:, 0] == 7).all()
+        assert (dense[:, 1] == 7).all()
 
     def test_supportive_with_correct_target(self):
-        spec = PatternSpec("supportive")
-        rng = RngStream(1)
-        assert all(sample_correlated_label(spec, 4, 4, 10, rng) == 4 for _ in range(50))
+        specs = [PatternSpec("symmetric", epsilon=0.0), PatternSpec("supportive", target=0)]
+        dense = _dense_labels(specs, 10, 4, 50, 1)
+        assert (dense[:, 0] == 4).all()
+        assert (dense[:, 1] == 4).all()
 
     def test_opposite_with_correct_target_is_uniform(self):
-        spec = PatternSpec("opposite")
-        rng = RngStream(2)
-        draws = np.array([sample_correlated_label(spec, 4, 4, 10, rng)
-                          for _ in range(100_000)])
-        freq = np.bincount(draws, minlength=10) / draws.size
+        specs = [PatternSpec("symmetric", epsilon=0.0), PatternSpec("opposite", target=0)]
+        dense = _dense_labels(specs, 10, 4, 100_000, 2)
+        assert (dense[:, 0] == 4).all()
+        freq = np.bincount(dense[:, 1], minlength=10) / dense.shape[0]
         assert np.abs(freq - 0.1).max() < 0.01
-
-    def test_missing_target_label(self):
-        with pytest.raises(ContractError):
-            sample_correlated_label(PatternSpec("copy"), 1, None, 10, RngStream(0))
 
 
 class TestBuildPool:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,9 @@ from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import (Batch, CccState, ConfusionSet, CorrectionSet,
                           TrainConfig, aggregate_majority, auto_meta_lr,
                           ccc_outer_step, correction_gradient,
-                          crowdlayer_instance_loss, distill_meta_set,
-                          group_annotators, init_confusion_identity,
-                          init_confusion_votes, majority_vote, make_batch,
-                          train, _check_finite, _crowd_step)
+                          distill_meta_set, group_annotators,
+                          init_confusion_identity, init_confusion_votes,
+                          make_batch, train, _check_finite, _crowd_step)
 from ccc import kernels
 
 
@@ -34,30 +35,44 @@ def _tiny_cfg(**kw):
     return TrainConfig(**base)
 
 
+def _multiset_dataset(multisets, class_count):
+    """One instance per label multiset; annotator id = position in the multiset."""
+    sizes = [len(m) for m in multisets]
+    return CrowdDataset(
+        features=np.zeros((len(multisets), 1)), class_count=class_count,
+        annotator_count=max(max(sizes), 1),
+        ann_instance=np.repeat(np.arange(len(multisets), dtype=np.int64), sizes),
+        ann_annotator=np.concatenate([np.arange(s, dtype=np.int64) for s in sizes]),
+        ann_label=np.concatenate([np.asarray(m, dtype=np.int64) for m in multisets]))
+
+
 class TestMajorityVote:
     def test_clear_majority(self):
-        assert majority_vote([1, 1, 2]) == 1
+        assert aggregate_majority(_multiset_dataset([[1, 1, 2]], 3)).tolist() == [1]
 
     def test_tie_breaks_low(self):
-        assert majority_vote([0, 1]) == 0
-        assert majority_vote([2, 1]) == 1
+        assert aggregate_majority(_multiset_dataset([[0, 1], [2, 1]], 3)).tolist() == [0, 1]
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            majority_vote([])
+        for multisets in ([[]], [[1], []]):
+            with pytest.raises(ContractError):
+                aggregate_majority(_multiset_dataset(multisets, 3))
 
     def test_random_multisets_vs_bruteforce(self):
         rng = RngStream(42)
+        multisets, expected = [], []
         for _ in range(1000):
-            size = 1 + rng.integer(7)
-            labels = [rng.integer(5) for _ in range(size)]
+            size = 1 + int(rng.gen.integers(0, 7))
+            labels = [int(rng.gen.integers(0, 5)) for _ in range(size)]
             # brute force: count every class, take the lowest argmax
             best, best_count = None, -1
             for c in range(5):
                 count = sum(1 for v in labels if v == c)
                 if count > best_count:
                     best, best_count = c, count
-            assert majority_vote(labels) == best
+            multisets.append(labels)
+            expected.append(best)
+        assert aggregate_majority(_multiset_dataset(multisets, 5)).tolist() == expected
 
     def test_aggregate(self):
         ds = CrowdDataset(
@@ -68,28 +83,37 @@ class TestMajorityVote:
         assert aggregate_majority(ds).tolist() == [2, 0]
 
 
+def _instance_loss(p, T, label, V=None):
+    """crowd_grads' loss on a one-annotation batch with M = T (+ V)."""
+    M = np.asarray(T, dtype=np.float64) + (0.0 if V is None else V)
+    zero = np.zeros(1, dtype=np.int64)
+    loss, _, _ = kernels.crowd_grads(np.asarray(p, dtype=np.float64)[None, :], zero, zero,
+                                     np.array([label], dtype=np.int64), M[None], 1)
+    return loss
+
+
 class TestInstanceLoss:
     def test_identity_reduces_to_ce(self):
         p = np.array([0.2, 0.5, 0.3])
-        assert crowdlayer_instance_loss(p, np.eye(3), 1) == pytest.approx(-np.log(0.5))
+        assert _instance_loss(p, np.eye(3), 1) == pytest.approx(-np.log(0.5))
 
     def test_rank_one_collapse(self):
         p = np.array([0.9, 0.05, 0.05])
         T = np.full((3, 3), 1 / 3)
-        assert crowdlayer_instance_loss(p, T, 2) == pytest.approx(np.log(3))
+        assert _instance_loss(p, T, 2) == pytest.approx(np.log(3))
 
     def test_hand_product(self):
         p = np.array([0.6, 0.4])
         T = np.array([[0.9, 0.1], [0.2, 0.8]])
         # q = p @ T = [0.62, 0.38]
-        assert crowdlayer_instance_loss(p, T, 1) == pytest.approx(0.967584, abs=1e-6)
+        assert _instance_loss(p, T, 1) == pytest.approx(0.967584, abs=1e-6)
 
     def test_correction_added(self):
         p = np.array([0.5, 0.5])
         T = np.eye(2)
         V = np.array([[0.0, 0.0], [0.0, 1.0]])
         # q = [0.5, 1.0] -> renormalized [1/3, 2/3]
-        assert crowdlayer_instance_loss(p, T, 1, V_g=V) == pytest.approx(-np.log(2 / 3))
+        assert _instance_loss(p, T, 1, V=V) == pytest.approx(-np.log(2 / 3))
 
 
 class TestConfusionInit:
@@ -403,7 +427,7 @@ class TestActualStep:
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
 
         clf_a = init_classifier("linear", ds.d, 0, 4, RngStream(15))
-        clf_b = clf_a.copy()
+        clf_b = copy.deepcopy(clf_a)
         T0 = init_confusion_identity(ds.annotator_count, 4)
         conf_a = ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0))
         conf_b = ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0))
@@ -444,7 +468,7 @@ class TestActualStep:
 
 
 class TestDivergenceGuard:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("algo, phase", [("majority", "majority"),
                                              ("crowdlayer", "crowdlayer"),
                                              ("ccc", "warmup")])
