@@ -192,6 +192,29 @@ class TestIO:
         with pytest.raises(DataFormatError, match=r"annotations\.csv:4"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("name, bad_row, message", [
+        ("annotations.csv", "0,x,1", "annotator id is not an integer: 'x'"),
+        ("annotations.csv", "0,9,1", "annotator id 9 out of range [0, 4)"),
+        ("annotations.csv", "0,1", "expected 3 fields"),
+        ("truth.csv", "1,x", "label is not an integer: 'x'"),
+        ("truth.csv", "1,7", "label 7 out of range"),
+        ("features.csv", "1,0.5,x,0.25", "non-numeric feature value"),
+        ("features.csv", "2,0.5,0.5,0.25", "ids must be 0..N-1 in order, got 2"),
+    ])
+    def test_blank_lines_before_bad_row_keep_its_line(self, tmp_path, name, bad_row,
+                                                       message):
+        ds = self._sample()
+        ds.features = RngStream(6).normal((8, 3))
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        # header, first row, two blank lines, then the bad row on line 5
+        path.write_text("\n".join([lines[0], lines[1], "", "", bad_row] + lines[3:]) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value).startswith(message)
+        assert info.value.line == 5 and info.value.path.endswith(name)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         ds = self._sample()
         save_dataset(ds, tmp_path / "d")

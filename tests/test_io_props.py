@@ -1,0 +1,102 @@
+"""Property tests: dataset and eval-set files round-trip bit for bit.
+
+Loading a saved directory must give back the same arrays (features
+compared as raw bits, so -0.0 and subnormals count), and saving the
+loaded data again must write byte-identical files, for csv and bin
+features alike.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ccc.data import (CrowdDataset, load_dataset, load_eval_set, save_dataset,
+                      save_eval_set)
+
+# Values whose text form is an edge of the float codec: signed zeros,
+# subnormals, reprs in scientific notation and the largest magnitudes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, -1e-05,
+               0.0001, 1e+16, 1e+15, -1.7976931348623157e+308,
+               123456789012345678.0, 0.1, 1 / 3]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _features(n, d):
+    return arrays(np.float64, (n, d), elements=FLOATS)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def crowd_datasets(draw):
+    """N instances with k distinct annotators each, in shuffled order."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 6))
+    k = draw(st.integers(1, r))
+    rows = []
+    for i in range(n):
+        annotators = draw(st.permutations(range(r)))[:k]
+        rows += [(i, a, draw(st.integers(0, c - 1))) for a in annotators]
+    rows = draw(st.permutations(rows))
+    ai, ar, al = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    truth = draw(st.one_of(st.none(), arrays(np.int64, n, elements=st.integers(0, c - 1))))
+    ds = CrowdDataset(features=draw(_features(n, d)), class_count=c, annotator_count=r,
+                      ann_instance=ai, ann_annotator=ar, ann_label=al, truth=truth,
+                      preset=draw(st.sampled_from([None, "IND-I", "COR-II"])),
+                      seed=draw(st.one_of(st.none(), st.integers(0, 2**31))))
+    ds.validate()
+    return ds
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=crowd_datasets(), fmt=st.sampled_from(["csv", "bin"]))
+def test_dataset_roundtrip_is_bitwise_and_resave_byte_identical(ds, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        save_dataset(ds, first, features_format=fmt)
+        loaded = load_dataset(first)
+
+        assert loaded.features.dtype == np.float64
+        assert np.array_equal(_bits(loaded.features), _bits(ds.features))
+        order = np.lexsort((ds.ann_annotator, ds.ann_instance))
+        for got, want in ((loaded.ann_instance, ds.ann_instance[order]),
+                          (loaded.ann_annotator, ds.ann_annotator[order]),
+                          (loaded.ann_label, ds.ann_label[order])):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        if ds.truth is None:
+            assert loaded.truth is None
+        else:
+            assert loaded.truth.dtype == np.int64
+            assert np.array_equal(loaded.truth, ds.truth)
+        assert (loaded.class_count, loaded.annotator_count, loaded.preset, loaded.seed) == \
+            (ds.class_count, ds.annotator_count, ds.preset, ds.seed)
+
+        save_dataset(loaded, second, features_format=fmt)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 4), c=st.integers(2, 5))
+def test_eval_set_roundtrip_is_bitwise_and_resave_byte_identical(data, n, d, c):
+    X = data.draw(_features(n, d))
+    y = data.draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        save_eval_set(X, y, first, class_count=c, seed=3)
+        X2, y2, c2 = load_eval_set(first)
+        assert np.array_equal(_bits(X2), _bits(X))
+        assert y2.dtype == np.int64 and np.array_equal(y2, y) and c2 == c
+        save_eval_set(X2, y2, second, class_count=c2, seed=3)
+        for name in ("meta.json", "features.csv", "truth.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
