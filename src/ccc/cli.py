@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .data import (annotation_histogram, annotation_noise_rate,
-                   confusion_distance, evaluate_accuracy, instance_noise_rate,
+                   confusion_distances, evaluate_accuracy, instance_noise_rate,
                    load_dataset, load_eval_set, make_blobs, save_dataset,
-                   save_eval_set, true_confusion_matrix)
+                   save_eval_set, true_confusion_matrices, write_csv)
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
@@ -36,10 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,6 +156,15 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
     return pm
 
 
+def _dense_blocks(dense, instances=256):
+    """Rows (instance, annotator, label) of an (N, R) table, a few instances at a time."""
+    N, R = dense.shape
+    for lo in range(0, N, instances):
+        block = dense[lo:lo + instances]
+        yield (np.repeat(np.arange(lo, lo + len(block)), R), np.tile(np.arange(R), len(block)),
+               block.ravel())
+
+
 def cmd_simulate(args) -> int:
     src_kind, src = _parse_feature_source(args.features)
     seed = _resolve(args, "seed", int, 0)
@@ -205,11 +210,8 @@ def cmd_simulate(args) -> int:
 
     save_dataset(ds, out_dir, features_format=args.features_format)
     if dense is not None:
-        with open(out_dir / "dense_labels.csv", "w", newline="") as fh:
-            fh.write("instance,annotator,label\n")
-            for i in range(dense.shape[0]):
-                for r in range(dense.shape[1]):
-                    fh.write(f"{i},{r},{dense[i, r]}\n")
+        write_csv(out_dir / "dense_labels.csv", "instance,annotator,label",
+                  _dense_blocks(dense))
     if args.test_size and src_kind == "blobs":
         test_X, test_y = make_blobs(args.test_size, src["C"], src["D"],
                                     src["spread"], master.split("test-features"),
@@ -249,12 +251,10 @@ def cmd_inspect(args) -> int:
     if ds.truth is not None:
         stats["instance_noise_rate"] = instance_noise_rate(ds)
         stats["annotation_noise_rate"] = annotation_noise_rate(ds)
-        cms = [true_confusion_matrix(ds, r) for r in range(ds.annotator_count)]
-        with open(out_dir / "cm_distances.csv", "w", newline="") as fh:
-            fh.write("annotator_a,annotator_b,mse\n")
-            for a in range(ds.annotator_count):
-                for b in range(ds.annotator_count):
-                    fh.write(f"{a},{b},{_fmt(confusion_distance(cms[a], cms[b]))}\n")
+        ids = np.arange(ds.annotator_count)
+        write_csv(out_dir / "cm_distances.csv", "annotator_a,annotator_b,mse",
+                  [(np.repeat(ids, ids.size), np.tile(ids, ids.size),
+                    confusion_distances(true_confusion_matrices(ds)).ravel())])
     else:
         print("no truth labels: noise rates and confusion distances omitted")
     _write_json(out_dir / "stats.json", stats)
@@ -299,26 +299,17 @@ def _train_config_from(args, seed: int) -> TrainConfig:
 
 def _write_curves(path: Path, curves: dict[str, list[float]]) -> None:
     keys = sorted(curves)
-    with open(path, "w", newline="") as fh:
-        if len(keys) == 1:
-            fh.write("epoch,acc\n")
-            for e, acc in enumerate(curves[keys[0]]):
-                fh.write(f"{e},{_fmt(acc)}\n")
-        else:
-            fh.write("epoch," + ",".join(f"acc_{k}" for k in keys) + "\n")
-            for e in range(len(curves[keys[0]])):
-                fh.write(f"{e}," + ",".join(_fmt(curves[k][e]) for k in keys) + "\n")
+    header = "epoch," + ("acc" if len(keys) == 1 else ",".join(f"acc_{k}" for k in keys))
+    acc = np.column_stack([curves[k] for k in keys])
+    write_csv(path, header, [(np.arange(acc.shape[0]), acc)])
 
 
 def _write_confusions(path: Path, confusions: dict[str, np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("model,annotator,row,col,value\n")
-        for name in sorted(confusions):
-            T = confusions[name]
-            for r in range(T.shape[0]):
-                for i in range(T.shape[1]):
-                    for j in range(T.shape[2]):
-                        fh.write(f"{name},{r},{i},{j},{_fmt(T[r, i, j])}\n")
+    blocks = []
+    for name in sorted(confusions):
+        T = confusions[name]
+        blocks.append((np.full(T.size, name), *np.indices(T.shape).reshape(3, -1), T.ravel()))
+    write_csv(path, "model,annotator,row,col,value", blocks)
 
 
 def _run_one_seed(ds, args, seed, eval_set, out_dir: Path) -> dict:
@@ -338,11 +329,9 @@ def _run_one_seed(ds, args, seed, eval_set, out_dir: Path) -> dict:
     if res.confusions:
         _write_confusions(out_dir / "confusions.csv", res.confusions)
     if res.groups_by_epoch:
-        with open(out_dir / "groups.csv", "w", newline="") as fh:
-            fh.write("epoch,annotator,group\n")
-            for epoch, assignment in res.groups_by_epoch:
-                for r, g in enumerate(assignment):
-                    fh.write(f"{epoch},{r},{g}\n")
+        write_csv(out_dir / "groups.csv", "epoch,annotator,group",
+                  [(np.full(len(g), epoch), np.arange(len(g)), g)
+                   for epoch, g in res.groups_by_epoch])
     return payload
 
 

@@ -12,11 +12,18 @@ A dataset directory contains:
 
 An evaluation set (features + truth, no annotations) uses the same
 layout with r = 0 and no annotations.csv; see save_eval_set.
+
+Every csv file goes through one codec: write_csv writes a table a block
+of rows at a time, and CsvRows reads one a whole file at a time with
+numpy's reader, then checks it with array expressions. Numbers are
+plain ASCII decimals and feature values must be finite.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,32 +133,34 @@ def annotation_noise_rate(ds: CrowdDataset) -> float:
     return float(wrong.mean())
 
 
-def true_confusion_matrix(ds: CrowdDataset, r: int) -> np.ndarray:
-    """Empirical confusion of annotator r against truth.
+def true_confusion_matrices(ds: CrowdDataset) -> np.ndarray:
+    """Empirical confusion of every annotator against truth, (R, C, C).
 
-    Row p, col q counts how often r reported q on a true-p instance,
+    Entry [r, p, q] counts how often r reported q on a true-p instance,
     normalized per row. Rows with no labeled instance are all-zero.
     """
     if ds.truth is None:
-        raise ContractError("true_confusion_matrix requires truth labels")
-    if not 0 <= r < ds.annotator_count:
-        raise ContractError(f"annotator id {r} out of range")
-    C = ds.class_count
-    mask = ds.ann_annotator == r
-    cm = np.zeros((C, C))
-    np.add.at(cm, (ds.truth[ds.ann_instance[mask]], ds.ann_label[mask]), 1.0)
-    rowsum = cm.sum(axis=1, keepdims=True)
+        raise ContractError("true_confusion_matrices requires truth labels")
+    R, C = ds.annotator_count, ds.class_count
+    cell = (ds.ann_annotator * C + ds.truth[ds.ann_instance]) * C + ds.ann_label
+    cm = np.bincount(cell, minlength=R * C * C).astype(np.float64).reshape(R, C, C)
+    rowsum = cm.sum(axis=2, keepdims=True)
     np.divide(cm, rowsum, out=cm, where=rowsum > 0)
     return cm
 
 
-def confusion_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference between two equally shaped matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ContractError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(((a - b) ** 2).mean())
+def confusion_distances(cms: np.ndarray) -> np.ndarray:
+    """Mean squared difference between every pair of stacked matrices, (R, R).
+
+    Entry [a, b] compares cms[a] with cms[b]. One row of the table is
+    built at a time, so the working set stays at one stack's size.
+    """
+    cms = np.asarray(cms, dtype=np.float64)
+    flat = cms.reshape(cms.shape[0], int(np.prod(cms.shape[1:])))
+    out = np.empty((flat.shape[0], flat.shape[0]))
+    for a, row in enumerate(flat):
+        out[a] = ((row - flat) ** 2).mean(axis=1)
+    return out
 
 
 def annotation_histogram(ds: CrowdDataset) -> np.ndarray:
@@ -195,19 +204,201 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 
 
 # ---------------------------------------------------------------------------
+# csv codec
+# ---------------------------------------------------------------------------
+
+_ROWS_PER_WRITE = 8192  # rows turned into text at once; bounds the live Python objects
+_ROW_BYTE = re.compile(rb"[^\n]")  # any byte that is not a line end
+_LONE_CR = re.compile(rb"\r(?!\n)")
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """Write a header line, then one line per row of each block.
+
+    A block is a tuple of equal-length columns; a 2-D column gives one
+    field per column. Values are written from their Python objects
+    (tolist): ints and strings with str, floats with repr, the shortest
+    text that reads back to the same bits (str of a Python float is its
+    repr).
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
+            line = ",".join(["{}"] * sum(c.shape[1] for c in cols)) + "\n"
+            for lo in range(0, cols[0].shape[0], _ROWS_PER_WRITE):
+                fields = [f for c in cols for f in c[lo:lo + _ROWS_PER_WRITE].T.tolist()]
+                fh.writelines(map(line.format, *fields))
+
+
+def _reads_as(text: bytes, dtype) -> bool:
+    """Whether numpy's reader reads one field's text as one value of dtype."""
+    if text in (b"", b"\r"):  # the reader would see an empty line, not a value
+        return False
+    try:
+        np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+class CsvRows:
+    """The rows of one csv table, parsed a whole file at a time by numpy's reader.
+
+    The file is a header line, then one row per nonblank line. Lines end
+    at \n, \r\n or \r, as in Python's universal newlines; a line that
+    holds only a \r is not blank. `ints` names the leading integer
+    fields, and `floats` feature values follow them. columns holds one
+    int64 array per integer field, then a (rows, floats) float64 array
+    when floats > 0.
+
+    A row that cannot be read (a wrong field count, or a value that is not
+    a plain ASCII decimal) ends the table: columns hold the rows before
+    it, and check() reports it unless it finds a fault in an earlier row,
+    so an error always names the first bad line. count_fault words a wrong
+    field count from `width` and `got`.
+    """
+
+    def __init__(self, path: Path, what: str, header: str, ints, floats: int = 0,
+                 count_fault: str = "expected {width} fields"):
+        self.path = path
+        self.ints = tuple(ints)
+        self.floats = floats
+        self.count_fault = count_fault
+        data = path.read_bytes()
+        if b"\r" in data:
+            # numpy's reader cannot end a line at a lone \r; \r\n keeps the
+            # line and its \r, which the reader ignores before \n.
+            data = _LONE_CR.sub(b"\r\n", data)
+        self._data = data
+        end = data.find(b"\n")
+        head = data if end < 0 else data[:end]
+        if head != header.encode():
+            raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
+                                  path, 1)
+        fields = [(f"i{j}", np.int64) for j in range(len(self.ints))]
+        if floats:
+            fields.append(("f", np.float64, (floats,)))
+        self._dtype = np.dtype(fields)
+        self._fault = None
+        table = None
+        # numpy's reader skips a line of only \r\n, which this format reads
+        # as a row of one empty field; such files take the slow path, whose
+        # layout keeps rows and line numbers aligned.
+        if b"\n\r\n" not in data:
+            try:
+                table = self._parse(len(head) + 1, len(data))
+            except ValueError:
+                pass
+        if table is None:
+            table = self._read_to_first_fault()
+        self.columns = [np.ascontiguousarray(table[name]) for name in self._dtype.names]
+
+    def _parse(self, start: int, stop: int):
+        """Rows in data[start:stop]; raises ValueError if one is unreadable."""
+        if not _ROW_BYTE.search(self._data, start, stop):
+            return np.empty(0, dtype=self._dtype)
+        return np.loadtxt(io.BytesIO(self._data[start:stop]), dtype=self._dtype,
+                          delimiter=",", comments=None, ndmin=1)
+
+    def _layout(self):
+        """Byte span, 1-based line number and field count of every row."""
+        raw = np.frombuffer(self._data, dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        if ends.size == 0 or ends[-1] != raw.size - 1:
+            ends = np.append(ends, raw.size)  # the last line has no \n
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        commas = np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord(","))),
+                             minlength=ends.size)
+        rows = np.flatnonzero(ends > starts)
+        rows = rows[rows > 0]  # line 0 is the header
+        return starts[rows], ends[rows], rows + 1, commas[rows] + 1
+
+    def _read_to_first_fault(self):
+        starts, ends, lines, counts = self._layout()
+        width = len(self.ints) + self.floats
+        wrong = np.flatnonzero(counts != width)
+        cut = int(wrong[0]) if wrong.size else starts.size
+
+        def parse(lo, hi):
+            return self._parse(starts[lo], ends[hi - 1]) if hi > lo else self._parse(0, 0)
+
+        try:
+            table = parse(0, cut)
+        except ValueError:
+            lo, hi = 0, cut  # rows before lo read; the first unreadable row is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    parse(lo, mid)
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            self._fault = self._field_fault(self._data[starts[lo]:ends[lo]], int(lines[lo]))
+            return parse(0, lo)
+        if cut < starts.size:
+            self._fault = DataFormatError(
+                self.count_fault.format(width=width, got=counts[cut]), self.path,
+                int(lines[cut]))
+        return table
+
+    def _field_fault(self, line: bytes, lineno: int) -> DataFormatError:
+        for j, text in enumerate(line.split(b",")):
+            is_int = j < len(self.ints)
+            if not _reads_as(text, np.int64 if is_int else np.float64):
+                if is_int:
+                    field = text.decode(errors="replace")
+                    return DataFormatError(f"{self.ints[j]} is not an integer: {field!r}",
+                                           self.path, lineno)
+                return DataFormatError("non-numeric feature value", self.path, lineno)
+        return DataFormatError(f"unreadable row {line.decode(errors='replace')!r}",
+                               self.path, lineno)
+
+    def check(self, *faults) -> None:
+        """Raise at the first bad row, else for the row that ended the table.
+
+        faults are (bad, message) pairs in the order one row is checked
+        in: bad masks the rows, and message(k) describes row k.
+        """
+        firsts = [(int(np.argmax(bad)), order)
+                  for order, (bad, _) in enumerate(faults) if bad.any()]
+        if firsts:
+            k, order = min(firsts)
+            raise DataFormatError(faults[order][1](k), self.path, int(self._layout()[2][k]))
+        if self._fault is not None:
+            raise self._fault
+
+
+def _repeats(*keys) -> np.ndarray:
+    """Mask of the rows whose key tuple already appeared in an earlier row."""
+    order = np.lexsort(keys[::-1])  # stable: a tuple's first row sorts first
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        same &= ranked[1:] == ranked[:-1]
+    out = np.zeros(order.size, dtype=bool)
+    out[order[1:]] = same
+    return out
+
+
+# ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _features_header(d: int) -> str:
+    return "id," + ",".join(f"f{j}" for j in range(d))
+
+
+def _write_meta(directory: Path, meta: dict) -> None:
+    with open(directory / "meta.json", "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_features_csv(path: Path, features: np.ndarray) -> None:
-    D = features.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write("id," + ",".join(f"f{j}" for j in range(D)) + "\n")
-        for i, row in enumerate(features):
-            fh.write(str(i) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    features = np.asarray(features, dtype=np.float64)
+    write_csv(path, _features_header(features.shape[1]),
+              [(np.arange(features.shape[0]), features)])
 
 
 def _write_features_bin(path: Path, features: np.ndarray) -> None:
@@ -218,6 +409,11 @@ def _write_features_bin(path: Path, features: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
 
 
+def _write_truth(path: Path, labels) -> None:
+    labels = np.asarray(labels)
+    write_csv(path, "instance,label", [(np.arange(labels.shape[0]), labels)])
+
+
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory; annotations in (instance, annotator) order."""
     if features_format not in ("csv", "bin"):
@@ -225,66 +421,36 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     features_file = "features.csv" if features_format == "csv" else "features.bin"
-    meta = {
+    _write_meta(directory, {
         "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
         "preset": ds.preset, "seed": ds.seed,
         "format_version": FORMAT_VERSION, "features_file": features_file,
-    }
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     if features_format == "csv":
         _write_features_csv(directory / "features.csv", ds.features)
     else:
         _write_features_bin(directory / "features.bin", ds.features)
     order = np.lexsort((ds.ann_annotator, ds.ann_instance))
-    with open(directory / "annotations.csv", "w", newline="") as fh:
-        fh.write("instance,annotator,label\n")
-        for idx in order:
-            fh.write(f"{ds.ann_instance[idx]},{ds.ann_annotator[idx]},{ds.ann_label[idx]}\n")
+    write_csv(directory / "annotations.csv", "instance,annotator,label",
+              [(ds.ann_instance[order], ds.ann_annotator[order], ds.ann_label[order])])
     if ds.truth is not None:
-        with open(directory / "truth.csv", "w", newline="") as fh:
-            fh.write("instance,label\n")
-            for i, y in enumerate(ds.truth):
-                fh.write(f"{i},{y}\n")
-
-
-def _read_int(field: str, path: Path, lineno: int, what: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise DataFormatError(f"{what} is not an integer: {field!r}", path, lineno) from None
+        _write_truth(directory / "truth.csv", ds.truth)
 
 
 def _load_features_csv(path: Path, n: int, d: int) -> np.ndarray:
     if not path.exists():
         raise DataFormatError("missing features file", path)
-    features = np.empty((n, d))
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        expected = "id," + ",".join(f"f{j}" for j in range(d))
-        if header != expected:
-            raise DataFormatError(f"bad features header {header!r}", path, 1)
-        count = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise DataFormatError(f"expected {d + 1} fields, got {len(parts)}", path, lineno)
-            i = _read_int(parts[0], path, lineno, "instance id")
-            if i != count:
-                raise DataFormatError(f"ids must be 0..N-1 in order, got {i}", path, lineno)
-            if i >= n:
-                raise DataFormatError(f"instance id {i} out of range", path, lineno)
-            try:
-                features[i] = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise DataFormatError("non-numeric feature value", path, lineno) from None
-            count += 1
-    if count != n:
-        raise DataFormatError(f"expected {n} feature rows, found {count}", path)
+    rows = CsvRows(path, "features", _features_header(d), ["instance id"], floats=d,
+                   count_fault="expected {width} fields, got {got}")
+    ids = rows.columns[0]
+    features = rows.columns[1] if d else np.empty((ids.size, 0))
+    rows.check(
+        (ids != np.arange(ids.size), lambda k: f"ids must be 0..N-1 in order, got {ids[k]}"),
+        (ids >= n, lambda k: f"instance id {ids[k]} out of range"),
+        (~np.isfinite(features).all(axis=1),
+         lambda k: f"non-finite feature value for instance {k}"))
+    if ids.size != n:
+        raise DataFormatError(f"expected {n} feature rows, found {ids.size}", path)
     return features
 
 
@@ -301,7 +467,18 @@ def _load_features_bin(path: Path, n: int, d: int) -> np.ndarray:
         raise DataFormatError(f"features shape ({bn}, {bd}) != meta ({n}, {d})", path)
     if len(blob) != 16 + 8 * n * d:
         raise DataFormatError("features payload size mismatch", path)
-    return np.frombuffer(blob[16:], dtype="<f8").reshape(n, d).copy()
+    features = np.frombuffer(blob[16:], dtype="<f8").reshape(n, d).copy()
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise DataFormatError(
+            f"non-finite feature value for instance {int(np.argmax(bad))}", path)
+    return features
+
+
+def _load_features(directory: Path, meta: dict) -> np.ndarray:
+    name = meta.get("features_file", "features.csv")
+    load = _load_features_bin if name.endswith(".bin") else _load_features_csv
+    return load(directory / name, meta["n"], meta["d"])
 
 
 def _load_meta(directory: Path) -> dict:
@@ -312,85 +489,61 @@ def _load_meta(directory: Path) -> dict:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"meta.json is not valid JSON: {exc}", meta_path) from None
+    if not isinstance(meta, dict):
+        raise DataFormatError("meta.json must hold a JSON object", meta_path)
     for key in ("n", "d", "c", "r", "format_version"):
         if key not in meta:
             raise DataFormatError(f"meta.json missing field {key!r}", meta_path)
+    for key in ("n", "d", "c", "r"):
+        if type(meta[key]) is not int or meta[key] < 0:  # bool is not a count
+            raise DataFormatError(
+                f"meta.json field {key!r} must be a non-negative integer, got {meta[key]!r}",
+                meta_path)
+    if type(meta["format_version"]) is not int:
+        raise DataFormatError(
+            f"meta.json field 'format_version' must be an integer, "
+            f"got {meta['format_version']!r}", meta_path)
     if meta["format_version"] != FORMAT_VERSION:
         raise DataFormatError(
             f"unsupported format_version {meta['format_version']}", meta_path)
+    if not isinstance(meta.get("features_file", ""), str):
+        raise DataFormatError("meta.json field 'features_file' must be a string", meta_path)
     return meta
 
 
 def _load_truth(path: Path, n: int, c: int) -> np.ndarray:
+    rows = CsvRows(path, "truth", "instance,label", ["instance id", "label"])
+    i, y = rows.columns
+    rows.check(((i < 0) | (i >= n), lambda k: f"instance id {i[k]} out of range"),
+               ((y < 0) | (y >= c), lambda k: f"label {y[k]} out of range"),
+               (_repeats(i), lambda k: f"duplicate truth row for instance {i[k]}"))
     truth = np.full(n, -1, dtype=np.int64)
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "instance,label":
-            raise DataFormatError(f"bad truth header {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataFormatError("expected 2 fields", path, lineno)
-            i = _read_int(parts[0], path, lineno, "instance id")
-            y = _read_int(parts[1], path, lineno, "label")
-            if not 0 <= i < n:
-                raise DataFormatError(f"instance id {i} out of range", path, lineno)
-            if not 0 <= y < c:
-                raise DataFormatError(f"label {y} out of range", path, lineno)
-            if truth[i] != -1:
-                raise DataFormatError(f"duplicate truth row for instance {i}", path, lineno)
-            truth[i] = y
+    truth[i] = y
     if (truth == -1).any():
         raise DataFormatError("truth.csv does not cover every instance", path)
     return truth
+
+
+def _load_annotations(path: Path, n: int, r: int, c: int):
+    if not path.exists():
+        raise DataFormatError("missing annotations.csv", path)
+    rows = CsvRows(path, "annotations", "instance,annotator,label",
+                   ["instance id", "annotator id", "label"])
+    i, a, y = rows.columns
+    rows.check(((i < 0) | (i >= n), lambda k: f"instance id {i[k]} out of range [0, {n})"),
+               ((a < 0) | (a >= r), lambda k: f"annotator id {a[k]} out of range [0, {r})"),
+               ((y < 0) | (y >= c), lambda k: f"label {y[k]} out of range [0, {c})"),
+               (_repeats(i, a), lambda k: f"duplicate annotation ({i[k]}, {a[k]})"))
+    return i, a, y
 
 
 def load_dataset(directory) -> CrowdDataset:
     """Load and fully validate a crowd dataset directory."""
     directory = Path(directory)
     meta = _load_meta(directory)
-    n, d, c, r = meta["n"], meta["d"], meta["c"], meta["r"]
-    features_file = meta.get("features_file", "features.csv")
-    if features_file.endswith(".bin"):
-        features = _load_features_bin(directory / features_file, n, d)
-    else:
-        features = _load_features_csv(directory / features_file, n, d)
-
-    ann_path = directory / "annotations.csv"
-    if not ann_path.exists():
-        raise DataFormatError("missing annotations.csv", ann_path)
-    ai, ar, al = [], [], []
-    seen = set()
-    with open(ann_path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "instance,annotator,label":
-            raise DataFormatError(f"bad annotations header {header!r}", ann_path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError("expected 3 fields", ann_path, lineno)
-            i = _read_int(parts[0], ann_path, lineno, "instance id")
-            a = _read_int(parts[1], ann_path, lineno, "annotator id")
-            y = _read_int(parts[2], ann_path, lineno, "label")
-            if not 0 <= i < n:
-                raise DataFormatError(f"instance id {i} out of range [0, {n})", ann_path, lineno)
-            if not 0 <= a < r:
-                raise DataFormatError(f"annotator id {a} out of range [0, {r})", ann_path, lineno)
-            if not 0 <= y < c:
-                raise DataFormatError(f"label {y} out of range [0, {c})", ann_path, lineno)
-            if (i, a) in seen:
-                raise DataFormatError(f"duplicate annotation ({i}, {a})", ann_path, lineno)
-            seen.add((i, a))
-            ai.append(i)
-            ar.append(a)
-            al.append(y)
-
+    n, c, r = meta["n"], meta["c"], meta["r"]
+    features = _load_features(directory, meta)
+    ai, ar, al = _load_annotations(directory / "annotations.csv", n, r, c)
     truth = None
     truth_path = directory / "truth.csv"
     if truth_path.exists():
@@ -398,9 +551,7 @@ def load_dataset(directory) -> CrowdDataset:
 
     ds = CrowdDataset(
         features=features, class_count=c, annotator_count=r,
-        ann_instance=np.asarray(ai, dtype=np.int64),
-        ann_annotator=np.asarray(ar, dtype=np.int64),
-        ann_label=np.asarray(al, dtype=np.int64),
+        ann_instance=ai, ann_annotator=ar, ann_label=al,
         truth=truth, preset=meta.get("preset"), seed=meta.get("seed"),
     )
     try:
@@ -416,33 +567,21 @@ def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n, d = features.shape
-    meta = {
+    _write_meta(directory, {
         "n": n, "d": d, "c": class_count, "r": 0,
         "preset": None, "seed": seed,
         "format_version": FORMAT_VERSION, "features_file": "features.csv",
-    }
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     _write_features_csv(directory / "features.csv", features)
-    with open(directory / "truth.csv", "w", newline="") as fh:
-        fh.write("instance,label\n")
-        for i, y in enumerate(labels):
-            fh.write(f"{i},{y}\n")
+    _write_truth(directory / "truth.csv", labels)
 
 
 def load_eval_set(directory):
     """Load (features, labels, class_count) from an eval-set directory."""
     directory = Path(directory)
     meta = _load_meta(directory)
-    n, d, c = meta["n"], meta["d"], meta["c"]
-    features_file = meta.get("features_file", "features.csv")
-    if features_file.endswith(".bin"):
-        features = _load_features_bin(directory / features_file, n, d)
-    else:
-        features = _load_features_csv(directory / features_file, n, d)
+    features = _load_features(directory, meta)
     truth_path = directory / "truth.csv"
     if not truth_path.exists():
         raise DataFormatError("eval set requires truth.csv", truth_path)
-    labels = _load_truth(truth_path, n, c)
-    return features, labels, c
+    return features, _load_truth(truth_path, meta["n"], meta["c"]), meta["c"]

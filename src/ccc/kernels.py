@@ -149,12 +149,16 @@ def draw_labels(cum_rows, truth, u):
     """Inverse-CDF label draws: one annotator labeling every instance.
 
     cum_rows (C, C) row-wise cumulative sums of the pattern matrix,
-    truth (N,) true classes, u (N,) uniforms. Returns int64 labels.
+    truth (N,) true classes, u (N,) uniforms. An instance's label is the
+    number of entries of cum_rows[truth] at or below u, capped at C - 1.
+    Each row is a cumsum of nonnegative entries and so never decreases,
+    which makes that capped count the count over the first C - 1 columns
+    alone; it is taken one column at a time for all instances. Returns
+    int64 labels.
     """
-    C = cum_rows.shape[1]
-    rows = cum_rows[truth]
-    lab = (u[:, None] >= rows).sum(axis=1).astype(np.int64)
-    np.minimum(lab, C - 1, out=lab)
+    lab = np.zeros(truth.shape[0], dtype=np.int64)
+    for column in cum_rows.T[:-1]:
+        lab += u >= column[truth]
     return lab
 
 

@@ -224,8 +224,9 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
         raise ContractError("Beta parameters must be positive")
     for spec in specs:
         if spec.good_classes and max(spec.good_classes) >= C:
-            raise ContractError(
-                f"classwise classes {spec.good_classes} out of range for C={C}")
+            # A preset is configuration; explicit specs are the caller's contract.
+            error = ConfigError if isinstance(spec_source, str) else ContractError
+            raise error(f"classwise classes {spec.good_classes} out of range for C={C}")
     independents = [i for i, s in enumerate(specs) if s.independent]
     if not independents:
         raise ContractError("pool needs at least one independent annotator")
@@ -257,7 +258,8 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
 
     Every instance ends with exactly pool.k annotations, stored in
     (instance, annotator) order. With return_dense=True the dense
-    phase-1 label table (N, R) is returned alongside for auditing.
+    phase-1 label table is returned alongside for auditing, as an (N, R)
+    view of the annotator-major (R, N) array.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.size == 0:
@@ -273,30 +275,31 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     if pool.k > R:
         raise ContractError(f"k={pool.k} exceeds pool size {R}")
 
-    dense = np.empty((N, R), dtype=np.int64)
+    # Annotator-major, so that each annotator writes one contiguous row.
+    dense = np.empty((R, N), dtype=np.int64)
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
             continue
         cum = np.cumsum(pattern_matrix(spec, C, pool.pair_map), axis=1)
-        dense[:, r] = draw_labels(cum, truth, rng.uniform(N))
+        dense[r] = draw_labels(cum, truth, rng.uniform(N))
     for r, spec in enumerate(pool.specs):
         if spec.independent:
             continue
-        target = dense[:, spec.target]
+        target = dense[spec.target]
         if spec.kind == "copy":
-            dense[:, r] = target
+            dense[r] = target
             continue
         u = rng.uniform(N)
         uniform_label = np.minimum((u * C).astype(np.int64), C - 1)
         right = target == truth
         keep_truth = right if spec.kind == "supportive" else ~right
-        dense[:, r] = np.where(keep_truth, truth, uniform_label)
+        dense[r] = np.where(keep_truth, truth, uniform_label)
 
     picks = select_k(pool.propensities, rng.uniform((N, pool.k)))
     picks = np.sort(picks, axis=1)  # canonical per-instance annotator order
     ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
     ann_annotator = picks.reshape(-1)
-    ann_label = dense[ann_instance, ann_annotator]
+    ann_label = dense[ann_annotator, ann_instance]
 
     ds = CrowdDataset(
         features=features, class_count=C, annotator_count=R,
@@ -304,4 +307,4 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         ann_label=ann_label, truth=truth, preset=preset, seed=seed,
     )
     ds.validate()
-    return (ds, dense) if return_dense else ds
+    return (ds, dense.T) if return_dense else ds

@@ -14,7 +14,7 @@ from ccc import kernels
 from ccc.cli import main as cli_main
 from ccc.data import (CrowdDataset, annotation_histogram, annotation_noise_rate,
                       instance_noise_rate, load_dataset, make_blobs,
-                      save_dataset, true_confusion_matrix, evaluate_accuracy)
+                      save_dataset, true_confusion_matrices, evaluate_accuracy)
 from ccc.models import (PARAM_KEYS, batch_forward, init_classifier,
                         last_layer_snapshot, loss_and_grads, sgd_step,
                         single_label_ce)
@@ -252,11 +252,10 @@ def test_criterion_07_confusion_recovery():
     ds = generate(truth, np.zeros((100_000, 1)), pool, RngStream(8))
     hist = annotation_histogram(ds)
     assert hist.min() >= 5000
-    cm_sym = true_confusion_matrix(ds, 0)
+    cm_sym, cm_dummy = true_confusion_matrices(ds)
     theory = np.full((10, 10), 0.3 / 9)
     np.fill_diagonal(theory, 0.7)
     err_sym = np.abs(cm_sym - theory).max()
-    cm_dummy = true_confusion_matrix(ds, 1)
     err_dummy = np.abs(cm_dummy - 0.1).max()
     assert err_sym < 0.02
     assert err_dummy < 0.02

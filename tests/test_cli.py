@@ -1,11 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from ccc.cli import main
-from ccc.data import load_dataset, save_eval_set
+from ccc.data import load_dataset, make_blobs, save_eval_set
 from ccc.rng import RngStream
+from ccc.simulate import PatternSpec, build_pool, generate
 
 
 def _simulate(tmp_path, name="d", seed=1, n=120, c=4, r=10, k=2,
@@ -60,17 +62,33 @@ class TestSimulate:
                 "--out", str(blocker / "sub")]
         assert main(argv) == 4
 
-    def test_preset_needs_enough_classes(self, tmp_path):
-        argv = ["simulate", "--features", "blobs:N=10,C=4,D=4",
-                "--preset", "IND-I", "--annotators", "5",
-                "--out", str(tmp_path / "x")]
-        assert main(argv) == 3
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_preset_needs_enough_classes(self, tmp_path, capsys, classes):
+        out = tmp_path / "x"
+        argv = ["simulate", "--features", f"blobs:N=10,C={classes},D=4",
+                "--preset", "IND-I", "--annotators", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_dense(self, tmp_path):
         out = _simulate(tmp_path, "dense", extra=("--dump-dense",), n=20, test_size=0)
         lines = (out / "dense_labels.csv").read_text().splitlines()
         assert lines[0] == "instance,annotator,label"
         assert len(lines) == 1 + 20 * 10
+        # the same draws as the command: features, pool, then labels streams
+        master = RngStream(1)
+        features, truth = make_blobs(20, 4, 6, 0.2, master.split("features"))
+        specs = [PatternSpec("symmetric", epsilon=0.2)] * 5 + \
+            [PatternSpec("symmetric", epsilon=0.4)] * 5
+        pool = build_pool(specs, 4, k=2, rng=master.split("pool"))
+        _, dense = generate(truth, features, pool, master.split("labels"),
+                            return_dense=True)
+        table = np.loadtxt(out / "dense_labels.csv", delimiter=",", skiprows=1,
+                           dtype=np.int64)
+        assert np.array_equal(table[:, 0], np.repeat(np.arange(20), 10))
+        assert np.array_equal(table[:, 1], np.tile(np.arange(10), 20))
+        assert np.array_equal(table[:, 2], dense.reshape(-1))
 
     def test_test_split_written(self, tmp_path):
         out = _simulate(tmp_path, "with-test", test_size=30)
@@ -184,6 +202,21 @@ class TestInspect:
         ann = ds_dir / "annotations.csv"
         ann.write_text(ann.read_text() + "0,999,0\n")
         assert main(["inspect", "--data", str(ds_dir)]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", -1), ("n", 50.0), ("n", True), ("d", "x"), ("c", None), ("r", -3),
+        ("format_version", "1"), ("format_version", 1.0), ("features_file", 7),
+    ])
+    def test_bad_meta_field_exit_code(self, tmp_path, capsys, key, value):
+        ds_dir = _simulate(tmp_path, "meta", test_size=0)
+        meta_path = ds_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        assert main(["inspect", "--data", str(ds_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "meta.json" in err
+        assert not (ds_dir / "stats.json").exists()
 
 
 def _noiseless_patterns(tmp_path):
@@ -319,6 +352,30 @@ class TestTrain:
         assert run["config"]["epochs"] == 3          # from file
         assert run["config"]["lr"] == 0.2            # flag wins
         assert run["config"]["batch_size"] == 16     # from file
+
+    @pytest.mark.parametrize("fmt, split", [("csv", "train"), ("csv", "test"),
+                                            ("bin", "train")])
+    def test_non_finite_feature_exit_code(self, tmp_path, capsys, fmt, split):
+        ds_dir = _simulate(tmp_path, "nf", extra=("--features-format", fmt))
+        directory = ds_dir if split == "train" else ds_dir / "test"
+        if fmt == "csv":
+            path = directory / "features.csv"
+            lines = path.read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"  # instance 2, on line 4
+            path.write_text("\n".join(lines) + "\n")
+            where = f"[{path}:4]"
+        else:
+            path = directory / "features.bin"
+            blob = bytearray(path.read_bytes())
+            at = 16 + 8 * 6 * 2  # instance 2's first feature, D = 6
+            blob[at:at + 8] = struct.pack("<d", float("-inf"))
+            path.write_bytes(bytes(blob))
+            where = f"[{path}]"
+        out = tmp_path / "run"
+        assert main(_train_args(ds_dir, out, "majority")) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == f"validation error: non-finite feature value for instance 2 {where}"
+        assert not out.exists()
 
     def test_mismatched_test_set_rejected(self, tmp_path):
         ds_dir = _simulate(tmp_path, "mm")

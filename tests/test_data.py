@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ccc.data import (CrowdDataset, annotation_histogram, annotation_noise_rate,
-                      confusion_distance, evaluate_accuracy, instance_noise_rate,
+                      confusion_distances, evaluate_accuracy, instance_noise_rate,
                       load_dataset, load_eval_set, make_blobs, save_dataset,
-                      save_eval_set, true_confusion_matrix)
+                      save_eval_set, true_confusion_matrices)
 from ccc.errors import ContractError, DataFormatError
 from ccc.models import init_classifier, loss_and_grads, sgd_step, single_label_ce
 from ccc.rng import RngStream
@@ -55,13 +55,13 @@ class TestTrueConfusionMatrix:
     def test_perfect_annotator_identity(self):
         ann = [[i, 0, i % 3] for i in range(9)]
         ds = _ds(9, 3, 1, ann, truth=[i % 3 for i in range(9)])
-        assert np.array_equal(true_confusion_matrix(ds, 0), np.eye(3))
+        assert np.array_equal(true_confusion_matrices(ds)[0], np.eye(3))
 
     def test_hand_counts_with_zero_row(self):
         # annotator saw four true-0 instances, reported [0, 0, 1, 0]
         ann = [[0, 0, 0], [1, 0, 0], [2, 0, 1], [3, 0, 0]]
         ds = _ds(4, 2, 1, ann, truth=[0, 0, 0, 0])
-        cm = true_confusion_matrix(ds, 0)
+        cm = true_confusion_matrices(ds)[0]
         assert np.allclose(cm[0], [0.75, 0.25])
         assert np.array_equal(cm[1], [0.0, 0.0])
 
@@ -71,30 +71,55 @@ class TestTrueConfusionMatrix:
         truth = rng.gen.integers(0, 4, n)
         ann = [[i, 0, int(rng.gen.integers(0, 4))] for i in range(n) if i % 2 == 0]
         ds = _ds(n, 4, 1, ann, truth=truth)
-        sums = true_confusion_matrix(ds, 0).sum(axis=1)
+        sums = true_confusion_matrices(ds)[0].sum(axis=1)
         assert all(s == pytest.approx(1.0) or s == 0.0 for s in sums)
 
-    def test_annotator_out_of_range(self):
-        ds = _ds(1, 2, 1, [[0, 0, 0]], truth=[0])
+    def test_matches_per_annotator_count_oracle(self):
+        # one matrix per annotator, each equal to its own count-and-normalize
+        # oracle; annotator 2 has no labels and keeps an all-zero matrix
+        rng = RngStream(4)
+        n, C, R = 50, 3, 4
+        truth = rng.gen.integers(0, C, n)
+        ann = [[i, r, int(rng.gen.integers(0, C))] for i in range(n) for r in (i % 2, 3)]
+        ds = _ds(n, C, R, ann, truth=truth)
+        cms = true_confusion_matrices(ds)
+        assert cms.shape == (R, C, C)
+        for r in range(R):
+            want = np.zeros((C, C))
+            for i, a, y in ann:
+                if a == r:
+                    want[truth[i], y] += 1.0
+            rows = want.sum(axis=1, keepdims=True)
+            np.divide(want, rows, out=want, where=rows > 0)
+            assert np.array_equal(cms[r], want)
+        assert not cms[2].any()
+
+    def test_requires_truth(self):
         with pytest.raises(ContractError):
-            true_confusion_matrix(ds, 1)
+            true_confusion_matrices(_ds(1, 2, 1, [[0, 0, 0]]))
 
 
 class TestConfusionDistance:
     def test_zero_on_equal(self):
         a = RngStream(0).normal((3, 3))
-        assert confusion_distance(a, a) == 0.0
+        assert np.array_equal(confusion_distances(np.stack([a, a])), np.zeros((2, 2)))
 
     def test_symmetric(self):
         a, b = RngStream(1).normal((4, 4)), RngStream(2).normal((4, 4))
-        assert confusion_distance(a, b) == confusion_distance(b, a)
+        dist = confusion_distances(np.stack([a, b]))
+        assert dist[0, 1] == dist[1, 0]
+        assert np.diag(dist).tolist() == [0.0, 0.0]
 
     def test_hand_value(self):
-        assert confusion_distance(np.eye(2), np.full((2, 2), 0.5)) == 0.25
+        dist = confusion_distances(np.stack([np.eye(2), np.full((2, 2), 0.5)]))
+        assert dist[0, 1] == 0.25
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            confusion_distance(np.eye(2), np.eye(3))
+    def test_matches_pairwise_mean_squared_difference(self):
+        cms = RngStream(5).normal((6, 3, 3))
+        dist = confusion_distances(cms)
+        for a in range(6):
+            for b in range(6):
+                assert dist[a, b] == ((cms[a] - cms[b]) ** 2).mean()
 
 
 class TestAnnotationHistogram:

@@ -213,3 +213,24 @@ def test_scatter_rows_equals_add_at(rows, A, tail, seed):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert (got[np.setdiff1d(np.arange(rows), index)] == 0.0).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(C=st.integers(2, 6), N=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_draw_labels_equals_comparison_count(C, N, seed):
+    # The oracle counts, by comparing against every entry, the cumulative
+    # entries at or below u. Zero pattern entries make flat cumsum steps,
+    # and some u sit exactly on an entry, at 0 or just below 1.
+    rng = np.random.default_rng(seed)
+    mat = rng.random((C, C)) * rng.integers(0, 2, (C, C))
+    mat[mat.sum(axis=1) == 0, 0] = 1.0
+    cum = np.cumsum(mat / mat.sum(axis=1, keepdims=True), axis=1)
+    truth = rng.integers(0, C, N)
+    u = rng.random(N)
+    on_entry = rng.integers(0, 2, N).astype(bool)
+    u[on_entry] = cum[truth[on_entry], rng.integers(0, C, on_entry.sum())]
+    u[::7] = 0.0
+    u[3::11] = np.nextafter(1.0, 0.0)
+    want = np.minimum((u[:, None] >= cum[truth]).sum(axis=1), C - 1)
+    got = kernels.draw_labels(cum, truth, u)
+    assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccc.data import (annotation_histogram, annotation_noise_rate,
-                      save_dataset, true_confusion_matrix)
+                      save_dataset, true_confusion_matrices)
 from ccc.errors import ConfigError, ContractError
 from ccc.rng import RngStream
 from ccc.simulate import (PRESETS, AnnotatorPool, PatternSpec, build_pool,
@@ -220,11 +220,10 @@ class TestGenerate:
         ds = generate(truth, np.zeros((100_000, 1)), pool, RngStream(8))
         hist = annotation_histogram(ds)
         assert hist.min() >= 5000
-        cm_sym = true_confusion_matrix(ds, 0)
+        cm_sym, cm_dummy = true_confusion_matrices(ds)
         theory = np.full((10, 10), 0.3 / 9)
         np.fill_diagonal(theory, 0.7)
         assert np.abs(cm_sym - theory).max() < 0.02
-        cm_dummy = true_confusion_matrix(ds, 1)
         assert np.abs(cm_dummy - 0.1).max() < 0.02
 
     def test_symmetric_noise_rate_converges_to_epsilon(self):
