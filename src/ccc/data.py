@@ -243,7 +243,7 @@ def _reads_as(text: bytes, dtype) -> bool:
 
 
 class CsvRows:
-    """The rows of one csv table, parsed a whole file at a time by numpy's reader.
+    r"""The rows of one csv table, parsed a whole file at a time by numpy's reader.
 
     The file is a header line, then one row per nonblank line. Lines end
     at \n, \r\n or \r, as in Python's universal newlines; a line that
@@ -334,25 +334,35 @@ class CsvRows:
                     lo = mid
                 except ValueError:
                     hi = mid
-            self._fault = self._field_fault(self._data[starts[lo]:ends[lo]], int(lines[lo]))
-            return parse(0, lo)
+            line = self._data[starts[lo]:ends[lo]]
+            self._fault, field = self._field_fault(line, int(lines[lo]))
+            table = parse(0, lo)
+            if field < len(self.ints):
+                return table
+            # A row's integers are checked before its features are read, so
+            # check() sees this row's integers, with its features as 0.
+            row = np.zeros(1, dtype=self._dtype)
+            for j, text in enumerate(line.split(b",")[:len(self.ints)]):
+                row[f"i{j}"] = int(text)
+            return np.concatenate([table, row])
         if cut < starts.size:
             self._fault = DataFormatError(
                 self.count_fault.format(width=width, got=counts[cut]), self.path,
                 int(lines[cut]))
         return table
 
-    def _field_fault(self, line: bytes, lineno: int) -> DataFormatError:
-        for j, text in enumerate(line.split(b",")):
-            is_int = j < len(self.ints)
-            if not _reads_as(text, np.int64 if is_int else np.float64):
-                if is_int:
-                    field = text.decode(errors="replace")
-                    return DataFormatError(f"{self.ints[j]} is not an integer: {field!r}",
-                                           self.path, lineno)
-                return DataFormatError("non-numeric feature value", self.path, lineno)
+    def _field_fault(self, line: bytes, lineno: int):
+        """The fault of an unreadable row, and the index of its first bad field."""
+        fields = line.split(b",")
+        for j, text in enumerate(fields):
+            if j < len(self.ints) and not _reads_as(text, np.int64):
+                field = text.decode(errors="replace")
+                return DataFormatError(f"{self.ints[j]} is not an integer: {field!r}",
+                                       self.path, lineno), j
+            if j >= len(self.ints) and not _reads_as(text, np.float64):
+                return DataFormatError("non-numeric feature value", self.path, lineno), j
         return DataFormatError(f"unreadable row {line.decode(errors='replace')!r}",
-                               self.path, lineno)
+                               self.path, lineno), len(fields)
 
     def check(self, *faults) -> None:
         """Raise at the first bad row, else for the row that ended the table.
@@ -369,15 +379,10 @@ class CsvRows:
             raise self._fault
 
 
-def _repeats(*keys) -> np.ndarray:
-    """Mask of the rows whose key tuple already appeared in an earlier row."""
-    order = np.lexsort(keys[::-1])  # stable: a tuple's first row sorts first
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
-    for key in keys:
-        ranked = key[order]
-        same &= ranked[1:] == ranked[:-1]
-    out = np.zeros(order.size, dtype=bool)
-    out[order[1:]] = same
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose key already appeared in an earlier row."""
+    out = np.ones(key.size, dtype=bool)
+    out[np.unique(key, return_index=True)[1]] = False  # first occurrences
     return out
 
 
@@ -533,7 +538,9 @@ def _load_annotations(path: Path, n: int, r: int, c: int):
     rows.check(((i < 0) | (i >= n), lambda k: f"instance id {i[k]} out of range [0, {n})"),
                ((a < 0) | (a >= r), lambda k: f"annotator id {a[k]} out of range [0, {r})"),
                ((y < 0) | (y >= c), lambda k: f"label {y[k]} out of range [0, {c})"),
-               (_repeats(i, a), lambda k: f"duplicate annotation ({i[k]}, {a[k]})"))
+               # i * r + a collides falsely only through an out-of-range id,
+               # whose range fault is on the same row or an earlier one
+               (_repeats(i * r + a), lambda k: f"duplicate annotation ({i[k]}, {a[k]})"))
     return i, a, y
 
 

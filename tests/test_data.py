@@ -240,6 +240,30 @@ class TestIO:
         assert str(info.value).startswith(message)
         assert info.value.line == 5 and info.value.path.endswith(name)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_row_ends_load_the_same(self, tmp_path, newline):
+        ds = self._sample()
+        ds.features = RngStream(6).normal((8, 3))
+        save_dataset(ds, tmp_path / "d")
+        want = load_dataset(tmp_path / "d")
+        for name in ("features.csv", "annotations.csv", "truth.csv"):
+            path = tmp_path / "d" / name
+            header, body = path.read_bytes().split(b"\n", 1)
+            path.write_bytes(header + b"\n" + body.replace(b"\n", newline))
+        got = load_dataset(tmp_path / "d")
+        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+        for name in ("ann_instance", "ann_annotator", "ann_label", "truth"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_line_of_only_cr_is_a_row_not_a_blank(self, tmp_path):
+        save_dataset(self._sample(), tmp_path / "d")
+        path = tmp_path / "d" / "annotations.csv"
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:3] + ["\r"] + lines[3:]))
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value).startswith("expected 3 fields") and info.value.line == 4
+
     def test_label_out_of_range_rejected(self, tmp_path):
         ds = self._sample()
         save_dataset(ds, tmp_path / "d")
