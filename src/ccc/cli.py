@@ -156,11 +156,11 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
     return pm
 
 
-def _dense_blocks(dense, instances=256):
-    """Rows (instance, annotator, label) of an (N, R) table, a few instances at a time."""
+def _dense_blocks(dense):
+    """Rows (instance, annotator, label) of an (N, R) table, 256 instances at a time."""
     N, R = dense.shape
-    for lo in range(0, N, instances):
-        block = dense[lo:lo + instances]
+    for lo in range(0, N, 256):
+        block = dense[lo:lo + 256]
         yield (np.repeat(np.arange(lo, lo + len(block)), R), np.tile(np.arange(R), len(block)),
                block.ravel())
 

@@ -263,7 +263,7 @@ class CsvRows:
                  count_fault: str = "expected {width} fields"):
         self.path = path
         self.ints = tuple(ints)
-        self.floats = floats
+        self.width = len(self.ints) + floats
         self.count_fault = count_fault
         data = path.read_bytes()
         if b"\r" in data:
@@ -316,8 +316,7 @@ class CsvRows:
 
     def _read_to_first_fault(self):
         starts, ends, lines, counts = self._layout()
-        width = len(self.ints) + self.floats
-        wrong = np.flatnonzero(counts != width)
+        wrong = np.flatnonzero(counts != self.width)
         cut = int(wrong[0]) if wrong.size else starts.size
 
         def parse(lo, hi):
@@ -347,7 +346,7 @@ class CsvRows:
             return np.concatenate([table, row])
         if cut < starts.size:
             self._fault = DataFormatError(
-                self.count_fault.format(width=width, got=counts[cut]), self.path,
+                self.count_fault.format(width=self.width, got=counts[cut]), self.path,
                 int(lines[cut]))
         return table
 
