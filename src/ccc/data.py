@@ -207,9 +207,13 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # csv codec
 # ---------------------------------------------------------------------------
 
-_ROWS_PER_WRITE = 8192  # rows turned into text at once; bounds the live Python objects
-_ROW_BYTE = re.compile(rb"[^\n]")  # any byte that is not a line end
+_ROWS_PER_WRITE = 1024  # rows turned into text at once; bounds the live Python objects
 _LONE_CR = re.compile(rb"\r(?!\n)")
+
+
+def _chunks(fh):
+    """The rest of a binary file, 64 KiB at a time."""
+    return iter(lambda: fh.read(1 << 16), b"")
 
 
 def write_csv(path, header: str, blocks) -> None:
@@ -265,45 +269,55 @@ class CsvRows:
         self.ints = tuple(ints)
         self.width = len(self.ints) + floats
         self.count_fault = count_fault
-        data = path.read_bytes()
-        if b"\r" in data:
-            # numpy's reader cannot end a line at a lone \r; \r\n keeps the
-            # line and its \r, which the reader ignores before \n.
-            data = _LONE_CR.sub(b"\r\n", data)
-        self._data = data
-        end = data.find(b"\n")
-        head = data if end < 0 else data[:end]
-        if head != header.encode():
-            raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
-                                  path, 1)
         fields = [(f"i{j}", np.int64) for j in range(len(self.ints))]
         if floats:
             fields.append(("f", np.float64, (floats,)))
         self._dtype = np.dtype(fields)
+        self._data = None  # the file's bytes, read only off the fast path
         self._fault = None
-        table = None
-        # numpy's reader skips a line of only \r\n, which this format reads
-        # as a row of one empty field; such files take the slow path, whose
-        # layout keeps rows and line numbers aligned.
-        if b"\n\r\n" not in data:
-            try:
-                table = self._parse(len(head) + 1, len(data))
-            except ValueError:
-                pass
+        with open(path, "rb") as fh:
+            # numpy's reader cannot end a line at a lone \r and skips a line
+            # of only \r\n, which this format reads as a row of one empty
+            # field. A file with a \r takes the slow path, whose layout
+            # keeps rows and line numbers aligned.
+            fast = not any(b"\r" in chunk for chunk in _chunks(fh))
+            fh.seek(0)
+            head = fh.readline().rstrip(b"\n") if fast else self._bytes().partition(b"\n")[0]
+            if head != header.encode():
+                raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
+                                      path, 1)
+            table = self._parse_rest(fh) if fast else None
         if table is None:
             table = self._read_to_first_fault()
         self.columns = [np.ascontiguousarray(table[name]) for name in self._dtype.names]
 
-    def _parse(self, start: int, stop: int):
-        """Rows in data[start:stop]; raises ValueError if one is unreadable."""
-        if not _ROW_BYTE.search(self._data, start, stop):
+    def _parse_rest(self, fh):
+        """The rows after fh's position, streamed from the file, or None if
+        one is unreadable."""
+        start = fh.tell()
+        if not any(chunk.strip(b"\n") for chunk in _chunks(fh)):
             return np.empty(0, dtype=self._dtype)
-        return np.loadtxt(io.BytesIO(self._data[start:stop]), dtype=self._dtype,
+        fh.seek(start)
+        try:
+            return np.loadtxt(fh, dtype=self._dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+
+    def _bytes(self) -> bytes:
+        """The file's bytes, with each lone \r made a \r\n line end."""
+        if self._data is None:
+            data = self.path.read_bytes()
+            self._data = _LONE_CR.sub(b"\r\n", data) if b"\r" in data else data
+        return self._data
+
+    def _parse(self, start: int, stop: int):
+        """Rows in bytes [start, stop); raises ValueError if one is unreadable."""
+        return np.loadtxt(io.BytesIO(self._bytes()[start:stop]), dtype=self._dtype,
                           delimiter=",", comments=None, ndmin=1)
 
     def _layout(self):
         """Byte span, 1-based line number and field count of every row."""
-        raw = np.frombuffer(self._data, dtype=np.uint8)
+        raw = np.frombuffer(self._bytes(), dtype=np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
         if ends.size == 0 or ends[-1] != raw.size - 1:
             ends = np.append(ends, raw.size)  # the last line has no \n
@@ -320,7 +334,7 @@ class CsvRows:
         cut = int(wrong[0]) if wrong.size else starts.size
 
         def parse(lo, hi):
-            return self._parse(starts[lo], ends[hi - 1]) if hi > lo else self._parse(0, 0)
+            return self._parse(starts[lo], ends[hi - 1]) if hi > lo else np.empty(0, self._dtype)
 
         try:
             table = parse(0, cut)
@@ -333,7 +347,7 @@ class CsvRows:
                     lo = mid
                 except ValueError:
                     hi = mid
-            line = self._data[starts[lo]:ends[lo]]
+            line = self._bytes()[starts[lo]:ends[lo]]
             self._fault, field = self._field_fault(line, int(lines[lo]))
             table = parse(0, lo)
             if field < len(self.ints):
