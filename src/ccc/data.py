@@ -207,7 +207,7 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # csv codec
 # ---------------------------------------------------------------------------
 
-_ROWS_PER_WRITE = 1024  # rows turned into text at once; bounds the live Python objects
+_ROWS_PER_WRITE = 256  # rows turned into text at once; bounds the live Python objects
 _LONE_CR = re.compile(rb"\r(?!\n)")
 
 
@@ -304,16 +304,11 @@ class CsvRows:
             return None
 
     def _bytes(self) -> bytes:
-        """The file's bytes, with each lone \r made a \r\n line end."""
+        """The file's bytes, with each lone CR made a CR LF line end."""
         if self._data is None:
             data = self.path.read_bytes()
             self._data = _LONE_CR.sub(b"\r\n", data) if b"\r" in data else data
         return self._data
-
-    def _parse(self, start: int, stop: int):
-        """Rows in bytes [start, stop); raises ValueError if one is unreadable."""
-        return np.loadtxt(io.BytesIO(self._bytes()[start:stop]), dtype=self._dtype,
-                          delimiter=",", comments=None, ndmin=1)
 
     def _layout(self):
         """Byte span, 1-based line number and field count of every row."""
@@ -333,8 +328,11 @@ class CsvRows:
         wrong = np.flatnonzero(counts != self.width)
         cut = int(wrong[0]) if wrong.size else starts.size
 
-        def parse(lo, hi):
-            return self._parse(starts[lo], ends[hi - 1]) if hi > lo else np.empty(0, self._dtype)
+        def parse(lo, hi):  # rows lo..hi-1; raises ValueError if one is unreadable
+            if hi == lo:
+                return np.empty(0, dtype=self._dtype)
+            return np.loadtxt(io.BytesIO(self._bytes()[starts[lo]:ends[hi - 1]]),
+                              dtype=self._dtype, delimiter=",", comments=None, ndmin=1)
 
         try:
             table = parse(0, cut)
