@@ -142,6 +142,9 @@ def true_confusion_matrices(ds: CrowdDataset) -> np.ndarray:
     if ds.truth is None:
         raise ContractError("true_confusion_matrices requires truth labels")
     R, C = ds.annotator_count, ds.class_count
+    ar = ds.ann_annotator
+    if ar.size and (ar.min() < 0 or ar.max() >= R):
+        raise ContractError(f"annotator id out of range [0, {R})")
     cell = (ds.ann_annotator * C + ds.truth[ds.ann_instance]) * C + ds.ann_label
     cm = np.bincount(cell, minlength=R * C * C).astype(np.float64).reshape(R, C, C)
     rowsum = cm.sum(axis=2, keepdims=True)
@@ -155,8 +158,13 @@ def confusion_distances(cms: np.ndarray) -> np.ndarray:
     Entry [a, b] compares cms[a] with cms[b]. One row of the table is
     built at a time, so the working set stays at one stack's size.
     """
-    cms = np.asarray(cms, dtype=np.float64)
-    flat = cms.reshape(cms.shape[0], int(np.prod(cms.shape[1:])))
+    try:
+        cms = np.asarray(cms, dtype=np.float64)
+    except ValueError:
+        raise ContractError("confusion matrices must share one shape") from None
+    if cms.ndim != 3 or cms.shape[1] != cms.shape[2]:
+        raise ContractError(f"expected a (R, C, C) stack, got shape {cms.shape}")
+    flat = cms.reshape(cms.shape[0], -1)
     out = np.empty((flat.shape[0], flat.shape[0]))
     for a, row in enumerate(flat):
         out[a] = ((row - flat) ** 2).mean(axis=1)

@@ -62,14 +62,14 @@ class TestSimulate:
                 "--out", str(blocker / "sub")]
         assert main(argv) == 4
 
-    @pytest.mark.parametrize("classes", [3, 4])
-    def test_preset_needs_enough_classes(self, tmp_path, capsys, classes):
-        out = tmp_path / "x"
-        argv = ["simulate", "--features", f"blobs:N=10,C={classes},D=4",
-                "--preset", "IND-I", "--annotators", "5", "--out", str(out)]
-        assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+    def test_preset_needs_enough_classes(self, tmp_path, capsys):
+        for classes in (3, 4):
+            out = tmp_path / f"c{classes}"
+            argv = ["simulate", "--features", f"blobs:N=10,C={classes},D=4",
+                    "--preset", "IND-I", "--annotators", "5", "--out", str(out)]
+            assert main(argv) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_dump_dense(self, tmp_path):
         out = _simulate(tmp_path, "dense", extra=("--dump-dense",), n=20, test_size=0)

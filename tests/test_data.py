@@ -98,6 +98,13 @@ class TestTrueConfusionMatrix:
         with pytest.raises(ContractError):
             true_confusion_matrices(_ds(1, 2, 1, [[0, 0, 0]]))
 
+    def test_annotator_out_of_range(self):
+        # a label from annotator 1 in a one-annotator dataset has no matrix
+        for bad in (1, -1):
+            ds = _ds(1, 2, 1, [[0, bad, 0]], truth=[0])
+            with pytest.raises(ContractError):
+                true_confusion_matrices(ds)
+
 
 class TestConfusionDistance:
     def test_zero_on_equal(self):
@@ -120,6 +127,14 @@ class TestConfusionDistance:
         for a in range(6):
             for b in range(6):
                 assert dist[a, b] == ((cms[a] - cms[b]) ** 2).mean()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ContractError):
+            confusion_distances([np.eye(2), np.eye(3)])
+        with pytest.raises(ContractError):
+            confusion_distances(np.zeros((2, 2, 3)))
+        with pytest.raises(ContractError):
+            confusion_distances(np.eye(2))
 
 
 class TestAnnotationHistogram:
