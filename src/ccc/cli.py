@@ -25,7 +25,8 @@ from . import __version__
 from .data import (annotation_histogram, annotation_noise_rate,
                    confusion_distances, evaluate_accuracy, instance_noise_rate,
                    load_dataset, load_eval_set, make_blobs, save_dataset,
-                   save_eval_set, true_confusion_matrices, write_csv)
+                   save_eval_set, true_confusion_matrices, write_csv,
+                   write_dense_labels)
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
@@ -156,15 +157,6 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
     return pm
 
 
-def _dense_blocks(dense):
-    """Rows (instance, annotator, label) of an (N, R) table, 256 instances at a time."""
-    N, R = dense.shape
-    for lo in range(0, N, 256):
-        block = dense[lo:lo + 256]
-        yield (np.repeat(np.arange(lo, lo + len(block)), R), np.tile(np.arange(R), len(block)),
-               block.ravel())
-
-
 def cmd_simulate(args) -> int:
     src_kind, src = _parse_feature_source(args.features)
     seed = _resolve(args, "seed", int, 0)
@@ -210,8 +202,7 @@ def cmd_simulate(args) -> int:
 
     save_dataset(ds, out_dir, features_format=args.features_format)
     if dense is not None:
-        write_csv(out_dir / "dense_labels.csv", "instance,annotator,label",
-                  _dense_blocks(dense))
+        write_dense_labels(out_dir / "dense_labels.csv", dense)
     if args.test_size and src_kind == "blobs":
         test_X, test_y = make_blobs(args.test_size, src["C"], src["D"],
                                     src["spread"], master.split("test-features"),

@@ -25,6 +25,7 @@ import io
 import json
 import re
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,12 +244,27 @@ def write_csv(path, header: str, blocks) -> None:
                 fh.writelines(map(line.format, *fields))
 
 
+def _loadtxt(src, dtype) -> np.ndarray:
+    """numpy's reader over src, one row per line; ValueError if a row is unreadable.
+
+    Some numpy releases read an integer field written as a float ("2.7")
+    by truncating it, with only a DeprecationWarning; here that field is
+    unreadable, as it is in the releases that raise.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        try:
+            return np.loadtxt(src, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+
+
 def _reads_as(text: bytes, dtype) -> bool:
     """Whether numpy's reader reads one field's text as one value of dtype."""
     if text in (b"", b"\r"):  # the reader would see an empty line, not a value
         return False
     try:
-        np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None)
+        _loadtxt(io.BytesIO(text), dtype)
     except ValueError:
         return False
     return True
@@ -307,7 +323,7 @@ class CsvRows:
             return np.empty(0, dtype=self._dtype)
         fh.seek(start)
         try:
-            return np.loadtxt(fh, dtype=self._dtype, delimiter=",", comments=None, ndmin=1)
+            return _loadtxt(fh, self._dtype)
         except ValueError:
             return None
 
@@ -339,8 +355,7 @@ class CsvRows:
         def parse(lo, hi):  # rows lo..hi-1; raises ValueError if one is unreadable
             if hi == lo:
                 return np.empty(0, dtype=self._dtype)
-            return np.loadtxt(io.BytesIO(self._bytes()[starts[lo]:ends[hi - 1]]),
-                              dtype=self._dtype, delimiter=",", comments=None, ndmin=1)
+            return _loadtxt(io.BytesIO(self._bytes()[starts[lo]:ends[hi - 1]]), self._dtype)
 
         try:
             table = parse(0, cut)
@@ -361,8 +376,9 @@ class CsvRows:
             # A row's integers are checked before its features are read, so
             # check() sees this row's integers, with its features as 0.
             row = np.zeros(1, dtype=self._dtype)
-            for j, text in enumerate(line.split(b",")[:len(self.ints)]):
-                row[f"i{j}"] = int(text)
+            ints = _loadtxt(io.BytesIO(b",".join(line.split(b",")[:len(self.ints)])), np.int64)
+            for j, value in enumerate(ints):
+                row[f"i{j}"] = value
             return np.concatenate([table, row])
         if cut < starts.size:
             self._fault = DataFormatError(
@@ -431,6 +447,16 @@ def _write_features_bin(path: Path, features: np.ndarray) -> None:
         fh.write(_FEATURES_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, N, D))
         fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
+
+
+def write_dense_labels(path, dense: np.ndarray) -> None:
+    """Write an (N, R) label table as rows (instance, annotator, label), row-major."""
+    N, R = dense.shape
+    blocks = ((np.repeat(np.arange(lo, min(lo + _ROWS_PER_WRITE, N)), R),
+               np.tile(np.arange(R), min(_ROWS_PER_WRITE, N - lo)),
+               dense[lo:lo + _ROWS_PER_WRITE].ravel())
+              for lo in range(0, N, _ROWS_PER_WRITE))
+    write_csv(path, "instance,annotator,label", blocks)
 
 
 def _write_truth(path: Path, labels) -> None:

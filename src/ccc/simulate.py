@@ -224,9 +224,7 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
         raise ContractError("Beta parameters must be positive")
     for spec in specs:
         if spec.good_classes and max(spec.good_classes) >= C:
-            # A preset is configuration; explicit specs are the caller's contract.
-            error = ConfigError if isinstance(spec_source, str) else ContractError
-            raise error(f"classwise classes {spec.good_classes} out of range for C={C}")
+            raise ConfigError(f"classwise classes {spec.good_classes} out of range for C={C}")
     independents = [i for i, s in enumerate(specs) if s.independent]
     if not independents:
         raise ContractError("pool needs at least one independent annotator")

@@ -71,6 +71,16 @@ class TestSimulate:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_pattern_classes_out_of_range_exit_code(self, tmp_path, capsys):
+        patterns = tmp_path / "classwise.txt"
+        patterns.write_text("2 symmetric 0.2\n1 classwise 1,4\n")
+        out = tmp_path / "c3"
+        argv = ["simulate", "--features", "blobs:N=10,C=3,D=4",
+                "--patterns", str(patterns), "--k", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "out of range for C=3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_dense(self, tmp_path):
         out = _simulate(tmp_path, "dense", extra=("--dump-dense",), n=20, test_size=0)
         lines = (out / "dense_labels.csv").read_text().splitlines()

@@ -1,3 +1,6 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,9 +239,12 @@ class TestIO:
         ("annotations.csv", "0,x,1", "annotator id is not an integer: 'x'"),
         ("annotations.csv", "0,9,1", "annotator id 9 out of range [0, 4)"),
         ("annotations.csv", "0,1", "expected 3 fields"),
+        ("annotations.csv", "0,1,2.7", "label is not an integer: '2.7'"),
+        ("annotations.csv", "1e0,1,2", "instance id is not an integer: '1e0'"),
         ("truth.csv", "1,x", "label is not an integer: 'x'"),
         ("truth.csv", "1,7", "label 7 out of range"),
         ("features.csv", "1,0.5,x,0.25", "non-numeric feature value"),
+        ("features.csv", "1.0,x,0.5,0.25", "instance id is not an integer: '1.0'"),
         ("features.csv", "2,0.5,0.5,0.25", "ids must be 0..N-1 in order, got 2"),
     ])
     def test_blank_lines_before_bad_row_keep_its_line(self, tmp_path, name, bad_row,
@@ -254,6 +260,30 @@ class TestIO:
             load_dataset(tmp_path / "d")
         assert str(info.value).startswith(message)
         assert info.value.line == 5 and info.value.path.endswith(name)
+
+    def test_integer_written_as_float_is_rejected_where_numpy_only_warns(
+            self, tmp_path, monkeypatch):
+        # Some numpy releases read "2.7" as the int 2 with a DeprecationWarning.
+        real = np.loadtxt
+
+        def truncating_loadtxt(src, *args, **kwargs):
+            text = src.read()
+            if b"2.7" in text:
+                warnings.warn("Parsing an integer via a float is deprecated",
+                              DeprecationWarning)
+                text = text.replace(b"2.7", b"2")
+            return real(io.BytesIO(text), *args, **kwargs)
+
+        save_dataset(self._sample(), tmp_path / "d")
+        path = tmp_path / "d" / "annotations.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = "1,1,2.7"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value).startswith("label is not an integer: '2.7'")
+        assert info.value.line == 4
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_crlf_and_cr_row_ends_load_the_same(self, tmp_path, newline):
