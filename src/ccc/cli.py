@@ -7,16 +7,14 @@ byte-identical numeric outputs. Exit codes are per error family:
 
 Config files are flat key=value lines (# comments allowed); explicit
 command-line flags override file values, which override defaults.
-CCC_THREADS caps --seeds replicate parallelism (default 1).
+--seeds runs its replicates one after another, in the order given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -178,9 +176,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--preset and --patterns are mutually exclusive")
     if args.preset is not None:
         pool_source = args.preset
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r} "
-                              f"(available: {', '.join(sorted(PRESETS))})")
     elif args.patterns is not None:
         pool_source = _parse_pattern_file(args.patterns)
     else:
@@ -336,17 +331,8 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CCC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CCC_THREADS must be an integer, got {raw!r}") from None
-
-
 def cmd_train(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else None
-    threads = _thread_count() if seeds else 1
     ds = load_dataset(args.data)
     eval_set = None
     if args.test is not None:
@@ -363,15 +349,8 @@ def cmd_train(args) -> int:
         print(f"best: {payload['best']}  last: {payload['last']}")
         return EXIT_OK
 
-    dirs = [out_dir / f"seed-{s}" for s in seeds]
-    if threads == 1:
-        payloads = [_run_one_seed(ds, args, s, eval_set, d)
-                    for s, d in zip(seeds, dirs)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            payloads = list(pool.map(
-                lambda sd: _run_one_seed(ds, args, sd[0], eval_set, sd[1]),
-                zip(seeds, dirs)))
+    payloads = [_run_one_seed(ds, args, s, eval_set, out_dir / f"seed-{s}")
+                for s in seeds]
     keys = sorted(payloads[0]["best"])
     agg = {"seeds": seeds, "best": {}, "last": {}}
     for key in keys:

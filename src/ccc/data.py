@@ -63,7 +63,7 @@ class CrowdDataset:
     def annotation_count(self) -> int:
         return self.ann_instance.shape[0]
 
-    def validate(self, require_full_cover: bool = True) -> None:
+    def validate(self) -> None:
         n, r, c = self.n, self.annotator_count, self.class_count
         ai, ar, al = self.ann_instance, self.ann_annotator, self.ann_label
         if ai.shape != ar.shape or ai.shape != al.shape:
@@ -77,7 +77,7 @@ class CrowdDataset:
         pairs = ai * r + ar
         if np.unique(pairs).size != pairs.size:
             raise ContractError("duplicate (instance, annotator) annotation")
-        if require_full_cover and np.unique(ai).size != n:
+        if np.unique(ai).size != n:
             raise ContractError("every instance needs at least one annotation")
         if self.truth is not None:
             if self.truth.shape[0] != n:

@@ -4,7 +4,9 @@ Every kernel is fully deterministic. All randomness is injected as
 pre-drawn uniform arrays; kernels consume no RNG state. The kernels
 scatter per-annotation terms into per-row sums with np.bincount over
 flattened (row, column) indices, which adds each bin's terms in
-annotation order, the same per-bin order as np.add.at.
+annotation order, the same per-bin order as np.add.at. crowd_grads and
+hyper_grads take their per-annotation terms (q, clamp mask, g_q) from
+one shared helper, _annotation_terms.
 
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true
@@ -50,6 +52,31 @@ def _scatter_rows(index, values, rows):
     return out.reshape((rows,) + tail)
 
 
+def _annotation_terms(P, ann_i, ann_r, ann_y, M):
+    """Per-annotation terms of the transition loss (A >= 1 annotations).
+
+    Returns p = P[ann_i], Ma = M[ann_r], the clamp mask m, S and q[y]
+    floored at GRAD_FLOOR, the loss ratio q[y] / S, and g_q = dloss/dq_raw
+    (zero where the ratio is at the clamp).
+    """
+    idx = np.arange(ann_i.shape[0])
+    p = P[ann_i]
+    Ma = M[ann_r]
+    q_raw = np.einsum("ac,acj->aj", p, Ma)
+    qc = np.maximum(q_raw, EPS)
+    m = (q_raw > EPS).astype(np.float64)
+    S = qc.sum(axis=1)
+    qy = qc[idx, ann_y]
+    ratio = qy / S
+
+    Sg = np.maximum(S, GRAD_FLOOR)
+    qyg = np.maximum(qy, GRAD_FLOOR)
+    g_q = m / Sg[:, None]
+    g_q[idx, ann_y] -= m[idx, ann_y] / qyg
+    g_q[~(ratio > EPS)] = 0.0
+    return p, Ma, m, Sg, qyg, ratio, g_q
+
+
 def crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
     """Loss and gradients of the per-annotation transition loss.
 
@@ -66,26 +93,10 @@ def crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
     rows in dM. With want_dM=False, dM is None and never built.
     """
     n, C = P.shape
-    A = ann_i.shape[0]
-    if A == 0:
+    if ann_i.shape[0] == 0:
         return 0.0, np.zeros((n, C)), np.zeros((R, C, C)) if want_dM else None
-    idx = np.arange(A)
-    p = P[ann_i]
-    Ma = M[ann_r]
-    q_raw = np.einsum("ac,acj->aj", p, Ma)
-    qc = np.maximum(q_raw, EPS)
-    m = (q_raw > EPS).astype(np.float64)
-    S = qc.sum(axis=1)
-    qy = qc[idx, ann_y]
-    ratio = qy / S
-    active = ratio > EPS
+    p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     loss_sum = float(-np.log(np.maximum(ratio, EPS)).sum())
-
-    Sg = np.maximum(S, GRAD_FLOOR)
-    qyg = np.maximum(qy, GRAD_FLOOR)
-    g_q = m / Sg[:, None]
-    g_q[idx, ann_y] -= m[idx, ann_y] / qyg
-    g_q[~active] = 0.0
 
     dM = _scatter_rows(ann_r, p[:, :, None] * g_q[:, None, :], R) if want_dM else None
     g_p = np.einsum("acj,aj->ac", Ma, g_q)
@@ -115,21 +126,8 @@ def hyper_grads(P, U, ann_i, ann_r, ann_y, M, group_of, G):
     if A_count == 0:
         return np.zeros((G, C, C))
     idx = np.arange(A_count)
-    p = P[ann_i]
-    Ma = M[ann_r]
+    p, Ma, m, Sg, qyg, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     u = U[ann_i]
-    q_raw = np.einsum("ac,acj->aj", p, Ma)
-    qc = np.maximum(q_raw, EPS)
-    m = (q_raw > EPS).astype(np.float64)
-    S = qc.sum(axis=1)
-    qy = qc[idx, ann_y]
-    active = (qy / S) > EPS
-
-    Sg = np.maximum(S, GRAD_FLOOR)
-    qyg = np.maximum(qy, GRAD_FLOOR)
-    g_q = m / Sg[:, None]
-    g_q[idx, ann_y] -= m[idx, ann_y] / qyg
-    g_q[~active] = 0.0
 
     beta = p * u
     alpha = beta.sum(axis=1)
@@ -139,7 +137,7 @@ def hyper_grads(P, U, ann_i, ann_r, ann_y, M, group_of, G):
     Abar = (Avec * m).sum(axis=1)
     t = -m * (Abar / Sg**2)[:, None]
     t[idx, ann_y] += m[idx, ann_y] * Avec[idx, ann_y] / qyg**2
-    t[~active] = 0.0
+    t[~(ratio > EPS)] = 0.0
 
     contrib = v[:, :, None] * g_q[:, None, :] + p[:, :, None] * t[:, None, :]
     return _scatter_rows(group_of[ann_r], contrib, G)

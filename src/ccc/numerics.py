@@ -53,7 +53,7 @@ def _plusplus_seed(X: np.ndarray, G: int, rng: RngStream) -> np.ndarray:
     return centroids
 
 
-def kmeans(points, G: int, max_iter: int = 100, rng: RngStream | None = None) -> KmeansResult:
+def kmeans(points, G: int, rng: RngStream, max_iter: int = 100) -> KmeansResult:
     """Lloyd iterations from k-means++ seeding.
 
     Stops when assignments stabilize or max_iter is hit. Empty clusters
@@ -67,8 +67,6 @@ def kmeans(points, G: int, max_iter: int = 100, rng: RngStream | None = None) ->
     P = X.shape[0]
     if G < 1 or G > P:
         raise ContractError(f"G={G} must be in [1, {P}]")
-    if rng is None:
-        rng = RngStream(0)
 
     centroids = _plusplus_seed(X, G, rng)
     prev_assign = None

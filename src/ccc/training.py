@@ -43,7 +43,7 @@ from .kernels import crowd_grads, hyper_grads
 from .models import (Classifier, backprop, batch_forward, init_classifier,
                      last_layer_snapshot, loss_and_grads, sgd_step,
                      single_label_ce)
-from .numerics import CE_FLOOR, kmeans, softmax_rows
+from .numerics import kmeans, softmax_rows
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
@@ -135,7 +135,6 @@ class Batch:
     ann_instance: np.ndarray   # (A,) batch-local row indices
     ann_annotator: np.ndarray  # (A,)
     ann_label: np.ndarray      # (A,)
-    labels: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +184,11 @@ def init_confusion_votes(ds: CrowdDataset, smoothing: float = 1e-6) -> np.ndarra
 # batch plumbing
 # ---------------------------------------------------------------------------
 
-def make_batch(ds: CrowdDataset, idx: np.ndarray, csr=None) -> Batch:
-    """Gather one batch's features and annotations (batch-local indices)."""
-    if csr is None:
-        csr = ds.instance_slices()
+def make_batch(ds: CrowdDataset, idx: np.ndarray, csr) -> Batch:
+    """Gather one batch's features and annotations (batch-local indices).
+
+    csr is ds.instance_slices().
+    """
     _, ar, al, ptr = csr
     idx = np.asarray(idx, dtype=np.int64)
     counts = ptr[idx + 1] - ptr[idx]
@@ -200,7 +200,6 @@ def make_batch(ds: CrowdDataset, idx: np.ndarray, csr=None) -> Batch:
         ann_instance=np.repeat(np.arange(idx.size, dtype=np.int64), counts),
         ann_annotator=ar[flat],
         ann_label=al[flat],
-        labels=None if ds.truth is None else ds.truth[idx],
     )
 
 
@@ -225,16 +224,15 @@ def _resolve_eval(ds: CrowdDataset, eval_set):
 
 def _crowd_step(clf: Classifier, conf: ConfusionSet, V: np.ndarray,
                 group_of: np.ndarray, batch: Batch, lr: float,
-                momentum: float, weight_decay: float, forward=None):
+                momentum: float, weight_decay: float, forward):
     """One joint SGD step on (classifier, transitions) for a batch.
 
     Corrections V stay constant; their group gather contributes to the
     forward transition only. `forward` is batch_forward(clf, features)
-    when the caller already has it for the current parameters. Returns
-    (mean loss, normalized dT).
+    at the current parameters. Returns (mean loss, normalized dT).
     """
     M = conf.T + V[group_of]
-    pre, H, P = batch_forward(clf, batch.features) if forward is None else forward
+    pre, H, P = forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                                    batch.ann_label, M, conf.T.shape[0])
     a = max(batch.ann_instance.shape[0], 1)
@@ -251,17 +249,18 @@ def _crowd_step(clf: Classifier, conf: ConfusionSet, V: np.ndarray,
 # meta machinery
 # ---------------------------------------------------------------------------
 
-def distill_meta_set(ds: CrowdDataset, scorer: Classifier, M: int) -> MetaSet:
+def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
+                     M: int) -> MetaSet:
     """Small-loss selection, class-balanced by majority-vote candidates.
 
-    For each class c, instances whose majority-vote label is c are
-    ranked by the scorer's cross entropy against c; the floor(M/C)
-    smallest-loss ones enter the meta set with pseudo-label c.
+    mv is aggregate_majority(ds). For each class c, instances whose
+    majority-vote label is c are ranked by the scorer's cross entropy
+    against c; the floor(M/C) smallest-loss ones enter the meta set with
+    pseudo-label c.
     """
     C = ds.class_count
-    mv = aggregate_majority(ds)
     _, _, P = batch_forward(scorer, ds.features)
-    losses = -np.log(np.maximum(P[np.arange(ds.n), mv], CE_FLOOR))
+    losses, _ = single_label_ce(mv)(P)
     quota = M // C
     keep: list[np.ndarray] = []
     labels: list[np.ndarray] = []
@@ -312,7 +311,7 @@ def auto_meta_lr(T: np.ndarray, g_cor: np.ndarray, gamma: float) -> float:
 def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
                         group_of: np.ndarray, batch: Batch,
                         meta_features: np.ndarray, meta_labels: np.ndarray,
-                        eta_v: float, forward=None) -> np.ndarray:
+                        eta_v: float, forward) -> np.ndarray:
     """Exact gradient of the meta loss w.r.t. the group corrections.
 
     The virtual step moves only the last layer: (W, b) minus eta_v times
@@ -322,9 +321,9 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     V-gradient of <grad_{W,b} batch loss, meta-loss gradient at the
     virtual point>, accumulated per annotation in the kernel.
 
-    `forward` is batch_forward(clf, batch.features) when the caller
-    already has it; only the last layer moves, so the batch forward at
-    the current parameters is all the virtual step needs.
+    `forward` is batch_forward(clf, batch.features); only the last layer
+    moves, so the batch forward at the current parameters is all the
+    virtual step needs.
     """
     W, b, penultimate_fn = last_layer_snapshot(clf)
     G, C = V.shape[0], V.shape[1]
@@ -332,7 +331,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     if a == 0 or meta_labels.shape[0] == 0:
         return np.zeros((G, C, C))
     M = T + V[group_of]
-    _, H, P = batch_forward(clf, batch.features) if forward is None else forward
+    _, H, P = forward
     _, dZ, _ = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                            batch.ann_label, M, T.shape[0], want_dM=False)
     gW = H.T @ dZ / a
@@ -343,10 +342,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     Hm = penultimate_fn(meta_features)
     Pm = softmax_rows(Hm @ W_hat + b_hat)
     m = meta_labels.shape[0]
-    dZm = Pm.copy()
-    rows = np.arange(m)
-    dZm[rows, meta_labels] -= 1.0
-    dZm[Pm[rows, meta_labels] <= CE_FLOOR] = 0.0
+    _, dZm = single_label_ce(meta_labels)(Pm)
     uW = Hm.T @ dZm / m
     ub = dZm.sum(axis=0) / m
 
@@ -357,18 +353,16 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
 
 
 def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
-                   cfg: TrainConfig, eta_v: float | None = None,
-                   forward=None) -> CorrectionSet:
+                   cfg: TrainConfig, eta_v: float, forward) -> CorrectionSet:
     """Virtual + meta stage: update corrections, leave the model untouched."""
     meta_features, meta_labels = meta_batch
     cor = state.corrections
     if meta_labels.shape[0] == 0:
         log.warning("empty meta batch: skipping correction update")
         return cor
-    eta = cfg.lr if eta_v is None else eta_v
     g_cor = correction_gradient(state.clf, state.confusions.T, cor.V,
                                 cor.group_of, train_batch,
-                                meta_features, meta_labels, eta, forward)
+                                meta_features, meta_labels, eta_v, forward)
     eta_m = auto_meta_lr(state.confusions.T, g_cor, cfg.gamma)
     if eta_m != 0.0:
         cor.V -= eta_m * g_cor
@@ -433,7 +427,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                           "every class would get an empty meta quota")
     if ccc and G > R:
         raise ConfigError(f"groups={G} exceeds the annotator count {R}")
-    labels = aggregate_majority(ds) if cfg.algo == "majority" else None
+    majority = cfg.algo == "majority"
+    mv = aggregate_majority(ds) if majority or ccc else None
     master = RngStream(cfg.seed)
     kmeans_rng = master.split("kmeans")
     states, batch_rngs, meta_rngs = {}, {}, {}
@@ -442,7 +437,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                               cfg.hidden_dim if cfg.model == "mlp" else 0,
                               C, master.split(f"init-{tag}"))
         conf = cor = None
-        if labels is None:
+        if not majority:
             # corrections stay all-zero until the first ccc epoch
             conf = _init_confusions(ds, cfg)
             cor = CorrectionSet(V=np.zeros((G, C, C)),
@@ -451,7 +446,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                                meta_set=None)
         batch_rngs[tag] = master.split(f"batches-{tag}")
         meta_rngs[tag] = master.split(f"meta-{tag}")
-    csr = ds.instance_slices() if labels is None else None
+    csr = None if majority else ds.instance_slices()
     curves = {tag: [] for tag in states}
     groups_by_epoch = []
     steps = dict.fromkeys(states, 0)
@@ -464,8 +459,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
             if phase == "ccc":
                 m1, m2 = states["model1"], states["model2"]
-                m1.meta_set = distill_meta_set(ds, m2.clf, cfg.meta_size)
-                m2.meta_set = distill_meta_set(ds, m1.clf, cfg.meta_size)
+                m1.meta_set = distill_meta_set(ds, mv, m2.clf, cfg.meta_size)
+                m2.meta_set = distill_meta_set(ds, mv, m1.clf, cfg.meta_size)
                 Ts = [m1.confusions.T, m2.confusions.T]
                 if cfg.grouping == "joint":
                     group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
@@ -481,22 +476,21 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                                                  cfg.meta_batch, ds.d)
                 for idx in _epoch_chunks(batch_rngs[tag].permutation(ds.n),
                                          cfg.batch_size):
-                    if labels is not None:
+                    if majority:
                         _, grads = loss_and_grads(state.clf, ds.features[idx],
-                                                  single_label_ce(labels[idx]))
+                                                  single_label_ce(mv[idx]))
                         sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
                         continue
                     batch = make_batch(ds, idx, csr)
                     cor = state.corrections
-                    fwd = None
+                    # The outer step leaves the classifier as it is, so
+                    # one forward serves both stages.
+                    fwd = batch_forward(state.clf, batch.features)
                     if phase == "ccc":
                         if cfg.v_reset == "iteration":
                             cor.V[:] = 0.0
-                        # The outer step leaves the classifier as it is, so
-                        # one forward serves both stages.
-                        fwd = batch_forward(state.clf, batch.features)
                         ccc_outer_step(state, batch, next(meta_batches), cfg,
-                                       eta_v=lr, forward=fwd)
+                                       lr, fwd)
                     loss, dT = _crowd_step(state.clf, state.confusions, cor.V,
                                            cor.group_of, batch, lr, cfg.momentum,
                                            cfg.weight_decay, fwd)

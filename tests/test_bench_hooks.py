@@ -1,0 +1,44 @@
+"""The benchmark's traced pass can still hook the training hot path.
+
+perfbench/spans.py wraps functions by module and name and reads the
+kernels' positional arguments for its annotation counters. A rename or
+signature change there would leave a traced benchmark pass silently
+empty, so this test runs the recorder around a tiny ccc run.
+"""
+
+from pathlib import Path
+
+from ccc import training
+from ccc.data import make_blobs
+from ccc.rng import RngStream
+from ccc.simulate import PatternSpec, build_pool, generate
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+HOT_PATH = ("kernels.crowd_grads", "kernels.hyper_grads", "training.make_batch",
+            "training.correction_gradient", "models.batch_forward")
+
+
+def test_recorder_hooks_ccc_hot_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    master = RngStream(4)
+    X, y = make_blobs(120, 5, 6, 0.2, master.split("feat"))
+    pool = build_pool([PatternSpec("symmetric", epsilon=0.3)] * 10, 5, k=2,
+                      rng=master.split("pool"))
+    ds = generate(y, X, pool, master.split("lab"))
+    cfg = training.TrainConfig(algo="ccc", epochs=3, warmup=1, batch_size=32,
+                               meta_batch=8, meta_size=10, groups=2)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        training.train(ds, cfg)
+    finally:
+        rec.uninstall()
+
+    calls = {name: s["calls"] for name, s in rec.summary().items()}
+    for name in HOT_PATH:
+        assert name not in rec.absent
+        assert calls.get(name, 0) > 0, name
+    assert rec.counts["kernels.crowd_grads.ann"] > 0
+    assert rec.counts["kernels.hyper_grads.ann"] > 0

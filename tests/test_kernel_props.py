@@ -234,3 +234,58 @@ def test_draw_labels_equals_comparison_count(C, N, seed):
     want = np.minimum((u[:, None] >= cum[truth]).sum(axis=1), C - 1)
     got = kernels.draw_labels(cum, truth, u)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def select_k_oracle(weights, U):
+    """One row at a time: count the 1-D cumsum entries at or below
+    u * total, cap the count at the last positive weight, zero the pick."""
+    N, k = U.shape
+    out = np.empty((N, k), dtype=np.int64)
+    for i in range(N):
+        w = np.array(weights, dtype=np.float64)
+        for d in range(k):
+            cums = np.cumsum(w)
+            sel = int((cums <= U[i, d] * cums[-1]).sum())
+            sel = min(sel, int(np.flatnonzero(w > 0.0)[-1]))
+            out[i, d] = sel
+            w[sel] = 0.0
+    return out
+
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def select_k_cases(draw):
+    # Ties, zero and tiny weights; u at 0 and just below 1; k up to the
+    # number of positive weights. Only a subnormal total (5e-324) lets
+    # u * total round up to the total, the case the cap exists for.
+    R = draw(st.integers(1, 10))
+    weight = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0]) | st.floats(1e-3, 10.0)
+    weights = np.array(draw(st.lists(weight, min_size=R, max_size=R)))
+    if not (weights > 0.0).any():
+        weights[draw(st.integers(0, R - 1))] = 1.0
+    k = draw(st.integers(1, int((weights > 0.0).sum())))
+    N = draw(st.integers(1, 12))
+    u = st.sampled_from([0.0, BELOW_ONE]) | st.floats(0.0, 1.0, exclude_max=True)
+    U = np.array(draw(st.lists(u, min_size=N * k, max_size=N * k))).reshape(N, k)
+    return weights, U
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(select_k_cases())
+def test_select_k_equals_row_oracle(case):
+    weights, U = case
+    got = kernels.select_k(weights, U)
+    assert got.dtype == np.int64 and np.array_equal(got, select_k_oracle(weights, U))
+
+
+def test_select_k_across_row_chunks():
+    # 8,192 rows per chunk: the picks must not depend on the chunking.
+    rng = np.random.default_rng(5)
+    weights = np.array([0.0, 1.0, 1.0, 1e-300, 2.5, 5e-324, 0.0, 0.3])
+    U = rng.random((8192 + 37, 6))
+    U[::97] = 0.0
+    U[5::101] = BELOW_ONE
+    got = kernels.select_k(weights, U)
+    assert np.array_equal(got, select_k_oracle(weights, U))

@@ -188,7 +188,8 @@ class TestCrowdlayerTraining:
         W0 = clf.params["W"].copy()
         b0 = clf.params["b"].copy()
         _crowd_step(clf, conf, np.zeros((1, C, C)), np.zeros(1, dtype=np.int64),
-                    batch, lr=lr, momentum=0.0, weight_decay=0.0)
+                    batch, lr=lr, momentum=0.0, weight_decay=0.0,
+                    forward=batch_forward(clf, x))
         np.testing.assert_allclose(clf.params["W"], W0 - lr * dW_hand, atol=1e-8)
         np.testing.assert_allclose(clf.params["b"], b0 - lr * db_hand, atol=1e-8)
         np.testing.assert_allclose(conf.T[0], T[0] - lr * dT_hand, atol=1e-8)
@@ -240,7 +241,7 @@ class TestDistillation:
             ann_instance=np.arange(4), ann_annotator=np.zeros(4, dtype=np.int64),
             ann_label=y.copy(), truth=y)
         scorer = init_classifier("linear", 3, 0, 4, rng.split("clf"))
-        meta = distill_meta_set(ds, scorer, M=4)
+        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=4)
         assert meta.size == 4
         assert sorted(meta.labels.tolist()) == [0, 1, 2, 3]
 
@@ -248,8 +249,8 @@ class TestDistillation:
         ds = _blob_crowd(seed=8, n=80, c=4)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(9))
         M = 16
-        meta = distill_meta_set(ds, scorer, M)
         mv = aggregate_majority(ds)
+        meta = distill_meta_set(ds, mv, scorer, M)
         _, _, P = batch_forward(scorer, ds.features)
         losses = -np.log(np.maximum(P[np.arange(ds.n), mv], CE_FLOOR))
         quota = M // 4
@@ -269,14 +270,14 @@ class TestDistillation:
     def test_per_class_quota(self):
         ds = _blob_crowd(seed=10, n=100, c=4)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(11))
-        meta = distill_meta_set(ds, scorer, M=20)
+        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=20)
         counts = np.bincount(meta.labels, minlength=4)
         assert (counts <= 5).all()
 
     def test_purity_on_noiseless_annotations(self):
         ds = _blob_crowd(seed=12, eps=0.0)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(13))
-        meta = distill_meta_set(ds, scorer, M=12)
+        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=12)
         for feat, label in zip(meta.features, meta.labels):
             idx = np.flatnonzero((ds.features == feat).all(axis=1))[0]
             assert ds.truth[idx] == label
@@ -360,7 +361,8 @@ class TestOuterStep:
     def test_zero_virtual_lr_gives_zero_gradient(self):
         clf, T, group_of, batch, Xm, ym = _outer_fixture()
         g = correction_gradient(clf, T, np.zeros((1, 3, 3)), group_of, batch,
-                                Xm, ym, eta_v=0.0)
+                                Xm, ym, eta_v=0.0,
+                                forward=batch_forward(clf, batch.features))
         assert (g == 0.0).all()
 
     def test_matches_finite_differences(self):
@@ -368,7 +370,8 @@ class TestOuterStep:
         G, C = 1, 3
         V = 0.02 * RngStream(5).normal((G, C, C))
         eta_v = 0.3
-        g = correction_gradient(clf, T, V, group_of, batch, Xm, ym, eta_v)
+        g = correction_gradient(clf, T, V, group_of, batch, Xm, ym, eta_v,
+                                forward=batch_forward(clf, batch.features))
         h = 1e-4
         num = np.zeros_like(V)
         for gi in range(G):
@@ -390,7 +393,8 @@ class TestOuterStep:
         group_of = np.array([0, 1], dtype=np.int64)
         batch.ann_annotator[:] = 0
         g = correction_gradient(clf, T, np.zeros((2, 3, 3)), group_of, batch,
-                                Xm, ym, eta_v=0.25)
+                                Xm, ym, eta_v=0.25,
+                                forward=batch_forward(clf, batch.features))
         assert (g[1] == 0.0).all()
         assert (g[0] != 0.0).any()
 
@@ -403,7 +407,8 @@ class TestOuterStep:
         W_before = clf.params["W"].copy()
         T_before = conf.T.copy()
         cfg = _tiny_cfg(algo="ccc", gamma=0.5, epochs=4, warmup=1)
-        ccc_outer_step(state, batch, (Xm, ym), cfg, eta_v=0.3)
+        ccc_outer_step(state, batch, (Xm, ym), cfg, eta_v=0.3,
+                       forward=batch_forward(clf, batch.features))
         assert np.array_equal(clf.params["W"], W_before)
         assert np.array_equal(conf.T, T_before)
         assert (cor.V != 0.0).any()
@@ -415,7 +420,8 @@ class TestOuterStep:
                          confusions=ConfusionSet(T=T.copy(), mom=np.zeros_like(T)),
                          corrections=cor, meta_set=None)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
-        ccc_outer_step(state, batch, (np.empty((0, 4)), np.empty(0, dtype=np.int64)), cfg)
+        ccc_outer_step(state, batch, (np.empty((0, 4)), np.empty(0, dtype=np.int64)), cfg,
+                       eta_v=cfg.lr, forward=batch_forward(clf, batch.features))
         assert (cor.V == 0.0).all()
 
 
@@ -423,7 +429,7 @@ class TestActualStep:
     def test_zero_corrections_bitwise_equals_crowdlayer_step(self):
         ds = _blob_crowd(seed=14)
         idx = np.arange(24)
-        batch = make_batch(ds, idx)
+        batch = make_batch(ds, idx, ds.instance_slices())
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
 
         clf_a = init_classifier("linear", ds.d, 0, 4, RngStream(15))
@@ -434,7 +440,8 @@ class TestActualStep:
 
         _crowd_step(clf_a, conf_a, np.zeros((1, 4, 4)),
                     np.zeros(ds.annotator_count, dtype=np.int64), batch,
-                    lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+                    lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                    forward=batch_forward(clf_a, batch.features))
         state = CccState(clf=clf_b, confusions=conf_b,
                          corrections=CorrectionSet(
                              V=np.zeros((3, 4, 4)),
@@ -442,13 +449,14 @@ class TestActualStep:
                          meta_set=None)
         _crowd_step(state.clf, state.confusions, state.corrections.V,
                     state.corrections.group_of, batch, lr=cfg.lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                    forward=batch_forward(state.clf, batch.features))
         assert np.array_equal(clf_a.params["W"], clf_b.params["W"])
         assert np.array_equal(conf_a.T, conf_b.T)
 
     def test_untouched_annotators_unchanged(self):
         ds = _blob_crowd(seed=16)
-        batch = make_batch(ds, np.arange(10))
+        batch = make_batch(ds, np.arange(10), ds.instance_slices())
         present = set(batch.ann_annotator.tolist())
         absent = [r for r in range(ds.annotator_count) if r not in present]
         assert absent
@@ -462,7 +470,8 @@ class TestActualStep:
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
         _crowd_step(state.clf, state.confusions, state.corrections.V,
                     state.corrections.group_of, batch, lr=cfg.lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                    forward=batch_forward(state.clf, batch.features))
         for r in absent:
             assert np.array_equal(state.confusions.T[r], np.eye(4))
 
@@ -531,6 +540,18 @@ class TestTrainCcc:
         b = train(ds, cfg)
         assert a.curves["model1"] == b.curves["model1"]
         assert a.curves["model2"] == b.curves["model2"]
+
+    def test_majority_votes_computed_once_per_run(self, monkeypatch):
+        # The candidates' majority labels never change during a run.
+        calls = []
+
+        def counting(ds):
+            calls.append(ds)
+            return aggregate_majority(ds)
+
+        monkeypatch.setattr("ccc.training.aggregate_majority", counting)
+        train(_blob_crowd(seed=23), _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=2))
+        assert len(calls) == 1
 
     def test_models_differ(self):
         ds = _blob_crowd(seed=23)
