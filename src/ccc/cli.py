@@ -6,76 +6,95 @@ byte-identical numeric outputs. Exit codes are per error family:
 0 success, 2 configuration, 3 data validation, 4 I/O.
 
 Config files are flat key=value lines (# comments allowed); explicit
-command-line flags override file values, which override defaults.
---seeds runs its replicates one after another, in the order given.
+command-line flags override file values, which override the library's
+defaults (TrainConfig for train, build_pool for simulate). Each train
+flag, its type and its choices come from TrainConfig's fields. --seeds
+runs its replicates one after another, in the order given.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import (annotation_histogram, annotation_noise_rate,
-                   confusion_distances, evaluate_accuracy, instance_noise_rate,
-                   load_dataset, load_eval_set, make_blobs, save_dataset,
-                   save_eval_set, true_confusion_matrices, write_csv,
-                   write_dense_labels)
+from .data import (FEATURES_FORMATS, annotation_histogram,
+                   annotation_noise_rate, confusion_distances,
+                   evaluate_accuracy, instance_noise_rate, load_dataset,
+                   load_eval_set, make_blobs, save_dataset, save_eval_set,
+                   true_confusion_matrices, write_csv, write_dense_labels,
+                   write_json)
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
 from .simulate import PRESETS, PatternSpec, build_pool, generate
-from .training import TrainConfig, train
+from .training import CHOICES, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+# The options a flag or a config file may set, with the type a value is
+# parsed as: simulate's seed and pool parameters, and every TrainConfig
+# field but algo. Defaults other than simulate's seed stay in build_pool
+# and TrainConfig; the types are read from those defaults.
+_POOL_PARAMS = inspect.signature(build_pool).parameters
+SIMULATE_OPTIONS = ("seed", "k", "alpha", "beta")
+TRAIN_OPTIONS = tuple(f.name for f in fields(TrainConfig) if f.name != "algo")
+OPTION_TYPES = {**{k: type(_POOL_PARAMS[k].default) for k in SIMULATE_OPTIONS[1:]},
+                **{f.name: type(f.default) for f in fields(TrainConfig)}}
+CONFIG_KEYS = {name.replace("_", "-") for name in SIMULATE_OPTIONS + TRAIN_OPTIONS}
 
 
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------
 
-def load_config_file(path) -> dict[str, str]:
+def _read_lines(path, what: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once its # comment is cut."""
     path = Path(path)
     if not path.exists():
-        raise DataFormatError("missing config file", path)
-    values: dict[str, str] = {}
+        raise DataFormatError(f"missing {what} file", path)
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+        lines = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, start=1)]
+    return [(n, line) for n, line in lines if line]
+
+
+def load_config_file(path) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, line in _read_lines(path, "config"):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 
-def _resolve(args, key, cast, default):
-    """Flag > config file > default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    fileval = args._config_values.get(key)
-    if fileval is not None:
-        try:
-            return cast(fileval)
-        except ValueError:
-            raise ConfigError(f"config key {key}={fileval!r} is not a valid value") from None
-    return default
+def _given(args, names) -> dict:
+    """The options among names set by a flag or by the config file, the
+    flag winning. Options set by neither are left out, so the library's
+    defaults apply to them."""
+    given = {}
+    for name in names:
+        key = name.replace("_", "-")
+        value = getattr(args, name, None)
+        if value is None and key in args._config_values:
+            text = args._config_values[key]
+            try:
+                value = OPTION_TYPES[name](text)
+            except ValueError:
+                raise ConfigError(f"config key {key}={text!r} is not a valid value") from None
+        if value is not None:
+            given[name] = value
+    return given
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +127,23 @@ def _parse_feature_source(expr: str):
 
 
 def _parse_pattern_file(path) -> list[PatternSpec]:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError("missing pattern file", path)
     specs: list[PatternSpec] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                count = int(parts[0])
-                kind = parts[1]
-                arg = parts[2] if len(parts) > 2 else None
-                for _ in range(count):
-                    if kind in ("symmetric", "pair"):
-                        specs.append(PatternSpec(kind, epsilon=float(arg)))
-                    elif kind == "classwise":
-                        good = tuple(int(v) for v in arg.split(","))
-                        specs.append(PatternSpec(kind, good_classes=good))
-                    else:
-                        specs.append(PatternSpec(kind))
-            except (IndexError, ValueError, ContractError) as exc:
-                raise DataFormatError(f"bad pattern line: {exc}", path, lineno) from None
+    for lineno, line in _read_lines(path, "pattern"):
+        parts = line.split()
+        try:
+            count = int(parts[0])
+            kind = parts[1]
+            arg = parts[2] if len(parts) > 2 else None
+            for _ in range(count):
+                if kind in ("symmetric", "pair"):
+                    specs.append(PatternSpec(kind, epsilon=float(arg)))
+                elif kind == "classwise":
+                    good = tuple(int(v) for v in arg.split(","))
+                    specs.append(PatternSpec(kind, good_classes=good))
+                else:
+                    specs.append(PatternSpec(kind))
+        except (IndexError, ValueError, ContractError) as exc:
+            raise DataFormatError(f"bad pattern line: {exc}", path, lineno) from None
     if not specs:
         raise DataFormatError("pattern file defines no annotators", path)
     return specs
@@ -157,10 +169,8 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     src_kind, src = _parse_feature_source(args.features)
-    seed = _resolve(args, "seed", int, 0)
-    k = _resolve(args, "k", int, 3)
-    alpha = _resolve(args, "alpha", float, 1.5)
-    beta = _resolve(args, "beta", float, 3.0)
+    given = _given(args, SIMULATE_OPTIONS)
+    seed = given.pop("seed", 0)
     out_dir = Path(args.out)
 
     master = RngStream(seed)
@@ -169,8 +179,7 @@ def cmd_simulate(args) -> int:
                                      master.split("features"), radius=src["radius"])
         C = src["C"]
     else:
-        feats, labels, C = load_eval_set(src["path"])
-        features, truth = feats, labels
+        features, truth, C = load_eval_set(src["path"])
 
     if args.preset is not None and args.patterns is not None:
         raise ConfigError("--preset and --patterns are mutually exclusive")
@@ -185,8 +194,8 @@ def cmd_simulate(args) -> int:
     if args.pair_map is not None:
         pair_map = _parse_pair_map(args.pair_map, C)
 
-    pool = build_pool(pool_source, C, R=args.annotators, k=k, alpha=alpha,
-                      beta=beta, rng=master.split("pool"), pair_map=pair_map)
+    pool = build_pool(pool_source, C, R=args.annotators, rng=master.split("pool"),
+                      pair_map=pair_map, **given)
     result = generate(truth, features, pool, master.split("labels"),
                       return_dense=args.dump_dense,
                       preset=args.preset, seed=seed)
@@ -243,7 +252,7 @@ def cmd_inspect(args) -> int:
                     confusion_distances(true_confusion_matrices(ds)).ravel())])
     else:
         print("no truth labels: noise rates and confusion distances omitted")
-    _write_json(out_dir / "stats.json", stats)
+    write_json(out_dir / "stats.json", stats)
     if ds.truth is not None:
         print(f"instance noise rate: {100 * stats['instance_noise_rate']:.2f}%")
         print(f"annotation noise rate: {100 * stats['annotation_noise_rate']:.2f}%")
@@ -255,30 +264,11 @@ def cmd_inspect(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _train_config_from(args, seed: int) -> TrainConfig:
-    decay = _resolve(args, "lr-decay-epoch", int, 40)
-    if decay is not None and decay < 0:
-        decay = None
-    cfg = TrainConfig(
-        algo=args.algo,
-        epochs=_resolve(args, "epochs", int, 60),
-        warmup=_resolve(args, "warmup", int, 10),
-        batch_size=_resolve(args, "batch-size", int, 128),
-        meta_batch=_resolve(args, "meta-batch", int, 64),
-        lr=_resolve(args, "lr", float, 0.05),
-        momentum=_resolve(args, "momentum", float, 0.9),
-        weight_decay=_resolve(args, "weight-decay", float, 5e-4),
-        gamma=_resolve(args, "gamma", float, 0.5),
-        meta_size=_resolve(args, "meta-size", int, 200),
-        groups=_resolve(args, "groups", int, 5),
-        seed=seed,
-        confusion_init=_resolve(args, "confusion-init", str, "identity"),
-        model=_resolve(args, "model", str, "linear"),
-        hidden_dim=_resolve(args, "hidden-dim", int, 32),
-        lr_decay_epoch=decay,
-        v_reset=_resolve(args, "v-reset", str, "iteration"),
-        grouping=_resolve(args, "grouping", str, "joint"),
-    )
+def _train_config_from(args) -> TrainConfig:
+    given = _given(args, TRAIN_OPTIONS)
+    if given.get("lr_decay_epoch", 0) < 0:
+        given["lr_decay_epoch"] = None  # a negative epoch disables decay
+    cfg = TrainConfig(algo=args.algo, **given)
     cfg.validate()
     return cfg
 
@@ -298,19 +288,18 @@ def _write_confusions(path: Path, confusions: dict[str, np.ndarray]) -> None:
     write_csv(path, "model,annotator,row,col,value", blocks)
 
 
-def _run_one_seed(ds, args, seed, eval_set, out_dir: Path) -> dict:
-    cfg = _train_config_from(args, seed)
+def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     res = train(ds, cfg, eval_set)
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
     payload = {
-        "algo": cfg.algo, "seed": seed, "config": cfg.echo(),
+        "algo": cfg.algo, "seed": cfg.seed, "config": res.config,
         "wall_time_sec": res.wall_time_sec,
         "final_eval": {k: v[-1] for k, v in res.curves.items()},
         "best": res.best, "last": res.last,
     }
-    _write_json(out_dir / "run.json", payload)
+    write_json(out_dir / "run.json", payload)
     _write_curves(out_dir / "curves.csv", res.curves)
     if res.confusions:
         _write_confusions(out_dir / "confusions.csv", res.confusions)
@@ -333,6 +322,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_train(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else None
+    cfg = _train_config_from(args)
     ds = load_dataset(args.data)
     eval_set = None
     if args.test is not None:
@@ -344,25 +334,22 @@ def cmd_train(args) -> int:
         eval_set = (X, y)
     out_dir = Path(args.out)
     if seeds is None:
-        payload = _run_one_seed(ds, args, _resolve(args, "seed", int, 0),
-                                eval_set, out_dir)
+        payload = _run_one_seed(ds, cfg, eval_set, out_dir)
         print(f"best: {payload['best']}  last: {payload['last']}")
         return EXIT_OK
 
-    payloads = [_run_one_seed(ds, args, s, eval_set, out_dir / f"seed-{s}")
+    payloads = [_run_one_seed(ds, replace(cfg, seed=s), eval_set, out_dir / f"seed-{s}")
                 for s in seeds]
     keys = sorted(payloads[0]["best"])
     agg = {"seeds": seeds, "best": {}, "last": {}}
-    for key in keys:
-        bvals = [p["best"][key] for p in payloads]
-        lvals = [p["last"][key] for p in payloads]
-        agg["best"][key] = {"values": bvals, "mean": float(np.mean(bvals)),
-                            "std": float(np.std(bvals))}
-        agg["last"][key] = {"values": lvals, "mean": float(np.mean(lvals)),
-                            "std": float(np.std(lvals))}
+    for part in ("best", "last"):
+        for key in keys:
+            vals = [p[part][key] for p in payloads]
+            agg[part][key] = {"values": vals, "mean": float(np.mean(vals)),
+                              "std": float(np.std(vals))}
     agg["config"] = payloads[0]["config"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "aggregate.json", agg)
+    write_json(out_dir / "aggregate.json", agg)
     for key in keys:
         print(f"{key}: best {agg['best'][key]['mean']:.4f}±{agg['best'][key]['std']:.4f} "
               f"last {agg['last'][key]['mean']:.4f}±{agg['last'][key]['std']:.4f}")
@@ -383,7 +370,7 @@ def cmd_eval(args) -> int:
     acc = evaluate_accuracy(clf, X, y)
     print(f"accuracy: {acc:.6f}")
     if args.out:
-        _write_json(Path(args.out), {
+        write_json(args.out, {
             "accuracy": acc, "model": str(args.model), "data": str(args.data),
             "n": int(X.shape[0]),
         })
@@ -416,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--test-size", type=int, default=0,
                      help="also write OUT/test with this many labeled instances")
-    sim.add_argument("--features-format", choices=["csv", "bin"], default="csv")
+    sim.add_argument("--features-format", choices=FEATURES_FORMATS, default="csv")
     sim.add_argument("--dump-dense", action="store_true",
                      help="write dense phase-1 labels for auditing")
     sim.add_argument("--config")
@@ -431,27 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train one algorithm on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--test", help="eval-set directory (features + truth)")
-    tr.add_argument("--algo", required=True, choices=["majority", "crowdlayer", "ccc"])
+    tr.add_argument("--algo", required=True, choices=CHOICES["algo"])
     tr.add_argument("--out", required=True)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--seeds", help="comma list; runs replicates + aggregate.json")
-    tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--warmup", type=int, default=None)
-    tr.add_argument("--batch-size", type=int, default=None)
-    tr.add_argument("--meta-batch", type=int, default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--momentum", type=float, default=None)
-    tr.add_argument("--weight-decay", type=float, default=None)
-    tr.add_argument("--gamma", type=float, default=None)
-    tr.add_argument("--meta-size", type=int, default=None)
-    tr.add_argument("--groups", type=int, default=None)
-    tr.add_argument("--confusion-init", choices=["identity", "votes"], default=None)
-    tr.add_argument("--model", choices=["linear", "mlp"], default=None)
-    tr.add_argument("--hidden-dim", type=int, default=None)
-    tr.add_argument("--lr-decay-epoch", type=int, default=None,
-                    help="divide lr by 10 from this epoch on; negative disables")
-    tr.add_argument("--v-reset", choices=["iteration", "epoch"], default=None)
-    tr.add_argument("--grouping", choices=["joint", "per-model"], default=None)
+    decay_help = "divide lr by 10 from this epoch on; negative disables"
+    for name in TRAIN_OPTIONS:
+        if name != "seed":
+            tr.add_argument("--" + name.replace("_", "-"), type=OPTION_TYPES[name],
+                            choices=CHOICES.get(name),
+                            help=decay_help if name == "lr_decay_epoch" else None)
     tr.add_argument("--config")
     tr.set_defaults(func=cmd_train)
 

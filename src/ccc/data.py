@@ -36,6 +36,7 @@ from .models import Classifier, batch_forward
 from .rng import RngStream
 
 FORMAT_VERSION = 1
+FEATURES_FORMATS = ("csv", "bin")
 _FEATURES_MAGIC = b"CCCD"
 
 
@@ -429,9 +430,10 @@ def _features_header(d: int) -> str:
     return "id," + ",".join(f"f{j}" for j in range(d))
 
 
-def _write_meta(directory: Path, meta: dict) -> None:
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+def write_json(path, payload: dict) -> None:
+    """Write payload as sorted, indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -466,12 +468,12 @@ def _write_truth(path: Path, labels) -> None:
 
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory; annotations in (instance, annotator) order."""
-    if features_format not in ("csv", "bin"):
+    if features_format not in FEATURES_FORMATS:
         raise ContractError(f"unknown features format {features_format!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     features_file = "features.csv" if features_format == "csv" else "features.bin"
-    _write_meta(directory, {
+    write_json(directory / "meta.json", {
         "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
         "preset": ds.preset, "seed": ds.seed,
         "format_version": FORMAT_VERSION, "features_file": features_file,
@@ -619,7 +621,7 @@ def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n, d = features.shape
-    _write_meta(directory, {
+    write_json(directory / "meta.json", {
         "n": n, "d": d, "c": class_count, "r": 0,
         "preset": None, "seed": seed,
         "format_version": FORMAT_VERSION, "features_file": "features.csv",

@@ -197,15 +197,13 @@ def preset_specs(name: str, per_group: int):
 
 
 def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
-               alpha: float = 1.5, beta: float = 3.0,
-               rng: RngStream | None = None, pair_map=None) -> AnnotatorPool:
+               alpha: float = 1.5, beta: float = 3.0, *,
+               rng: RngStream, pair_map=None) -> AnnotatorPool:
     """Assemble a pool: propensities and fixed correlated targets.
 
     spec_source is a preset name or an explicit list of PatternSpec.
     Preset pools need R divisible by 5; the canonical size is 250.
     """
-    if rng is None:
-        raise ContractError("build_pool needs an RngStream")
     if isinstance(spec_source, str):
         R = 250 if R is None else R
         if R % 5 != 0 or R < 5:

@@ -40,18 +40,28 @@ import numpy as np
 from .data import CrowdDataset, MetaSet, evaluate_accuracy
 from .errors import ConfigError, ContractError
 from .kernels import crowd_grads, hyper_grads
-from .models import (Classifier, backprop, batch_forward, init_classifier,
-                     last_layer_snapshot, loss_and_grads, sgd_step,
-                     single_label_ce)
+from .models import (PARAM_KEYS, Classifier, backprop, batch_forward,
+                     init_classifier, last_layer_snapshot, loss_and_grads,
+                     sgd_step, single_label_ce)
 from .numerics import kmeans, softmax_rows
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
 
 
+# Allowed values of TrainConfig's categorical fields.
+CHOICES = {
+    "algo": ("majority", "crowdlayer", "ccc"),
+    "confusion_init": ("identity", "votes"),
+    "model": tuple(PARAM_KEYS),
+    "v_reset": ("iteration", "epoch"),
+    "grouping": ("joint", "per-model"),
+}
+
+
 @dataclass
 class TrainConfig:
-    algo: str = "ccc"                 # majority | crowdlayer | ccc
+    algo: str = "ccc"
     epochs: int = 60
     warmup: int = 10
     batch_size: int = 128
@@ -63,16 +73,17 @@ class TrainConfig:
     meta_size: int = 200
     groups: int = 5
     seed: int = 0
-    confusion_init: str = "identity"  # identity | votes
-    model: str = "linear"             # linear | mlp
+    confusion_init: str = "identity"
+    model: str = "linear"
     hidden_dim: int = 32
     lr_decay_epoch: int | None = 40   # divide lr by 10 from this epoch on
-    v_reset: str = "iteration"        # iteration | epoch
-    grouping: str = "joint"           # joint | per-model
+    v_reset: str = "iteration"
+    grouping: str = "joint"
 
     def validate(self) -> None:
-        if self.algo not in ("majority", "crowdlayer", "ccc"):
-            raise ConfigError(f"unknown algo {self.algo!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.algo == "ccc" and not 0 <= self.warmup < self.epochs:
@@ -81,17 +92,6 @@ class TrainConfig:
             raise ConfigError("gamma must be >= 0")
         if self.meta_size < 1 or self.meta_batch < 1 or self.groups < 1:
             raise ConfigError("meta_size, meta_batch, groups must be >= 1")
-        if self.confusion_init not in ("identity", "votes"):
-            raise ConfigError(f"unknown confusion_init {self.confusion_init!r}")
-        if self.model not in ("linear", "mlp"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.v_reset not in ("iteration", "epoch"):
-            raise ConfigError(f"unknown v_reset {self.v_reset!r}")
-        if self.grouping not in ("joint", "per-model"):
-            raise ConfigError(f"unknown grouping {self.grouping!r}")
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -510,7 +510,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         best["mean"] = float(max(mean_curve))
         last["mean"] = float(mean_curve[-1])
     return RunResult(algo=cfg.algo, seed=cfg.seed, curves=curves, best=best,
-                     last=last, states=states, config=cfg.echo(),
+                     last=last, states=states, config=asdict(cfg),
                      confusions={tag: s.confusions.T for tag, s in states.items()
                                  if s.confusions is not None},
                      wall_time_sec=time.perf_counter() - t0,

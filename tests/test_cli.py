@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ccc.cli import main
 from ccc.data import load_dataset, make_blobs, save_eval_set
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
+from ccc.training import TrainConfig
 
 
 def _simulate(tmp_path, name="d", seed=1, n=120, c=4, r=10, k=2,
@@ -296,20 +298,29 @@ class TestTrain:
         for s in (1, 2, 3, 4, 5):
             assert (out / f"seed-{s}" / "run.json").exists()
 
-    def test_threaded_replicates_match_sequential(self, tmp_path, monkeypatch):
+    def test_threaded_replicates_match_sequential(self, tmp_path):
+        # each seed-N/ of a --seeds run is the run that --seed N writes
         ds_dir = _simulate(tmp_path, "thr")
-        results = {}
-        for name, workers in (("seq", "1"), ("par", "2")):
-            monkeypatch.setenv("CCC_THREADS", workers)
-            out = tmp_path / f"thr-{name}"
-            argv = _train_args(ds_dir, out, "crowdlayer")
-            argv.remove("--seed")
-            argv.remove("0")
-            argv += ["--seeds", "1,2,3"]
-            assert main(argv) == 0
-            agg = json.loads((out / "aggregate.json").read_text())
-            results[name] = (agg["best"], agg["last"])
-        assert results["seq"] == results["par"]
+        out = tmp_path / "thr-seeds"
+        argv = _train_args(ds_dir, out, "ccc")
+        argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", "1,2,3"]
+        assert main(argv) == 0
+        for seed in (1, 2, 3):
+            alone = tmp_path / f"thr-{seed}"
+            assert main(_train_args(ds_dir, alone, "ccc", seed=seed)) == 0
+            replicate = out / f"seed-{seed}"
+            names = sorted(p.name for p in alone.iterdir())
+            assert names == sorted(p.name for p in replicate.iterdir())
+            assert {"run.json", "curves.csv", "confusions.csv", "model1.bin",
+                    "model2.bin"} <= set(names)
+            for name in names:
+                if name == "run.json":
+                    runs = [json.loads((d / name).read_text()) for d in (alone, replicate)]
+                    for run in runs:
+                        run.pop("wall_time_sec")
+                    assert runs[0] == runs[1]
+                else:
+                    assert (alone / name).read_bytes() == (replicate / name).read_bytes()
 
     def test_ccc_config_that_data_cannot_meet_exit_code(self, tmp_path):
         ds_dir = _simulate(tmp_path, "bad", c=4, r=10)
@@ -331,15 +342,13 @@ class TestTrain:
         assert "diverged in epoch 0, model1, crowdlayer phase" in err[0]
         assert not (out / "run.json").exists()
 
-    @pytest.mark.parametrize("seeds, threads", [
-        ("1,x", "1"),     # seed not an integer
-        ("1,1", "1"),     # repeated seed would share seed-1/
-        ("1,1", "2"),
+    @pytest.mark.parametrize("seeds", [
+        pytest.param("1,x", id="1,x-1"),    # seed not an integer
+        pytest.param("1,1", id="1,1-1"),    # repeated seed would share seed-1/
+        pytest.param("2,1,2", id="1,1-2"),  # repeated, not next to each other
     ])
-    def test_bad_seeds_or_threads_exit_code(self, tmp_path, monkeypatch, capsys,
-                                            seeds, threads):
+    def test_bad_seeds_or_threads_exit_code(self, tmp_path, capsys, seeds):
         ds_dir = _simulate(tmp_path, "seeds")
-        monkeypatch.setenv("CCC_THREADS", threads)
         out = tmp_path / "seeds-run"
         argv = _train_args(ds_dir, out, "majority")
         argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", seeds]
@@ -394,6 +403,63 @@ class TestTrain:
         argv = ["train", "--data", str(ds_dir), "--test", str(other),
                 "--algo", "majority", "--out", str(tmp_path / "x")]
         assert main(argv) == 2
+
+
+class TestConfigAndDefaults:
+    @pytest.mark.parametrize("key", ["learning-rate", "epoch", "batch_size", "algo"])
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys, command, key):
+        ds_dir = _simulate(tmp_path, "typo")
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"epochs=3\n{key}=0.2\n")
+        out = tmp_path / "typo-out"
+        argv = {"simulate": ["simulate", "--features", "blobs:N=30,C=4,D=6",
+                             "--patterns", str(_pattern_file(tmp_path, 4, 10))],
+                "train": ["train", "--data", str(ds_dir), "--algo", "majority"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {cfg}:2: unknown config key {key!r}\n"
+        assert not out.exists()
+
+    def test_one_config_file_serves_simulate_and_train(self, tmp_path):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("seed=4\nk=2\nepochs=3\n")
+        ds_dir = tmp_path / "both"
+        assert main(["simulate", "--features", "blobs:N=60,C=4,D=6,spread=0.2",
+                     "--patterns", str(_pattern_file(tmp_path, 4, 10)),
+                     "--out", str(ds_dir), "--config", str(cfg)]) == 0
+        ds = load_dataset(ds_dir)
+        assert ds.seed == 4 and ds.annotation_count == 2 * 60
+        out = tmp_path / "both-run"
+        assert main(["train", "--data", str(ds_dir), "--algo", "majority",
+                     "--out", str(out), "--config", str(cfg)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["seed"] == 4 and run["config"]["epochs"] == 3
+
+    def test_train_defaults_are_train_config_defaults(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "defaults")
+        out = tmp_path / "defaults-run"
+        assert main(["train", "--data", str(ds_dir), "--test", str(ds_dir / "test"),
+                     "--algo", "crowdlayer", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"] == asdict(TrainConfig(algo="crowdlayer", seed=0))
+
+    def test_simulate_defaults_are_build_pool_defaults(self, tmp_path):
+        out = tmp_path / "pool-defaults"
+        assert main(["simulate", "--features", "blobs:N=50,C=4,D=6,spread=0.2",
+                     "--patterns", str(_pattern_file(tmp_path, 4, 10)),
+                     "--out", str(out)]) == 0
+        master = RngStream(0)
+        features, truth = make_blobs(50, 4, 6, 0.2, master.split("features"))
+        specs = [PatternSpec("symmetric", epsilon=0.2)] * 5 + \
+            [PatternSpec("symmetric", epsilon=0.4)] * 5
+        pool = build_pool(specs, 4, rng=master.split("pool"))
+        want = generate(truth, features, pool, master.split("labels"))
+        got = load_dataset(out)
+        assert got.annotation_count == 50 * pool.k
+        for name in ("features", "truth", "ann_instance", "ann_annotator", "ann_label"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestEval:
