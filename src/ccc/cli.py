@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (FEATURES_FORMATS, annotation_histogram,
+from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
                    annotation_noise_rate, confusion_distances,
                    evaluate_accuracy, instance_noise_rate, load_dataset,
                    load_eval_set, make_blobs, save_dataset, save_eval_set,
@@ -103,7 +103,7 @@ def _given(args, names) -> dict:
 
 def _parse_feature_source(expr: str):
     if expr.startswith("blobs:"):
-        params = {"spread": 0.28, "radius": 1.0}
+        params = dict(BLOBS_DEFAULTS)
         for part in expr[len("blobs:"):].split(","):
             if not part:
                 continue
@@ -111,7 +111,7 @@ def _parse_feature_source(expr: str):
                 raise ConfigError(f"bad blobs parameter {part!r}")
             key, value = part.split("=", 1)
             key = key.strip()
-            if key not in ("N", "C", "D", "spread", "radius"):
+            if key not in ("N", "C", "D", *BLOBS_DEFAULTS):
                 raise ConfigError(f"unknown blobs parameter {key!r}")
             try:
                 params[key] = int(value) if key in ("N", "C", "D") else float(value)
@@ -175,8 +175,7 @@ def cmd_simulate(args) -> int:
 
     master = RngStream(seed)
     if src_kind == "blobs":
-        features, truth = make_blobs(src["N"], src["C"], src["D"], src["spread"],
-                                     master.split("features"), radius=src["radius"])
+        features, truth = make_blobs(rng=master.split("features"), **src)
         C = src["C"]
     else:
         features, truth, C = load_eval_set(src["path"])
@@ -208,9 +207,8 @@ def cmd_simulate(args) -> int:
     if dense is not None:
         write_dense_labels(out_dir / "dense_labels.csv", dense)
     if args.test_size and src_kind == "blobs":
-        test_X, test_y = make_blobs(args.test_size, src["C"], src["D"],
-                                    src["spread"], master.split("test-features"),
-                                    radius=src["radius"])
+        test_X, test_y = make_blobs(rng=master.split("test-features"),
+                                    **{**src, "N": args.test_size})
         save_eval_set(test_X, test_y, out_dir / "test", C, seed=seed)
     elif args.test_size:
         print("--test-size applies to blobs sources only; no test split written")
@@ -321,6 +319,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_train(args) -> int:
+    if args.seed is not None and args.seeds:
+        raise ConfigError("--seed and --seeds are mutually exclusive")
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     cfg = _train_config_from(args)
     ds = load_dataset(args.data)

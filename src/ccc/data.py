@@ -38,6 +38,7 @@ from .rng import RngStream
 FORMAT_VERSION = 1
 FEATURES_FORMATS = ("csv", "bin")
 _FEATURES_MAGIC = b"CCCD"
+BLOBS_DEFAULTS = {"spread": 0.28, "radius": 1.0}  # what a blobs: source may leave out
 
 
 @dataclass
@@ -190,7 +191,7 @@ def evaluate_accuracy(clf: Classifier, features: np.ndarray, labels: np.ndarray)
 # ---------------------------------------------------------------------------
 
 def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
-               radius: float = 1.0):
+               radius: float = BLOBS_DEFAULTS["radius"]):
     """Class-balanced Gaussian clumps with deterministic means.
 
     Means sit on scaled coordinate axes when D >= C, otherwise on a

@@ -1,12 +1,16 @@
 """Hot numeric kernels, in numpy.
 
 Every kernel is fully deterministic. All randomness is injected as
-pre-drawn uniform arrays; kernels consume no RNG state. The kernels
-scatter per-annotation terms into per-row sums with np.bincount over
-flattened (row, column) indices, which adds each bin's terms in
-annotation order, the same per-bin order as np.add.at. crowd_grads and
-hyper_grads take their per-annotation terms (q, clamp mask, g_q) from
-one shared helper, _annotation_terms.
+pre-drawn uniform arrays; kernels consume no RNG state. crowd_grads, the
+training step, scatters per-annotation terms into per-row sums with
+np.bincount over flattened (row, column) indices, which adds each bin's
+terms in annotation order, the same per-bin order as np.add.at.
+hyper_grads, ccc's meta step, is one pass: it builds crowd_grads' dZ,
+calls the caller's meta_u(dZ) once for the meta-loss weights U, and sums
+the per-group dV by one GEMM over a table where each annotation's rows
+are assigned to its group's block. BLAS orders that sum its own way, so
+dV equals an annotation-order sum to rounding, not bit for bit. Both
+kernels share _annotation_terms and _logit_grads.
 
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true
@@ -53,7 +57,7 @@ def _scatter_rows(index, values, rows):
 
 
 def _annotation_terms(P, ann_i, ann_r, ann_y, M):
-    """Per-annotation terms of the transition loss (A >= 1 annotations).
+    """Per-annotation terms of the transition loss (any A >= 0).
 
     Returns p = P[ann_i], Ma = M[ann_r], the clamp mask m, S and q[y]
     floored at GRAD_FLOOR, the loss ratio q[y] / S, and g_q = dloss/dq_raw
@@ -77,7 +81,7 @@ def _annotation_terms(P, ann_i, ann_r, ann_y, M):
     return p, Ma, m, Sg, qyg, ratio, g_q
 
 
-def crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
+def crowd_grads(P, ann_i, ann_r, ann_y, M, R):
     """Loss and gradients of the per-annotation transition loss.
 
     P      (n, C)   softmax outputs per batch instance
@@ -86,61 +90,63 @@ def crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=True):
     ann_y  (A,)     reported label per annotation
     M      (R, C, C) transition matrices (confusion + correction)
 
-    Returns (loss_sum, dZ, dM) where dZ (n, C) accumulates logit
-    gradients via softmax backprop and dM (R, C, C) accumulates the
-    matrix gradients. Nothing is normalized; callers divide by the
-    annotation count. Annotators absent from the batch keep exact-zero
-    rows in dM. With want_dM=False, dM is None and never built.
+    Returns (loss_sum, dZ, dM) where dZ (n, C) accumulates logit gradients
+    via softmax backprop and dM (R, C, C) accumulates the matrix gradients.
+    Nothing is normalized; callers divide by the annotation count.
+    Annotators absent from the batch keep exact-zero rows in dM.
     """
     n, C = P.shape
     if ann_i.shape[0] == 0:
-        return 0.0, np.zeros((n, C)), np.zeros((R, C, C)) if want_dM else None
+        return 0.0, np.zeros((n, C)), np.zeros((R, C, C))
     p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     loss_sum = float(-np.log(np.maximum(ratio, EPS)).sum())
+    dM = _scatter_rows(ann_r, p[:, :, None] * g_q[:, None, :], R)
+    return loss_sum, _logit_grads(ann_i, p, Ma, g_q, n), dM
 
-    dM = _scatter_rows(ann_r, p[:, :, None] * g_q[:, None, :], R) if want_dM else None
+
+def _logit_grads(ann_i, p, Ma, g_q, n):
+    """dZ (n, C): g_q back through M[r] and the softmax, summed per instance."""
     g_p = np.einsum("acj,aj->ac", Ma, g_q)
     s = (p * g_p).sum(axis=1)
-    dZa = p * (g_p - s[:, None])
-    return loss_sum, _scatter_rows(ann_i, dZa, n), dM
+    return _scatter_rows(ann_i, p * (g_p - s[:, None]), n)
 
 
-def hyper_grads(P, U, ann_i, ann_r, ann_y, M, group_of, G):
-    """Gradient w.r.t. per-group corrections of <grad_{W,b} L, u>.
+def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G):
+    """The meta step's logit gradients and per-group hypergradient, (dZ, dV).
 
-    U (n, C) holds u_W^T h_i + u_b per batch instance, where (u_W, u_b)
-    is the meta-loss gradient at the virtually stepped last layer. The
-    directional derivative of the batch loss gradient along u can be
-    written per annotation as dz(V)^T u_i; differentiating that w.r.t.
-    the annotation's group correction gives two rank-one terms:
+    dZ (n, C) is crowd_grads' dZ, bit for bit, for the virtual step of the
+    last layer. meta_u(dZ), called once, returns U (n, C): u_W^T h_i + u_b
+    per batch instance, where (u_W, u_b) is the meta-loss gradient at the
+    virtually stepped layer. dV (G, C, C) is the gradient w.r.t. the group
+    corrections of <grad_{W,b} L, u>: per annotation dz(V)^T u_i, whose
+    derivative w.r.t. its group's correction is two rank-one terms,
 
         outer(v, g_q)          explicit M dependence, v = p*u - (p.u) p
         outer(p, t)            through g_q's dependence on q(V)
 
-    with A = M^T v, t[y] += m_y A[y]/q[y]^2, t[j] -= m_j (A.m)/S^2.
-    Returns dV (G, C, C), unnormalized and without the virtual-step
-    factor; callers scale by -eta_v / annotation_count.
+    with A = M^T v, t[y] += m_y A[y]/q[y]^2, t[j] -= m_j (A.m)/S^2. dV is
+    exactly 0 for unreached groups, unnormalized and without the virtual
+    step's factor; callers scale by -eta_v / annotation_count.
     """
-    C = P.shape[1]
-    A_count = ann_i.shape[0]
-    if A_count == 0:
-        return np.zeros((G, C, C))
-    idx = np.arange(A_count)
     p, Ma, m, Sg, qyg, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
-    u = U[ann_i]
+    A_count, C = p.shape
+    idx = np.arange(A_count)
+    dZ = _logit_grads(ann_i, p, Ma, g_q, P.shape[0])
+    u = meta_u(dZ)[ann_i]
 
     beta = p * u
-    alpha = beta.sum(axis=1)
-    v = beta - alpha[:, None] * p
-
+    v = beta - beta.sum(axis=1)[:, None] * p
     Avec = np.einsum("acj,ac->aj", Ma, v)
     Abar = (Avec * m).sum(axis=1)
     t = -m * (Abar / Sg**2)[:, None]
     t[idx, ann_y] += m[idx, ann_y] * Avec[idx, ann_y] / qyg**2
     t[~(ratio > EPS)] = 0.0
 
-    contrib = v[:, :, None] * g_q[:, None, :] + p[:, :, None] * t[:, None, :]
-    return _scatter_rows(group_of[ann_r], contrib, G)
+    # Rows (g_q; t) of annotation a fill group_of[ann_r[a]]'s C columns.
+    Y = np.zeros((2, A_count, G, C))
+    Y[:, idx, group_of[ann_r]] = g_q, t
+    dV = np.concatenate([v, p]).T @ Y.reshape(2 * A_count, G * C)
+    return dZ, dV.reshape(C, G, C).transpose(1, 0, 2)
 
 
 def draw_labels(cum_rows, truth, u):

@@ -321,34 +321,27 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     V-gradient of <grad_{W,b} batch loss, meta-loss gradient at the
     virtual point>, accumulated per annotation in the kernel.
 
-    `forward` is batch_forward(clf, batch.features); only the last layer
-    moves, so the batch forward at the current parameters is all the
-    virtual step needs.
+    The virtual step and the meta loss form `meta_u`, which the kernel
+    calls between its dZ and its dV. `forward` is batch_forward(clf,
+    batch.features); only the last layer moves, so the batch forward at
+    the current parameters is all the virtual step needs.
     """
     W, b, penultimate_fn = last_layer_snapshot(clf)
-    G, C = V.shape[0], V.shape[1]
     a = batch.ann_instance.shape[0]
-    if a == 0 or meta_labels.shape[0] == 0:
-        return np.zeros((G, C, C))
-    M = T + V[group_of]
-    _, H, P = forward
-    _, dZ, _ = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
-                           batch.ann_label, M, T.shape[0], want_dM=False)
-    gW = H.T @ dZ / a
-    gb = dZ.sum(axis=0) / a
-    W_hat = W - eta_v * gW
-    b_hat = b - eta_v * gb
-
-    Hm = penultimate_fn(meta_features)
-    Pm = softmax_rows(Hm @ W_hat + b_hat)
     m = meta_labels.shape[0]
-    _, dZm = single_label_ce(meta_labels)(Pm)
-    uW = Hm.T @ dZm / m
-    ub = dZm.sum(axis=0) / m
+    if a == 0 or m == 0:
+        return np.zeros_like(V)
+    _, H, P = forward
+    Hm = penultimate_fn(meta_features)
 
-    U = H @ uW + ub
-    dV = hyper_grads(P, U, batch.ann_instance, batch.ann_annotator,
-                     batch.ann_label, M, group_of, G)
+    def meta_u(dZ):
+        W_hat = W - eta_v * (H.T @ dZ / a)
+        b_hat = b - eta_v * (dZ.sum(axis=0) / a)
+        _, dZm = single_label_ce(meta_labels)(softmax_rows(Hm @ W_hat + b_hat))
+        return H @ (Hm.T @ dZm / m) + dZm.sum(axis=0) / m
+
+    _, dV = hyper_grads(P, meta_u, batch.ann_instance, batch.ann_annotator,
+                        batch.ann_label, T + V[group_of], group_of, V.shape[0])
     return -(eta_v / a) * dV
 
 

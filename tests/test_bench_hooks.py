@@ -29,10 +29,23 @@ def test_recorder_hooks_ccc_hot_path(monkeypatch):
     ds = generate(y, X, pool, master.split("lab"))
     cfg = training.TrainConfig(algo="ccc", epochs=3, warmup=1, batch_size=32,
                                meta_batch=8, meta_size=10, groups=2)
+    # Annotations per crowd step, from the batch the step was built from.
+    make_batch = training.make_batch
+    batch_sizes, step_sizes = [], {"warmup": 0, "ccc": 0}
+
+    def sized_make_batch(*args):
+        batch = make_batch(*args)
+        batch_sizes.append(batch.ann_instance.shape[0])
+        return batch
+
+    def on_step(info):
+        step_sizes[info["phase"]] += batch_sizes[-1]
+
+    monkeypatch.setattr(training, "make_batch", sized_make_batch)
     rec = spans.Recorder()
     rec.install()
     try:
-        training.train(ds, cfg)
+        training.train(ds, cfg, on_step=on_step)
     finally:
         rec.uninstall()
 
@@ -40,5 +53,9 @@ def test_recorder_hooks_ccc_hot_path(monkeypatch):
     for name in HOT_PATH:
         assert name not in rec.absent
         assert calls.get(name, 0) > 0, name
-    assert rec.counts["kernels.crowd_grads.ann"] > 0
-    assert rec.counts["kernels.hyper_grads.ann"] > 0
+    # The counters read the kernels' arguments by position: every step's
+    # annotations pass crowd_grads once, and every ccc step's pass
+    # hyper_grads once more.
+    assert step_sizes["ccc"] > 0
+    assert rec.counts["kernels.crowd_grads.ann"] == sum(step_sizes.values())
+    assert rec.counts["kernels.hyper_grads.ann"] == step_sizes["ccc"]

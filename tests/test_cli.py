@@ -356,6 +356,14 @@ class TestTrain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_with_seeds_exit_code(self, tmp_path, capsys):
+        # Rejected before any data is read: the dataset does not exist.
+        out = tmp_path / "both-run"
+        argv = _train_args(tmp_path / "missing", out, "majority", seed=5, seeds="1,2")
+        assert main(argv) == 2
+        assert "--seed and --seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         ds_dir = _simulate(tmp_path, "cfg")
         cfg = tmp_path / "train.cfg"
@@ -460,6 +468,20 @@ class TestConfigAndDefaults:
         assert got.annotation_count == 50 * pool.k
         for name in ("features", "truth", "ann_instance", "ann_annotator", "ann_label"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_blobs_defaults_are_spread_028_radius_1(self, tmp_path):
+        # A blobs source that leaves out spread and radius writes the same
+        # bytes as one that gives the values the CLI has always used.
+        outs = []
+        for name, extra in (("implicit", ""), ("explicit", ",spread=0.28,radius=1.0")):
+            out = tmp_path / name
+            assert main(["simulate", "--features", f"blobs:N=50,C=4,D=6{extra}",
+                         "--patterns", str(_pattern_file(tmp_path, 4, 10)),
+                         "--test-size", "20", "--seed", "3", "--out", str(out)]) == 0
+            outs.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outs[0] == outs[1]
+        assert {str(p) for p in outs[0]} >= {"features.csv", "test/features.csv"}
 
 
 class TestEval:

@@ -149,14 +149,21 @@ def _check_crowd_grads(P, ann_i, ann_r, ann_y, M):
     absent = np.setdiff1d(np.arange(R), ann_r)
     assert (dM[absent] == 0.0).all()
     assert (dZ[np.setdiff1d(np.arange(P.shape[0]), ann_i)] == 0.0).all()
-    # Skipping dM leaves the loss and dZ bit for bit as they were.
-    loss_z, dZ_z, _ = kernels.crowd_grads(P, ann_i, ann_r, ann_y, M, R, want_dM=False)
-    assert loss_z == loss and np.array_equal(dZ_z, dZ)
 
 
 def _check_hyper_grads(G, P, U, ann_i, ann_r, ann_y, M, group_of):
-    dV = kernels.hyper_grads(P, U, ann_i, ann_r, ann_y, M, group_of, G)
+    calls = []
+
+    def meta_u(dZ):
+        calls.append(dZ.copy())
+        return U
+
+    dZ, dV = kernels.hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G)
     want = hyper_grads_oracle(P, U, ann_i, ann_r, ann_y, M, group_of, G)
+    # The virtual step sees crowd_grads' dZ bit for bit, and sees it once.
+    want_dZ = kernels.crowd_grads(P, ann_i, ann_r, ann_y, M, M.shape[0])[1]
+    assert np.array_equal(dZ, want_dZ)
+    assert len(calls) == 1 and np.array_equal(calls[0], want_dZ)
     assert dV.shape == want.shape
     _close(dV, want)
     assert (dV[np.setdiff1d(np.arange(G), group_of[ann_r])] == 0.0).all()
@@ -183,6 +190,7 @@ EDGES = {
     "q-in-floor-band": dict(n=5, C=4, R=3, A=16, G=2, mode="band"),
     "sum-in-floor-band": dict(n=5, C=3, R=2, A=10, G=1, mode="tiny"),
     "clamped-column": dict(n=5, C=3, R=3, A=14, G=3, mode="clamped"),
+    "unreached-groups": dict(n=5, C=3, R=2, A=10, G=4, mode="plain"),
 }
 
 
@@ -194,6 +202,8 @@ def test_edges_match_oracle(name):
     if name == "q-in-floor-band":
         q = np.einsum("ac,acj->aj", P[ann_i], M[ann_r])
         assert ((q > EPS) & (q < GRAD_FLOOR))[np.arange(ann_y.size), ann_y].any()
+    if name == "unreached-groups":
+        assert np.setdiff1d(np.arange(G), group_of[ann_r]).size
     _check_crowd_grads(P, ann_i, ann_r, ann_y, M)
     _check_hyper_grads(G, P, U, ann_i, ann_r, ann_y, M, group_of)
 
