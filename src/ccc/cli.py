@@ -168,6 +168,8 @@ def _parse_pair_map(expr: str, C: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    if args.test_size < 0:
+        raise ConfigError(f"--test-size must be >= 0, got {args.test_size}")
     src_kind, src = _parse_feature_source(args.features)
     given = _given(args, SIMULATE_OPTIONS)
     seed = given.pop("seed", 0)
@@ -291,20 +293,22 @@ def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
     res = train(ds, cfg, eval_set)
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
+    _write_curves(out_dir / "curves.csv", res.curves)
+    confusions = {tag: s.T for tag, s in res.states.items() if s.T is not None}
+    if confusions:
+        _write_confusions(out_dir / "confusions.csv", confusions)
+    if res.groups_by_epoch:
+        write_csv(out_dir / "groups.csv", "epoch,annotator,group",
+                  [(np.full(len(g), epoch), np.arange(len(g)), g)
+                   for epoch, g in res.groups_by_epoch])
     payload = {
         "algo": cfg.algo, "seed": cfg.seed, "config": res.config,
         "wall_time_sec": res.wall_time_sec,
         "final_eval": {k: v[-1] for k, v in res.curves.items()},
         "best": res.best, "last": res.last,
     }
+    # Written last: a run.json marks a run directory whose files are all there.
     write_json(out_dir / "run.json", payload)
-    _write_curves(out_dir / "curves.csv", res.curves)
-    if res.confusions:
-        _write_confusions(out_dir / "confusions.csv", res.confusions)
-    if res.groups_by_epoch:
-        write_csv(out_dir / "groups.csv", "epoch,annotator,group",
-                  [(np.full(len(g), epoch), np.arange(len(g)), g)
-                   for epoch, g in res.groups_by_epoch])
     return payload
 
 

@@ -33,6 +33,8 @@ the derivatives are exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 EPS = 1e-12
@@ -50,7 +52,7 @@ def _scatter_rows(index, values, rows):
     Rows no index names are exactly 0.
     """
     tail = values.shape[1:]
-    width = int(np.prod(tail, dtype=np.int64))
+    width = math.prod(tail)
     flat = (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=rows * width)
     return out.reshape((rows,) + tail)

@@ -69,25 +69,34 @@ def init_classifier(kind: str, input_dim: int, hidden_dim: int, class_count: int
     return Classifier(kind, input_dim, hidden_dim, class_count, params)
 
 
-def batch_forward(clf: Classifier, X: np.ndarray):
-    """Forward a (n, D) batch; returns (pre_act, penultimate, probs).
+def hidden_layer(clf: Classifier, X: np.ndarray):
+    """(pre_act, penultimate) of a (n, D) float batch.
 
     pre_act is the hidden pre-activation for the mlp kind (needed for the
-    ReLU mask in backprop) and None for linear.
+    ReLU mask in backprop) and None for linear, whose penultimate is X.
     """
+    if clf.kind == "linear":
+        return None, X
+    pre = X @ clf.params["W1"] + clf.params["b1"]
+    return pre, np.maximum(pre, 0.0)
+
+
+def last_layer(clf: Classifier):
+    """The live last-layer parameters (W, b), not copies."""
+    if clf.kind == "linear":
+        return clf.params["W"], clf.params["b"]
+    return clf.params["W2"], clf.params["b2"]
+
+
+def batch_forward(clf: Classifier, X: np.ndarray):
+    """Forward a (n, D) batch; returns (pre_act, penultimate, probs)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.input_dim:
         raise ContractError(
             f"expected features of dim {clf.input_dim}, got shape {X.shape}")
-    if clf.kind == "linear":
-        H = X
-        pre = None
-    else:
-        pre = X @ clf.params["W1"] + clf.params["b1"]
-        H = np.maximum(pre, 0.0)
-    Z = H @ clf.params["W" if clf.kind == "linear" else "W2"] + clf.params[
-        "b" if clf.kind == "linear" else "b2"]
-    return pre, H, softmax_rows(Z)
+    pre, H = hidden_layer(clf, X)
+    W, b = last_layer(clf)
+    return pre, H, softmax_rows(H @ W + b)
 
 
 def backprop(clf: Classifier, X: np.ndarray, pre, H, dZ) -> dict[str, np.ndarray]:
@@ -159,31 +168,6 @@ def sgd_step(clf: Classifier, grads: dict[str, np.ndarray], lr: float,
             buf += weight_decay * p
         p -= lr * buf
     return clf
-
-
-def last_layer_snapshot(clf: Classifier):
-    """Copies of the last-layer parameters plus a frozen penultimate map.
-
-    The returned function closes over copies of the sub-last-layer
-    parameters, so mutating either the snapshot or the live classifier
-    afterwards does not affect the other.
-    """
-    if clf.kind == "linear":
-        W = clf.params["W"].copy()
-        b = clf.params["b"].copy()
-
-        def penultimate_fn(X):
-            return np.asarray(X, dtype=np.float64)
-    else:
-        W = clf.params["W2"].copy()
-        b = clf.params["b2"].copy()
-        W1 = clf.params["W1"].copy()
-        b1 = clf.params["b1"].copy()
-
-        def penultimate_fn(X):
-            return np.maximum(np.asarray(X, dtype=np.float64) @ W1 + b1, 0.0)
-
-    return W, b, penultimate_fn
 
 
 _MAGIC = b"CCCM"

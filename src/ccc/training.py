@@ -17,6 +17,9 @@ run's models, with one evaluation and bookkeeping path:
     through that step (exact last-layer hypergradient), and the actual
     step on corrected transitions.
 
+Each model is one flat ModelState. Its crowd step uses T alone until
+ccc's first post-warmup epoch adds the group corrections V.
+
 RNG streams are split per purpose (init/batches/meta per model, plus one
 for clustering), so ccc with corrections disabled (gamma=0) consumes
 batch randomness exactly like crowdlayer and reproduces its trajectory
@@ -41,7 +44,7 @@ from .data import CrowdDataset, MetaSet, evaluate_accuracy
 from .errors import ConfigError, ContractError
 from .kernels import crowd_grads, hyper_grads
 from .models import (PARAM_KEYS, Classifier, backprop, batch_forward,
-                     init_classifier, last_layer_snapshot, loss_and_grads,
+                     hidden_layer, init_classifier, last_layer, loss_and_grads,
                      sgd_step, single_label_ce)
 from .numerics import kmeans, softmax_rows
 from .rng import RngStream
@@ -92,26 +95,18 @@ class TrainConfig:
             raise ConfigError("gamma must be >= 0")
         if self.meta_size < 1 or self.meta_batch < 1 or self.groups < 1:
             raise ConfigError("meta_size, meta_batch, groups must be >= 1")
+        if self.model == "mlp" and self.hidden_dim < 1:
+            raise ConfigError("the mlp model needs hidden_dim >= 1")
 
 
 @dataclass
-class ConfusionSet:
-    T: np.ndarray    # (R, C, C) learned transitions, unconstrained
-    mom: np.ndarray  # momentum buffers, same shape
-
-
-@dataclass
-class CorrectionSet:
-    V: np.ndarray         # (G, C, C), re-zeroed per iteration (or epoch)
-    group_of: np.ndarray  # (R,) annotator -> group
-
-
-@dataclass
-class CccState:
+class ModelState:
+    """One model: T and T_mom are set for crowd steps, V and group_of after ccc warmup."""
     clf: Classifier
-    confusions: ConfusionSet | None    # None (and no corrections) for majority
-    corrections: CorrectionSet | None
-    meta_set: MetaSet | None
+    T: np.ndarray | None = None         # (R, C, C) learned transitions, unconstrained
+    T_mom: np.ndarray | None = None     # momentum buffers, same shape
+    V: np.ndarray | None = None         # (G, C, C), re-zeroed per iteration (or epoch)
+    group_of: np.ndarray | None = None  # (R,) annotator -> group
 
 
 @dataclass
@@ -122,8 +117,7 @@ class RunResult:
     curves: dict[str, list[float]]
     best: dict[str, float]
     last: dict[str, float]
-    confusions: dict[str, np.ndarray]  # learned T per tag; empty for majority
-    states: dict[str, CccState]        # majority states carry no T or V
+    states: dict[str, ModelState]
     config: dict
     wall_time_sec: float
     groups_by_epoch: list[tuple[int, np.ndarray]]
@@ -153,10 +147,6 @@ def aggregate_majority(ds: CrowdDataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # confusion initialization
 # ---------------------------------------------------------------------------
-
-def init_confusion_identity(R: int, C: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(C), (R, C, C)).copy()
-
 
 def init_confusion_votes(ds: CrowdDataset, smoothing: float = 1e-6) -> np.ndarray:
     """Log-ratio initialization from soft vote statistics.
@@ -203,11 +193,6 @@ def make_batch(ds: CrowdDataset, idx: np.ndarray, csr) -> Batch:
     )
 
 
-def _epoch_chunks(perm: np.ndarray, batch_size: int):
-    for lo in range(0, perm.size, batch_size):
-        yield perm[lo:lo + batch_size]
-
-
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     if cfg.lr_decay_epoch is not None and epoch >= cfg.lr_decay_epoch:
         return cfg.lr / 10.0
@@ -222,26 +207,25 @@ def _resolve_eval(ds: CrowdDataset, eval_set):
     raise ConfigError("accuracy curves need an eval set or dataset truth labels")
 
 
-def _crowd_step(clf: Classifier, conf: ConfusionSet, V: np.ndarray,
-                group_of: np.ndarray, batch: Batch, lr: float,
-                momentum: float, weight_decay: float, forward):
+def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
+                forward):
     """One joint SGD step on (classifier, transitions) for a batch.
 
-    Corrections V stay constant; their group gather contributes to the
-    forward transition only. `forward` is batch_forward(clf, features)
+    The transitions are T, or T + V[group_of] once ccc has corrections;
+    V stays constant. `forward` is batch_forward(state.clf, batch.features)
     at the current parameters. Returns (mean loss, normalized dT).
     """
-    M = conf.T + V[group_of]
+    M = state.T if state.V is None else state.T + state.V[state.group_of]
     pre, H, P = forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
-                                   batch.ann_label, M, conf.T.shape[0])
+                                   batch.ann_label, M, state.T.shape[0])
     a = max(batch.ann_instance.shape[0], 1)
-    grads = backprop(clf, batch.features, pre, H, dZ / a)
-    sgd_step(clf, grads, lr, momentum, weight_decay)
+    grads = backprop(state.clf, batch.features, pre, H, dZ / a)
+    sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
     dT = dM / a
-    conf.mom *= momentum
-    conf.mom += dT
-    conf.T -= lr * conf.mom
+    state.T_mom *= cfg.momentum
+    state.T_mom += dT
+    state.T -= lr * state.T_mom
     return loss_sum / a, dT
 
 
@@ -324,15 +308,16 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     The virtual step and the meta loss form `meta_u`, which the kernel
     calls between its dZ and its dV. `forward` is batch_forward(clf,
     batch.features); only the last layer moves, so the batch forward at
-    the current parameters is all the virtual step needs.
+    the current parameters is all the virtual step needs. Nothing here
+    writes to clf, so it reads the live parameters.
     """
-    W, b, penultimate_fn = last_layer_snapshot(clf)
     a = batch.ann_instance.shape[0]
     m = meta_labels.shape[0]
     if a == 0 or m == 0:
         return np.zeros_like(V)
+    W, b = last_layer(clf)
     _, H, P = forward
-    Hm = penultimate_fn(meta_features)
+    _, Hm = hidden_layer(clf, meta_features)
 
     def meta_u(dZ):
         W_hat = W - eta_v * (H.T @ dZ / a)
@@ -345,43 +330,22 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     return -(eta_v / a) * dV
 
 
-def ccc_outer_step(state: CccState, train_batch: Batch, meta_batch,
-                   cfg: TrainConfig, eta_v: float, forward) -> CorrectionSet:
-    """Virtual + meta stage: update corrections, leave the model untouched."""
-    meta_features, meta_labels = meta_batch
-    cor = state.corrections
-    if meta_labels.shape[0] == 0:
-        log.warning("empty meta batch: skipping correction update")
-        return cor
-    g_cor = correction_gradient(state.clf, state.confusions.T, cor.V,
-                                cor.group_of, train_batch,
-                                meta_features, meta_labels, eta_v, forward)
-    eta_m = auto_meta_lr(state.confusions.T, g_cor, cfg.gamma)
-    if eta_m != 0.0:
-        cor.V -= eta_m * g_cor
-    return cor
-
-
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> ConfusionSet:
+def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> np.ndarray:
+    """Starting transitions T (R, C, C) for cfg.confusion_init."""
     if cfg.confusion_init == "identity":
-        T0 = init_confusion_identity(ds.annotator_count, ds.class_count)
-    else:
-        # The log-ratio statistic lives in log space; the multiplicative
-        # transition convention needs the probability-scale matrix.
-        T0 = np.exp(init_confusion_votes(ds))
-    return ConfusionSet(T=T0, mom=np.zeros_like(T0))
+        C = ds.class_count
+        return np.broadcast_to(np.eye(C), (ds.annotator_count, C, C)).copy()
+    # The log-ratio statistic lives in log space; the multiplicative
+    # transition convention needs the probability-scale matrix.
+    return np.exp(init_confusion_votes(ds))
 
 
-def _meta_batches(meta: MetaSet, rng: RngStream, size: int, d: int):
+def _meta_batches(meta: MetaSet, rng: RngStream, size: int):
     """Endless meta batches cycling through one permutation of the meta set."""
-    if not meta.size:
-        empty = (np.empty((0, d)), np.empty(0, dtype=np.int64))
-        while True:
-            yield empty
     order = rng.permutation(meta.size)
     take = min(size, meta.size)
     cursor = 0
@@ -391,12 +355,10 @@ def _meta_batches(meta: MetaSet, rng: RngStream, size: int, d: int):
         yield meta.features[sel], meta.labels[sel]
 
 
-def _check_finite(state: CccState, epoch: int, tag: str, phase: str) -> None:
-    arrays = dict(state.clf.params)
-    if state.confusions is not None:
-        arrays["T"] = state.confusions.T
-        arrays["V"] = state.corrections.V
-    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
+    arrays = dict(state.clf.params, T=state.T, V=state.V)
+    bad = [name for name, arr in arrays.items()
+           if arr is not None and not np.isfinite(arr).all()]
     if bad:
         raise ConfigError(f"training diverged in epoch {epoch}, {tag}, {phase} phase: "
                           f"non-finite {', '.join(bad)} (try a smaller lr)")
@@ -429,14 +391,10 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         clf = init_classifier(cfg.model, ds.d,
                               cfg.hidden_dim if cfg.model == "mlp" else 0,
                               C, master.split(f"init-{tag}"))
-        conf = cor = None
+        state = states[tag] = ModelState(clf)
         if not majority:
-            # corrections stay all-zero until the first ccc epoch
-            conf = _init_confusions(ds, cfg)
-            cor = CorrectionSet(V=np.zeros((G, C, C)),
-                                group_of=np.zeros(R, dtype=np.int64))
-        states[tag] = CccState(clf=clf, confusions=conf, corrections=cor,
-                               meta_set=None)
+            state.T = _init_confusions(ds, cfg)
+            state.T_mom = np.zeros_like(state.T)
         batch_rngs[tag] = master.split(f"batches-{tag}")
         meta_rngs[tag] = master.split(f"meta-{tag}")
     csr = None if majority else ds.instance_slices()
@@ -452,41 +410,47 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
             if phase == "ccc":
                 m1, m2 = states["model1"], states["model2"]
-                m1.meta_set = distill_meta_set(ds, mv, m2.clf, cfg.meta_size)
-                m2.meta_set = distill_meta_set(ds, mv, m1.clf, cfg.meta_size)
-                Ts = [m1.confusions.T, m2.confusions.T]
+                # Each model learns from the meta set the other distills.
+                meta_sets = {"model1": distill_meta_set(ds, mv, m2.clf, cfg.meta_size),
+                             "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size)}
+                Ts = [m1.T, m2.T]
                 if cfg.grouping == "joint":
                     group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
                 else:
                     group_maps = [group_annotators([T], G, kmeans_rng) for T in Ts]
                 groups_by_epoch.append((epoch, group_maps[0].copy()))
                 for state, group_of in zip((m1, m2), group_maps):
-                    state.corrections = CorrectionSet(V=np.zeros((G, C, C)),
-                                                      group_of=group_of)
+                    state.V = np.zeros((G, C, C))
+                    state.group_of = group_of
             for tag, state in states.items():
                 if phase == "ccc":
-                    meta_batches = _meta_batches(state.meta_set, meta_rngs[tag],
-                                                 cfg.meta_batch, ds.d)
-                for idx in _epoch_chunks(batch_rngs[tag].permutation(ds.n),
-                                         cfg.batch_size):
+                    meta_batches = _meta_batches(meta_sets[tag], meta_rngs[tag],
+                                                 cfg.meta_batch)
+                perm = batch_rngs[tag].permutation(ds.n)
+                for lo in range(0, ds.n, cfg.batch_size):
+                    idx = perm[lo:lo + cfg.batch_size]
                     if majority:
                         _, grads = loss_and_grads(state.clf, ds.features[idx],
                                                   single_label_ce(mv[idx]))
                         sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
                         continue
                     batch = make_batch(ds, idx, csr)
-                    cor = state.corrections
-                    # The outer step leaves the classifier as it is, so
-                    # one forward serves both stages.
+                    # The correction update leaves the classifier as it
+                    # is, so one forward serves both stages.
                     fwd = batch_forward(state.clf, batch.features)
                     if phase == "ccc":
                         if cfg.v_reset == "iteration":
-                            cor.V[:] = 0.0
-                        ccc_outer_step(state, batch, next(meta_batches), cfg,
-                                       lr, fwd)
-                    loss, dT = _crowd_step(state.clf, state.confusions, cor.V,
-                                           cor.group_of, batch, lr, cfg.momentum,
-                                           cfg.weight_decay, fwd)
+                            state.V[:] = 0.0
+                        meta_X, meta_y = next(meta_batches)
+                        g_cor = correction_gradient(state.clf, state.T, state.V,
+                                                    state.group_of, batch,
+                                                    meta_X, meta_y, lr, fwd)
+                        eta_m = auto_meta_lr(state.T, g_cor, cfg.gamma)
+                        # Skipping the zero update keeps V exactly zero at
+                        # gamma=0, where ccc reproduces crowdlayer.
+                        if eta_m != 0.0:
+                            state.V -= eta_m * g_cor
+                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd)
                     if on_step is not None:
                         on_step({"model": tag, "epoch": epoch, "step": steps[tag],
                                  "phase": phase, "loss": loss, "dT": dT,
@@ -504,7 +468,5 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         last["mean"] = float(mean_curve[-1])
     return RunResult(algo=cfg.algo, seed=cfg.seed, curves=curves, best=best,
                      last=last, states=states, config=asdict(cfg),
-                     confusions={tag: s.confusions.T for tag, s in states.items()
-                                 if s.confusions is not None},
                      wall_time_sec=time.perf_counter() - t0,
                      groups_by_epoch=groups_by_epoch)

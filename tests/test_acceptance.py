@@ -15,9 +15,8 @@ from ccc.cli import main as cli_main
 from ccc.data import (CrowdDataset, annotation_histogram, annotation_noise_rate,
                       instance_noise_rate, load_dataset, make_blobs,
                       save_dataset, true_confusion_matrices, evaluate_accuracy)
-from ccc.models import (PARAM_KEYS, batch_forward, init_classifier,
-                        last_layer_snapshot, loss_and_grads, sgd_step,
-                        single_label_ce)
+from ccc.models import (PARAM_KEYS, batch_forward, hidden_layer, init_classifier,
+                        last_layer, loss_and_grads, sgd_step, single_label_ce)
 from ccc.numerics import CE_FLOOR, softmax_rows
 from ccc.rng import RngStream
 from ccc.simulate import AnnotatorPool, PatternSpec, build_pool, generate
@@ -124,14 +123,14 @@ def test_criterion_03_hypergradient_oracle():
     eta_v = 0.37
 
     def primal(Vx):
-        W, b, pen = last_layer_snapshot(clf)
+        W, b = last_layer(clf)
         M = T + Vx[group_of]
         _, H, P = batch_forward(clf, X)
         _, dZ, _ = kernels.crowd_grads(P, ann_i, ann_r, ann_y, M, R)
         a = ann_i.shape[0]
         W_hat = W - eta_v * (H.T @ dZ / a)
         b_hat = b - eta_v * (dZ.sum(axis=0) / a)
-        Pm = softmax_rows(pen(Xm) @ W_hat + b_hat)
+        Pm = softmax_rows(hidden_layer(clf, Xm)[1] @ W_hat + b_hat)
         return float(-np.log(np.maximum(Pm[np.arange(m), ym], CE_FLOOR)).mean())
 
     t0 = time.perf_counter()
@@ -282,7 +281,7 @@ def test_criterion_08_grouping_recovery():
                     (X, y)).states["model1"]
         st2 = train(ds, TrainConfig(algo="crowdlayer", **cfg),
                     (X, y), model_tag="model2").states["model2"]
-        groups = group_annotators([st1.confusions.T, st2.confusions.T], 5,
+        groups = group_annotators([st1.T, st2.T], 5,
                                   master.split("kmeans"), restarts=10)
         well = counts >= 100
         best = 0.0

@@ -130,6 +130,7 @@ class TestSimulate:
         ("--pair-map", "0:2,1:1,2:0"),     # target equal to its source
         ("--features", "blobs:N=x,C=3,D=4"),
         ("--features", "blobs:N=30,C=3,D=4,spread=wide"),
+        ("--test-size", "-5"),             # negative test split size
     ])
     def test_bad_pair_map_or_blobs_value_exit_code(self, tmp_path, capsys, flag, value):
         patterns = tmp_path / "pair.txt"
@@ -363,6 +364,27 @@ class TestTrain:
         assert main(argv) == 2
         assert "--seed and --seeds" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mlp_without_hidden_units_exit_code(self, tmp_path, capsys):
+        # Rejected before any data is read: the dataset does not exist.
+        out = tmp_path / "mlp-run"
+        argv = _train_args(tmp_path / "missing", out, "majority", model="mlp",
+                           **{"hidden-dim": 0})
+        assert main(argv) == 2
+        assert "hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_artifact_write_leaves_no_run_json(self, tmp_path, monkeypatch):
+        ds_dir = _simulate(tmp_path, "io")
+
+        def fail(path, confusions):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr("ccc.cli._write_confusions", fail)
+        out = tmp_path / "io-run"
+        assert main(_train_args(ds_dir, out, "crowdlayer", epochs=2)) == 4
+        assert (out / "curves.csv").exists()
+        assert not (out / "run.json").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         ds_dir = _simulate(tmp_path, "cfg")

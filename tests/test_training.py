@@ -5,16 +5,14 @@ import pytest
 
 from ccc.data import CrowdDataset, make_blobs
 from ccc.errors import ConfigError, ContractError
-from ccc.models import batch_forward, init_classifier, last_layer_snapshot
+from ccc.models import batch_forward, hidden_layer, init_classifier, last_layer
 from ccc.numerics import CE_FLOOR, kmeans, softmax_rows
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
-from ccc.training import (Batch, CccState, ConfusionSet, CorrectionSet,
-                          TrainConfig, aggregate_majority, auto_meta_lr,
-                          ccc_outer_step, correction_gradient,
-                          distill_meta_set, group_annotators,
-                          init_confusion_identity, init_confusion_votes,
-                          make_batch, train, _check_finite, _crowd_step)
+from ccc.training import (Batch, ModelState, TrainConfig, aggregate_majority,
+                          auto_meta_lr, correction_gradient, distill_meta_set,
+                          group_annotators, init_confusion_votes, make_batch,
+                          train, _check_finite, _crowd_step, _init_confusions)
 from ccc import kernels
 
 
@@ -118,7 +116,7 @@ class TestInstanceLoss:
 
 class TestConfusionInit:
     def test_identity(self):
-        T = init_confusion_identity(3, 4)
+        T = _init_confusions(_multiset_dataset([[0, 1, 2]], 4), _tiny_cfg())
         assert T.shape == (3, 4, 4)
         assert np.array_equal(T[1], np.eye(4))
 
@@ -166,7 +164,7 @@ class TestCrowdlayerTraining:
         clf.params["W"][:] = np.array([[0.2, -0.1]])
         clf.params["b"][:] = np.array([0.05, 0.0])
         T = np.array([[[0.9, 0.1], [0.2, 0.8]]])
-        conf = ConfusionSet(T=T.copy(), mom=np.zeros_like(T))
+        state = ModelState(clf, T=T.copy(), T_mom=np.zeros_like(T))
         x = np.array([[1.0]])
         batch = Batch(features=x,
                       ann_instance=np.array([0]), ann_annotator=np.array([0]),
@@ -187,12 +185,11 @@ class TestCrowdlayerTraining:
         lr = 0.1
         W0 = clf.params["W"].copy()
         b0 = clf.params["b"].copy()
-        _crowd_step(clf, conf, np.zeros((1, C, C)), np.zeros(1, dtype=np.int64),
-                    batch, lr=lr, momentum=0.0, weight_decay=0.0,
+        _crowd_step(state, batch, lr, _tiny_cfg(momentum=0.0, weight_decay=0.0),
                     forward=batch_forward(clf, x))
         np.testing.assert_allclose(clf.params["W"], W0 - lr * dW_hand, atol=1e-8)
         np.testing.assert_allclose(clf.params["b"], b0 - lr * db_hand, atol=1e-8)
-        np.testing.assert_allclose(conf.T[0], T[0] - lr * dT_hand, atol=1e-8)
+        np.testing.assert_allclose(state.T[0], T[0] - lr * dT_hand, atol=1e-8)
 
     def test_loss_decreases_monotonically_on_separable_blobs(self):
         ds = _blob_crowd(seed=2, n=64, eps=0.0, spread=0.05)
@@ -209,7 +206,7 @@ class TestCrowdlayerTraining:
         state = res.states["model1"]
         assert len(res.curves["model1"]) == 5
         assert res.best["model1"] >= res.last["model1"]
-        assert state.confusions.T.shape == (ds.annotator_count, 4, 4)
+        assert state.T.shape == (ds.annotator_count, 4, 4)
 
     def test_deterministic(self):
         ds = _blob_crowd(seed=5)
@@ -344,7 +341,7 @@ def _outer_fixture(seed=0, D=4, C=3, R=2, G=1, n=4, m=4):
 
 def _meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v):
     """Independent primal: meta loss after one virtual last-layer step."""
-    W, b, pen = last_layer_snapshot(clf)
+    W, b = last_layer(clf)
     M = T + V[group_of]
     _, H, P = batch_forward(clf, batch.features)
     _, dZ, _ = kernels.crowd_grads(P, batch.ann_instance, batch.ann_annotator,
@@ -352,7 +349,7 @@ def _meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v):
     a = batch.ann_instance.shape[0]
     W_hat = W - eta_v * (H.T @ dZ / a)
     b_hat = b - eta_v * (dZ.sum(axis=0) / a)
-    Pm = softmax_rows(pen(Xm) @ W_hat + b_hat)
+    Pm = softmax_rows(hidden_layer(clf, Xm)[1] @ W_hat + b_hat)
     py = np.maximum(Pm[np.arange(len(ym)), ym], CE_FLOOR)
     return float(-np.log(py).mean())
 
@@ -399,30 +396,17 @@ class TestOuterStep:
         assert (g[0] != 0.0).any()
 
     def test_outer_step_updates_corrections_only(self):
+        # correction_gradient reads the live classifier and T; it writes neither.
         clf, T, group_of, batch, Xm, ym = _outer_fixture(seed=4)
-        conf = ConfusionSet(T=T.copy(), mom=np.zeros_like(T))
-        cor = CorrectionSet(V=np.zeros((1, 3, 3)), group_of=group_of)
-        state = CccState(clf=clf, confusions=conf, corrections=cor,
-                         meta_set=None)
-        W_before = clf.params["W"].copy()
-        T_before = conf.T.copy()
-        cfg = _tiny_cfg(algo="ccc", gamma=0.5, epochs=4, warmup=1)
-        ccc_outer_step(state, batch, (Xm, ym), cfg, eta_v=0.3,
-                       forward=batch_forward(clf, batch.features))
-        assert np.array_equal(clf.params["W"], W_before)
-        assert np.array_equal(conf.T, T_before)
-        assert (cor.V != 0.0).any()
-
-    def test_empty_meta_batch_skips(self):
-        clf, T, group_of, batch, Xm, ym = _outer_fixture(seed=5)
-        cor = CorrectionSet(V=np.zeros((1, 3, 3)), group_of=group_of)
-        state = CccState(clf=clf,
-                         confusions=ConfusionSet(T=T.copy(), mom=np.zeros_like(T)),
-                         corrections=cor, meta_set=None)
-        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
-        ccc_outer_step(state, batch, (np.empty((0, 4)), np.empty(0, dtype=np.int64)), cfg,
-                       eta_v=cfg.lr, forward=batch_forward(clf, batch.features))
-        assert (cor.V == 0.0).all()
+        before = {k: v.copy() for k, v in clf.params.items()}
+        T_before = T.copy()
+        g = correction_gradient(clf, T, np.zeros((1, 3, 3)), group_of, batch,
+                                Xm, ym, eta_v=0.3,
+                                forward=batch_forward(clf, batch.features))
+        for key, value in before.items():
+            assert np.array_equal(clf.params[key], value)
+        assert np.array_equal(T, T_before)
+        assert (g != 0.0).any()
 
 
 class TestActualStep:
@@ -432,27 +416,27 @@ class TestActualStep:
         batch = make_batch(ds, idx, ds.instance_slices())
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
 
-        clf_a = init_classifier("linear", ds.d, 0, 4, RngStream(15))
-        clf_b = copy.deepcopy(clf_a)
-        T0 = init_confusion_identity(ds.annotator_count, 4)
-        conf_a = ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0))
-        conf_b = ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0))
-
-        _crowd_step(clf_a, conf_a, np.zeros((1, 4, 4)),
-                    np.zeros(ds.annotator_count, dtype=np.int64), batch,
-                    lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                    forward=batch_forward(clf_a, batch.features))
-        state = CccState(clf=clf_b, confusions=conf_b,
-                         corrections=CorrectionSet(
-                             V=np.zeros((3, 4, 4)),
-                             group_of=(np.arange(ds.annotator_count) % 3).astype(np.int64)),
-                         meta_set=None)
-        _crowd_step(state.clf, state.confusions, state.corrections.V,
-                    state.corrections.group_of, batch, lr=cfg.lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                    forward=batch_forward(state.clf, batch.features))
-        assert np.array_equal(clf_a.params["W"], clf_b.params["W"])
-        assert np.array_equal(conf_a.T, conf_b.T)
+        # A crowdlayer state (V is None, M = T) against zero corrections
+        # in one group and in three (M = T + 0).
+        clf = init_classifier("linear", ds.d, 0, 4, RngStream(15))
+        T0 = _init_confusions(ds, cfg)
+        R = ds.annotator_count
+        states = [ModelState(copy.deepcopy(clf), T=T0.copy(), T_mom=np.zeros_like(T0),
+                             V=V, group_of=group_of)
+                  for V, group_of in ((None, None),
+                                      (np.zeros((1, 4, 4)), np.zeros(R, dtype=np.int64)),
+                                      (np.zeros((3, 4, 4)),
+                                       (np.arange(R) % 3).astype(np.int64)))]
+        for state in states:
+            _crowd_step(state, batch, cfg.lr, cfg,
+                        forward=batch_forward(state.clf, batch.features))
+        ref = states[0]
+        assert ref.V is None
+        for state in states[1:]:
+            for key in ("W", "b"):
+                assert np.array_equal(ref.clf.params[key], state.clf.params[key])
+            assert np.array_equal(ref.T, state.T)
+            assert np.array_equal(ref.T_mom, state.T_mom)
 
     def test_untouched_annotators_unchanged(self):
         ds = _blob_crowd(seed=16)
@@ -460,20 +444,15 @@ class TestActualStep:
         present = set(batch.ann_annotator.tolist())
         absent = [r for r in range(ds.annotator_count) if r not in present]
         assert absent
-        T0 = init_confusion_identity(ds.annotator_count, 4)
-        state = CccState(
-            clf=init_classifier("linear", ds.d, 0, 4, RngStream(17)),
-            confusions=ConfusionSet(T=T0.copy(), mom=np.zeros_like(T0)),
-            corrections=CorrectionSet(V=np.zeros((2, 4, 4)),
-                                      group_of=np.zeros(ds.annotator_count, dtype=np.int64)),
-            meta_set=None)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
-        _crowd_step(state.clf, state.confusions, state.corrections.V,
-                    state.corrections.group_of, batch, lr=cfg.lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+        T0 = _init_confusions(ds, cfg)
+        state = ModelState(init_classifier("linear", ds.d, 0, 4, RngStream(17)),
+                           T=T0, T_mom=np.zeros_like(T0), V=np.zeros((2, 4, 4)),
+                           group_of=np.zeros(ds.annotator_count, dtype=np.int64))
+        _crowd_step(state, batch, cfg.lr, cfg,
                     forward=batch_forward(state.clf, batch.features))
         for r in absent:
-            assert np.array_equal(state.confusions.T[r], np.eye(4))
+            assert np.array_equal(state.T[r], np.eye(4))
 
 
 class TestDivergenceGuard:
@@ -491,7 +470,7 @@ class TestDivergenceGuard:
     def test_non_finite_correction_names_v(self):
         ds = _blob_crowd(seed=33)
         state = train(ds, _tiny_cfg(algo="ccc", epochs=2, warmup=1)).states["model2"]
-        state.corrections.V[0, 0, 0] = np.nan
+        state.V[0, 0, 0] = np.nan
         with pytest.raises(ConfigError, match=r"epoch 1, model2, ccc phase: non-finite V"):
             _check_finite(state, 1, "model2", "ccc")
 
@@ -573,20 +552,19 @@ class TestTrainCcc:
                         v_reset="epoch", grouping="per-model")
         res = train(ds, cfg)
         assert len(res.curves["model1"]) == 4
-        assert np.isfinite(res.states["model1"].confusions.T).all()
+        assert np.isfinite(res.states["model1"].T).all()
 
     def test_votes_init_trains(self):
         ds = _blob_crowd(seed=26)
-        from ccc.training import _init_confusions
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=7,
                         confusion_init="votes")
         # vote-based starting transitions are probability-scale matrices
-        T0 = _init_confusions(ds, cfg).T
+        T0 = _init_confusions(ds, cfg)
         assert T0.min() >= 0.0
         assert np.allclose(T0.sum(axis=2), 1.0, atol=1e-4)
         res = train(ds, cfg)
         assert len(res.curves["model1"]) == 4
-        assert np.isfinite(res.states["model1"].confusions.T).all()
+        assert np.isfinite(res.states["model1"].T).all()
 
     def test_correlated_preset_trains(self):
         master = RngStream(27)
