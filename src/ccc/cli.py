@@ -32,7 +32,7 @@ from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
-from .simulate import PRESETS, PatternSpec, build_pool, generate
+from .simulate import PRESET_POOL_SIZE, PRESETS, PatternSpec, build_pool, generate
 from .training import CHOICES, TrainConfig, train
 
 EXIT_OK = 0
@@ -117,9 +117,11 @@ def _parse_feature_source(expr: str):
                 params[key] = int(value) if key in ("N", "C", "D") else float(value)
             except ValueError:
                 raise ConfigError(f"bad blobs value {part!r}") from None
-        for req in ("N", "C", "D"):
+        for req, least in (("N", 1), ("C", 2), ("D", 1)):
             if req not in params:
                 raise ConfigError(f"blobs source needs {req}=")
+            if params[req] < least:
+                raise ConfigError(f"blobs {req} must be >= {least}, got {params[req]}")
         return "blobs", params
     if expr.startswith("file:"):
         return "file", {"path": expr[len("file:"):]}
@@ -175,21 +177,29 @@ def cmd_simulate(args) -> int:
     seed = given.pop("seed", 0)
     out_dir = Path(args.out)
 
+    if args.preset is not None and args.patterns is not None:
+        raise ConfigError("--preset and --patterns are mutually exclusive")
+    if args.preset is not None:
+        pool_source = args.preset
+        R = PRESET_POOL_SIZE if args.annotators is None else args.annotators
+    elif args.patterns is not None:
+        pool_source = _parse_pattern_file(args.patterns)
+        R = len(pool_source)
+    else:
+        raise ConfigError("simulate needs --preset or --patterns")
+    opts = {name: _POOL_PARAMS[name].default for name in SIMULATE_OPTIONS[1:]} | given
+    if not 1 <= opts["k"] <= R:
+        raise ConfigError(f"k must be between 1 and the pool size {R}, got {opts['k']}")
+    for name in ("alpha", "beta"):
+        if not opts[name] > 0:  # also rejects nan
+            raise ConfigError(f"{name} must be positive, got {opts[name]}")
+
     master = RngStream(seed)
     if src_kind == "blobs":
         features, truth = make_blobs(rng=master.split("features"), **src)
         C = src["C"]
     else:
         features, truth, C = load_eval_set(src["path"])
-
-    if args.preset is not None and args.patterns is not None:
-        raise ConfigError("--preset and --patterns are mutually exclusive")
-    if args.preset is not None:
-        pool_source = args.preset
-    elif args.patterns is not None:
-        pool_source = _parse_pattern_file(args.patterns)
-    else:
-        raise ConfigError("simulate needs --preset or --patterns")
 
     pair_map = None
     if args.pair_map is not None:

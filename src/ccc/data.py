@@ -510,17 +510,20 @@ def _load_features_csv(path: Path, n: int, d: int) -> np.ndarray:
 def _load_features_bin(path: Path, n: int, d: int) -> np.ndarray:
     if not path.exists():
         raise DataFormatError("missing features file", path)
-    blob = path.read_bytes()
-    if blob[:4] != _FEATURES_MAGIC:
-        raise DataFormatError("bad features magic", path)
-    version, bn, bd = struct.unpack("<III", blob[4:16])
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported features version {version}", path)
-    if (bn, bd) != (n, d):
-        raise DataFormatError(f"features shape ({bn}, {bd}) != meta ({n}, {d})", path)
-    if len(blob) != 16 + 8 * n * d:
-        raise DataFormatError("features payload size mismatch", path)
-    features = np.frombuffer(blob[16:], dtype="<f8").reshape(n, d).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if head[:4] != _FEATURES_MAGIC:
+            raise DataFormatError("bad features magic", path)
+        if len(head) < 16:
+            raise DataFormatError("truncated features header", path)
+        version, bn, bd = struct.unpack("<III", head[4:])
+        if version != FORMAT_VERSION:
+            raise DataFormatError(f"unsupported features version {version}", path)
+        if (bn, bd) != (n, d):
+            raise DataFormatError(f"features shape ({bn}, {bd}) != meta ({n}, {d})", path)
+        if path.stat().st_size != 16 + 8 * n * d:
+            raise DataFormatError("features payload size mismatch", path)
+        features = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         raise DataFormatError(

@@ -168,20 +168,24 @@ def draw_labels(cum_rows, truth, u):
     return lab
 
 
+# Rows per select_k block, so that its (block, R) weights and cumsum fit
+# in cache. Rows are drawn independently: the picks do not depend on it.
+SELECT_K_ROWS = 1024
+
+
 def select_k(weights, U):
     """Successive weighted draws without replacement, batched over rows.
 
     weights (R,) nonnegative, U (N, k) uniforms. Each draw is
     proportional to the weights of the not-yet-picked annotators; picked
-    entries are zeroed before the next draw. Processes in row chunks to
-    bound the (chunk, R) working set. Returns int64 picks (N, k).
+    entries are zeroed before the next draw. Processes SELECT_K_ROWS rows
+    at a time to bound the working set. Returns int64 picks (N, k).
     """
     R = weights.shape[0]
     N, k = U.shape
     out = np.empty((N, k), dtype=np.int64)
-    chunk = 8192
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
+    for lo in range(0, N, SELECT_K_ROWS):
+        hi = min(lo + SELECT_K_ROWS, N)
         w = np.repeat(weights[None, :], hi - lo, axis=0)
         rows = np.arange(hi - lo)
         for d in range(k):

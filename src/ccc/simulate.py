@@ -42,6 +42,7 @@ from .rng import RngStream
 
 INDEPENDENT_KINDS = ("symmetric", "pair", "classwise", "dummy")
 CORRELATED_KINDS = ("copy", "supportive", "opposite")
+PRESET_POOL_SIZE = 250  # a preset pool's R when none is given
 
 
 @dataclass
@@ -205,7 +206,7 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     Preset pools need R divisible by 5; the canonical size is 250.
     """
     if isinstance(spec_source, str):
-        R = 250 if R is None else R
+        R = PRESET_POOL_SIZE if R is None else R
         if R % 5 != 0 or R < 5:
             raise ConfigError(f"preset pools need R divisible by 5, got {R}")
         specs, groups = preset_specs(spec_source, R // 5)
@@ -255,7 +256,8 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     Every instance ends with exactly pool.k annotations, stored in
     (instance, annotator) order. With return_dense=True the dense
     phase-1 label table is returned alongside for auditing, as an (N, R)
-    view of the annotator-major (R, N) array.
+    view of the annotator-major (R, N) array of dtype np.min_scalar_type(C - 1)
+    (uint8 for C <= 256, else uint16). The dataset's ann_label is int64.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.size == 0:
@@ -272,7 +274,7 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         raise ContractError(f"k={pool.k} exceeds pool size {R}")
 
     # Annotator-major, so that each annotator writes one contiguous row.
-    dense = np.empty((R, N), dtype=np.int64)
+    dense = np.empty((R, N), dtype=np.min_scalar_type(C - 1))
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
             continue
@@ -295,7 +297,7 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     picks = np.sort(picks, axis=1)  # canonical per-instance annotator order
     ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
     ann_annotator = picks.reshape(-1)
-    ann_label = dense[ann_annotator, ann_instance]
+    ann_label = dense[ann_annotator, ann_instance].astype(np.int64)
 
     ds = CrowdDataset(
         features=features, class_count=C, annotator_count=R,

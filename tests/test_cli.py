@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccc.cli import main
-from ccc.data import load_dataset, make_blobs, save_eval_set
+from ccc.data import load_dataset, make_blobs, save_eval_set, write_dense_labels
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import TrainConfig
@@ -130,6 +130,9 @@ class TestSimulate:
         ("--pair-map", "0:2,1:1,2:0"),     # target equal to its source
         ("--features", "blobs:N=x,C=3,D=4"),
         ("--features", "blobs:N=30,C=3,D=4,spread=wide"),
+        ("--features", "blobs:N=0,C=3,D=4"),
+        ("--features", "blobs:N=30,C=1,D=4"),
+        ("--features", "blobs:N=30,C=3,D=0"),
         ("--test-size", "-5"),             # negative test split size
     ])
     def test_bad_pair_map_or_blobs_value_exit_code(self, tmp_path, capsys, flag, value):
@@ -137,11 +140,45 @@ class TestSimulate:
         patterns.write_text("2 pair 1.0\n")
         out = tmp_path / "bad"
         argv = {"--features": "blobs:N=30,C=3,D=4", "--patterns": str(patterns),
-                "--pair-map": "0:2,1:0,2:1", "--out": str(out)}
+                "--pair-map": "0:2,1:0,2:1", "--k": "1", "--out": str(out)}
         argv[flag] = value
         assert main(["simulate", *(x for kv in argv.items() for x in kv)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "k must be between 1 and the pool size 3, got 0"),
+        ("--k", "4", "k must be between 1 and the pool size 3, got 4"),
+        ("--alpha", "-1", "alpha must be positive, got -1.0"),
+        ("--beta", "0", "beta must be positive, got 0.0"),
+    ], ids=["k-zero", "k-above-pool", "alpha-negative", "beta-zero"])
+    def test_bad_pool_value_exit_code(self, tmp_path, capsys, flag, value, message):
+        patterns = tmp_path / "three.txt"
+        patterns.write_text("3 symmetric 0.2\n")
+        out = tmp_path / "bad"
+        argv = {"--features": "blobs:N=30,C=3,D=4", "--patterns": str(patterns),
+                "--k": "1", "--out": str(out)}
+        argv[flag] = value
+        assert main(["simulate", *(x for kv in argv.items() for x in kv)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not out.exists()
+
+    def test_dump_dense_wide_classes_writes_int64_text(self, tmp_path):
+        # C = 300 stores the phase-1 table as uint16; the file must read as
+        # the same table written from int64.
+        out = _simulate(tmp_path, "wide", n=40, c=300, extra=("--dump-dense",),
+                        test_size=0)
+        master = RngStream(1)
+        features, truth = make_blobs(40, 300, 6, 0.2, master.split("features"))
+        specs = [PatternSpec("symmetric", epsilon=0.2)] * 5 + \
+            [PatternSpec("symmetric", epsilon=0.4)] * 5
+        pool = build_pool(specs, 300, k=2, rng=master.split("pool"))
+        _, dense = generate(truth, features, pool, master.split("labels"),
+                            return_dense=True)
+        assert dense.dtype == np.uint16 and dense.max() > 255
+        write_dense_labels(tmp_path / "int64.csv", dense.astype(np.int64))
+        assert (out / "dense_labels.csv").read_bytes() == \
+            (tmp_path / "int64.csv").read_bytes()
 
     def test_binary_features_through_pipeline(self, tmp_path):
         out = tmp_path / "bin-ds"

@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ccc.data import (CrowdDataset, annotation_histogram, annotation_noise_rate,
+from ccc.data import (CrowdDataset, _load_features_bin, _write_features_bin,
+                      annotation_histogram, annotation_noise_rate,
                       confusion_distances, evaluate_accuracy, instance_noise_rate,
                       load_dataset, load_eval_set, make_blobs, save_dataset,
                       save_eval_set, true_confusion_matrices)
@@ -197,6 +199,33 @@ class TestIO:
         save_dataset(ds, tmp_path / "bin", features_format="bin")
         loaded = load_dataset(tmp_path / "bin")
         assert np.array_equal(loaded.features, ds.features)
+
+    def test_binary_features_load_holds_the_file_once(self, tmp_path):
+        features = RngStream(8).normal((20_000, 8))
+        path = tmp_path / "features.bin"
+        _write_features_bin(path, features)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = _load_features_bin(path, 20_000, 8)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, features)
+        assert peak < 1.5 * features.nbytes
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda b: b"XXXX" + b[4:], "bad features magic"),
+        (lambda b: b[:10], "truncated features header"),
+        (lambda b: b[:-8], "features payload size mismatch"),
+        (lambda b: b + b"\0", "features payload size mismatch"),
+    ], ids=["magic", "header", "short-payload", "long-payload"])
+    def test_binary_features_damage_rejected(self, tmp_path, cut, message):
+        path = tmp_path / "features.bin"
+        _write_features_bin(path, RngStream(9).normal((5, 3)))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
+            _load_features_bin(path, 5, 3)
 
     def test_annotator_id_out_of_range_rejected(self, tmp_path):
         ds = self._sample()

@@ -291,10 +291,11 @@ def test_select_k_equals_row_oracle(case):
 
 
 def test_select_k_across_row_chunks():
-    # 8,192 rows per chunk: the picks must not depend on the chunking.
+    # A few SELECT_K_ROWS blocks and a remainder: the picks must not
+    # depend on the blocking.
     rng = np.random.default_rng(5)
     weights = np.array([0.0, 1.0, 1.0, 1e-300, 2.5, 5e-324, 0.0, 0.3])
-    U = rng.random((8192 + 37, 6))
+    U = rng.random((3 * kernels.SELECT_K_ROWS + 37, 6))
     U[::97] = 0.0
     U[5::101] = BELOW_ONE
     got = kernels.select_k(weights, U)

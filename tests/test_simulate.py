@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,33 @@ class TestGenerate:
         for r, spec in enumerate(pool.specs):
             if spec.kind == "copy":
                 assert np.array_equal(dense[:, r], dense[:, spec.target])
+
+    def test_peak_memory_below_half_an_int64_table(self):
+        # Criterion-1 shape at 20,000 instances: an int64 phase-1 table
+        # alone would take N * R * 8 bytes.
+        N, R = 20_000, 250
+        pool = build_pool("COR-I", 10, R=R, rng=RngStream(14))
+        truth = _balanced_truth(N, 10)
+        features = np.zeros((N, 1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            generate(truth, features, pool, RngStream(15))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < N * R * 8 / 2
+
+    @pytest.mark.parametrize("C, dtype", [(10, np.uint8), (300, np.uint16)])
+    def test_dense_table_in_narrowest_class_dtype(self, C, dtype):
+        specs = [PatternSpec("symmetric", epsilon=0.5)] * 3 + [PatternSpec("opposite")]
+        pool = build_pool(specs, C, k=2, rng=RngStream(16))
+        truth = _balanced_truth(600, C)
+        ds, dense = generate(truth, np.zeros((600, 1)), pool, RngStream(17),
+                             return_dense=True)
+        assert dense.dtype == dtype and ds.ann_label.dtype == np.int64
+        assert np.array_equal(ds.ann_label, dense[ds.ann_instance, ds.ann_annotator])
+        assert dense.max() == C - 1  # the top class survives the narrow store
 
     def test_symmetric_empirical_cm_matches_theory(self):
         # one symmetric-0.3 annotator plus a dummy, equal propensities, k=1
