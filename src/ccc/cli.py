@@ -117,11 +117,15 @@ def _parse_feature_source(expr: str):
                 params[key] = int(value) if key in ("N", "C", "D") else float(value)
             except ValueError:
                 raise ConfigError(f"bad blobs value {part!r}") from None
-        for req, least in (("N", 1), ("C", 2), ("D", 1)):
+        # C >= 2 puts every D < 2 below C, where the circle placement needs D >= 2
+        for req, least in (("N", 1), ("C", 2), ("D", 2)):
             if req not in params:
                 raise ConfigError(f"blobs source needs {req}=")
             if params[req] < least:
                 raise ConfigError(f"blobs {req} must be >= {least}, got {params[req]}")
+        for key in BLOBS_DEFAULTS:
+            if not 0 < params[key] < float("inf"):  # also rejects nan
+                raise ConfigError(f"blobs {key} must be finite and positive, got {params[key]}")
         return "blobs", params
     if expr.startswith("file:"):
         return "file", {"path": expr[len("file:"):]}

@@ -14,16 +14,16 @@ An evaluation set (features + truth, no annotations) uses the same
 layout with r = 0 and no annotations.csv; see save_eval_set.
 
 Every csv file goes through one codec: write_csv writes a table a block
-of rows at a time, and CsvRows reads one a whole file at a time with
-numpy's reader, then checks it with array expressions. Numbers are
-plain ASCII decimals and feature values must be finite.
+of rows at a time, and CsvRows parses one with numpy's reader, streamed
+from disk or, for a file with a \r or a bad row, from its lines, then
+checks it with array expressions. Numbers are plain ASCII decimals and
+feature values must be finite.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -219,7 +219,6 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 _ROWS_PER_WRITE = 256  # rows turned into text at once; bounds the live Python objects
-_LONE_CR = re.compile(rb"\r(?!\n)")
 
 
 def _chunks(fh):
@@ -247,14 +246,16 @@ def write_csv(path, header: str, blocks) -> None:
 
 
 def _loadtxt(src, dtype) -> np.ndarray:
-    """numpy's reader over src, one row per line; ValueError if a row is unreadable.
+    """numpy's reader over src, one row per nonempty line; ValueError if a row is unreadable.
 
     Some numpy releases read an integer field written as a float ("2.7")
     by truncating it, with only a DeprecationWarning; here that field is
-    unreadable, as it is in the releases that raise.
+    unreadable, as it is in the releases that raise. Input without a row
+    gives an empty array, without numpy's warning.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("error", category=DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(src, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except DeprecationWarning as exc:
@@ -262,25 +263,28 @@ def _loadtxt(src, dtype) -> np.ndarray:
 
 
 def _reads_as(text: bytes, dtype) -> bool:
-    """Whether numpy's reader reads one field's text as one value of dtype."""
-    if text in (b"", b"\r"):  # the reader would see an empty line, not a value
-        return False
+    """Whether numpy's reader reads the text as exactly one row of dtype."""
     try:
-        _loadtxt(io.BytesIO(text), dtype)
+        return _loadtxt(io.BytesIO(text), dtype).size == 1
     except ValueError:
         return False
-    return True
 
 
 class CsvRows:
-    r"""The rows of one csv table, parsed a whole file at a time by numpy's reader.
+    r"""The rows of one csv table, parsed by numpy's reader.
 
     The file is a header line, then one row per nonblank line. Lines end
-    at \n, \r\n or \r, as in Python's universal newlines; a line that
-    holds only a \r is not blank. `ints` names the leading integer
-    fields, and `floats` feature values follow them. columns holds one
-    int64 array per integer field, then a (rows, floats) float64 array
-    when floats > 0.
+    at \n, \r\n or \r, the header's too. Only a line that is exactly \n
+    is blank, so one that holds only a \r is a row of one empty field.
+    `ints` names the leading integer fields, and `floats` feature values
+    follow them. columns holds one int64 array per integer field, then a
+    (rows, floats) float64 array when floats > 0.
+
+    A file without a \r is parsed as it streams from disk, and a file
+    with one is parsed from its lines, each line end made a \n. If the
+    reader rejects the file, the rows before the first wrong field count
+    are parsed at once, and only if that fails is each row parsed on its
+    own to find the first unreadable one.
 
     A row that cannot be read (a wrong field count, or a value that is not
     a plain ASCII decimal) ends the table: columns hold the rows before
@@ -299,93 +303,56 @@ class CsvRows:
         if floats:
             fields.append(("f", np.float64, (floats,)))
         self._dtype = np.dtype(fields)
-        self._data = None  # the file's bytes, read only off the fast path
         self._fault = None
         with open(path, "rb") as fh:
             # numpy's reader cannot end a line at a lone \r and skips a line
             # of only \r\n, which this format reads as a row of one empty
-            # field. A file with a \r takes the slow path, whose layout
-            # keeps rows and line numbers aligned.
+            # field, so a file with a \r is read a line at a time.
             fast = not any(b"\r" in chunk for chunk in _chunks(fh))
             fh.seek(0)
-            head = fh.readline().rstrip(b"\n") if fast else self._bytes().partition(b"\n")[0]
+            head = (fh.readline().splitlines() or [b""])[0]
             if head != header.encode():
                 raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
                                       path, 1)
-            table = self._parse_rest(fh) if fast else None
-        if table is None:
-            table = self._read_to_first_fault()
+            try:
+                table = _loadtxt(fh, self._dtype) if fast else self._parse(self._lines()[1])
+            except ValueError:
+                table = self._read_to_fault()
         self.columns = [np.ascontiguousarray(table[name]) for name in self._dtype.names]
 
-    def _parse_rest(self, fh):
-        """The rows after fh's position, streamed from the file, or None if
-        one is unreadable."""
-        start = fh.tell()
-        if not any(chunk.strip(b"\n") for chunk in _chunks(fh)):
-            return np.empty(0, dtype=self._dtype)
-        fh.seek(start)
+    def _lines(self):
+        """The line numbers, and the texts without line ends, of the rows' lines."""
+        lines = self.path.read_bytes().splitlines(True)[1:]
+        return ([no for no, line in enumerate(lines, 2) if line != b"\n"],
+                [line.rstrip(b"\r\n") for line in lines if line != b"\n"])
+
+    def _parse(self, texts) -> np.ndarray:
+        """One row of the table per text; ValueError if one is unreadable."""
+        table = _loadtxt(io.BytesIO(b"\n".join(texts)), self._dtype)
+        if table.size != len(texts):  # the reader skips an empty line
+            raise ValueError("a row is empty")
+        return table
+
+    def _read_to_fault(self):
+        """The rows before the first unreadable one, whose fault check() raises."""
+        numbers, texts = self._lines()
+        counts = [text.count(b",") + 1 for text in texts]
+        cut = next((k for k, got in enumerate(counts) if got != self.width), len(texts))
         try:
-            return _loadtxt(fh, self._dtype)
+            table = self._parse(texts[:cut])
         except ValueError:
-            return None
-
-    def _bytes(self) -> bytes:
-        """The file's bytes, with each lone CR made a CR LF line end."""
-        if self._data is None:
-            data = self.path.read_bytes()
-            self._data = _LONE_CR.sub(b"\r\n", data) if b"\r" in data else data
-        return self._data
-
-    def _layout(self):
-        """Byte span, 1-based line number and field count of every row."""
-        raw = np.frombuffer(self._bytes(), dtype=np.uint8)
-        ends = np.flatnonzero(raw == ord("\n"))
-        if ends.size == 0 or ends[-1] != raw.size - 1:
-            ends = np.append(ends, raw.size)  # the last line has no \n
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        commas = np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord(","))),
-                             minlength=ends.size)
-        rows = np.flatnonzero(ends > starts)
-        rows = rows[rows > 0]  # line 0 is the header
-        return starts[rows], ends[rows], rows + 1, commas[rows] + 1
-
-    def _read_to_first_fault(self):
-        starts, ends, lines, counts = self._layout()
-        wrong = np.flatnonzero(counts != self.width)
-        cut = int(wrong[0]) if wrong.size else starts.size
-
-        def parse(lo, hi):  # rows lo..hi-1; raises ValueError if one is unreadable
-            if hi == lo:
-                return np.empty(0, dtype=self._dtype)
-            return _loadtxt(io.BytesIO(self._bytes()[starts[lo]:ends[hi - 1]]), self._dtype)
-
-        try:
-            table = parse(0, cut)
-        except ValueError:
-            lo, hi = 0, cut  # rows before lo read; the first unreadable row is in [lo, hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    parse(lo, mid)
-                    lo = mid
-                except ValueError:
-                    hi = mid
-            line = self._bytes()[starts[lo]:ends[lo]]
-            self._fault, field = self._field_fault(line, int(lines[lo]))
-            table = parse(0, lo)
+            k = next(k for k, text in enumerate(texts) if not _reads_as(text, self._dtype))
+            self._fault, field = self._field_fault(texts[k], numbers[k])
             if field < len(self.ints):
-                return table
+                return self._parse(texts[:k])
             # A row's integers are checked before its features are read, so
             # check() sees this row's integers, with its features as 0.
-            row = np.zeros(1, dtype=self._dtype)
-            ints = _loadtxt(io.BytesIO(b",".join(line.split(b",")[:len(self.ints)])), np.int64)
-            for j, value in enumerate(ints):
-                row[f"i{j}"] = value
-            return np.concatenate([table, row])
-        if cut < starts.size:
+            row = texts[k].split(b",")[:len(self.ints)] + [b"0"] * (self.width - len(self.ints))
+            return self._parse(texts[:k] + [b",".join(row)])
+        if cut < len(texts):
             self._fault = DataFormatError(
                 self.count_fault.format(width=self.width, got=counts[cut]), self.path,
-                int(lines[cut]))
+                numbers[cut])
         return table
 
     def _field_fault(self, line: bytes, lineno: int):
@@ -411,7 +378,7 @@ class CsvRows:
                   for order, (bad, _) in enumerate(faults) if bad.any()]
         if firsts:
             k, order = min(firsts)
-            raise DataFormatError(faults[order][1](k), self.path, int(self._layout()[2][k]))
+            raise DataFormatError(faults[order][1](k), self.path, self._lines()[0][k])
         if self._fault is not None:
             raise self._fault
 

@@ -133,6 +133,10 @@ class TestSimulate:
         ("--features", "blobs:N=0,C=3,D=4"),
         ("--features", "blobs:N=30,C=1,D=4"),
         ("--features", "blobs:N=30,C=3,D=0"),
+        ("--features", "blobs:N=30,C=3,D=1"),     # circle placement needs D >= 2
+        ("--features", "blobs:N=30,C=3,D=4,spread=nan"),
+        ("--features", "blobs:N=30,C=3,D=4,radius=inf"),
+        ("--features", "blobs:N=30,C=3,D=4,spread=-1"),
         ("--test-size", "-5"),             # negative test split size
     ])
     def test_bad_pair_map_or_blobs_value_exit_code(self, tmp_path, capsys, flag, value):

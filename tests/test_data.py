@@ -275,6 +275,7 @@ class TestIO:
         ("features.csv", "1,0.5,x,0.25", "non-numeric feature value"),
         ("features.csv", "1.0,x,0.5,0.25", "instance id is not an integer: '1.0'"),
         ("features.csv", "2,0.5,0.5,0.25", "ids must be 0..N-1 in order, got 2"),
+        ("features.csv", "5,0.5,x,0.25", "ids must be 0..N-1 in order, got 5"),
     ])
     def test_blank_lines_before_bad_row_keep_its_line(self, tmp_path, name, bad_row,
                                                        message):
@@ -314,8 +315,10 @@ class TestIO:
         assert str(info.value).startswith("label is not an integer: '2.7'")
         assert info.value.line == 4
 
-    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
-    def test_crlf_and_cr_row_ends_load_the_same(self, tmp_path, newline):
+    @pytest.mark.parametrize("newline, whole_file", [
+        (b"\r\n", False), (b"\r", False), (b"\r\n", True), (b"\r", True),
+    ], ids=["\r\n", "\r", "whole-file-\r\n", "whole-file-\r"])
+    def test_crlf_and_cr_row_ends_load_the_same(self, tmp_path, newline, whole_file):
         ds = self._sample()
         ds.features = RngStream(6).normal((8, 3))
         save_dataset(ds, tmp_path / "d")
@@ -323,7 +326,8 @@ class TestIO:
         for name in ("features.csv", "annotations.csv", "truth.csv"):
             path = tmp_path / "d" / name
             header, body = path.read_bytes().split(b"\n", 1)
-            path.write_bytes(header + b"\n" + body.replace(b"\n", newline))
+            header_end = newline if whole_file else b"\n"
+            path.write_bytes(header + header_end + body.replace(b"\n", newline))
         got = load_dataset(tmp_path / "d")
         assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
         for name in ("ann_instance", "ann_annotator", "ann_label", "truth"):
@@ -360,11 +364,13 @@ class TestIO:
             load_dataset(tmp_path / "d")
 
     def test_eval_set_roundtrip(self, tmp_path):
-        X = RngStream(8).normal((5, 2))
-        y = np.array([0, 1, 2, 0, 1])
-        save_eval_set(X, y, tmp_path / "ev", class_count=3)
-        X2, y2, c = load_eval_set(tmp_path / "ev")
-        assert np.array_equal(X, X2) and np.array_equal(y, y2) and c == 3
+        for n in (5, 0):  # n = 0 writes header-only csv files
+            X = RngStream(8).normal((n, 2))
+            y = np.array([0, 1, 2, 0, 1][:n])
+            save_eval_set(X, y, tmp_path / f"ev{n}", class_count=3)
+            X2, y2, c = load_eval_set(tmp_path / f"ev{n}")
+            assert X2.shape == (n, 2) and y2.shape == (n,)
+            assert np.array_equal(X, X2) and np.array_equal(y, y2) and c == 3
 
 
 class TestMakeBlobs:

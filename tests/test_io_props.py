@@ -3,9 +3,12 @@
 Loading a saved directory must give back the same arrays (features
 compared as raw bits, so -0.0 and subnormals count), and saving the
 loaded data again must write byte-identical files, for csv and bin
-features alike.
+features alike. A damaged csv file must load the same, arrays or fault,
+whether numpy's reader takes it whole or the codec reads it a line at
+a time.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from ccc.data import (CrowdDataset, load_dataset, load_eval_set, save_dataset,
                       save_eval_set)
+from ccc.errors import DataFormatError
 
 # Values whose text form is an edge of the float codec: signed zeros,
 # subnormals, reprs in scientific notation and the largest magnitudes.
@@ -100,3 +104,58 @@ def test_eval_set_roundtrip_is_bitwise_and_resave_byte_identical(data, n, d, c):
         save_eval_set(X2, y2, second, class_count=c2, seed=3)
         for name in ("meta.json", "features.csv", "truth.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# Field texts that numpy's reader may or may not take as a number.
+JUNK = st.sampled_from(["x", "", " ", " 7 ", "1.5", "1e0", "--1", "0x1", "1_0", "nan", "-inf",
+                        "\u0663", "\x00", "'1'", "+4", "1e400"])
+
+
+def _crlf(data: bytes) -> bytes:
+    """data with every nonblank line's \n made \r\n: the codec's line path."""
+    return b"".join(line[:-1] + b"\r\n" if line != b"\n" and line.endswith(b"\n") else line
+                    for line in data.splitlines(True))
+
+
+def _outcome(directory: Path):
+    """The loaded arrays as raw bits, or the fault's message and file:line."""
+    try:
+        ds = load_dataset(directory)
+    except DataFormatError as exc:
+        return str(exc).replace(str(directory), "<dir>"), exc.line
+    return [_bits(ds.features).tolist(), ds.ann_instance.tolist(), ds.ann_annotator.tolist(),
+            ds.ann_label.tolist(), None if ds.truth is None else ds.truth.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=crowd_datasets(), data=st.data())
+def test_damaged_file_loads_the_same_on_the_fast_and_the_line_path(ds, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, lines_path = Path(tmp, "fast"), Path(tmp, "lines")
+        save_dataset(ds, fast)
+        name = data.draw(st.sampled_from(sorted(p.name for p in fast.glob("*.csv"))))
+        lines = (fast / name).read_text(encoding="utf-8").split("\n")[:-1]
+        k = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[k].split(",")
+        ints = 1 if name == "features.csv" else len(fields)
+        kinds = ["junk int", "field count", "id", "duplicate", "blank lines"]
+        kind = data.draw(st.sampled_from(kinds + ["junk float"] * (ints < len(fields))))
+        if kind == "junk int":
+            fields[data.draw(st.integers(0, ints - 1))] = data.draw(JUNK)
+        elif kind == "junk float":
+            fields[data.draw(st.integers(ints, len(fields) - 1))] = data.draw(JUNK)
+        elif kind == "field count":
+            fields = fields[:-1] if data.draw(st.booleans()) else fields + ["0"]
+        elif kind == "id":
+            fields[data.draw(st.integers(0, ints - 1))] = str(data.draw(st.integers(-2, 20)))
+        lines[k] = ",".join(fields)
+        if kind == "duplicate":
+            lines.insert(k, lines[data.draw(st.integers(1, len(lines) - 1))])
+        elif kind == "blank lines":
+            lines[k:k] = [""] * data.draw(st.integers(1, 3))
+        (fast / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        shutil.copytree(fast, lines_path)
+        for path in lines_path.glob("*.csv"):
+            path.write_bytes(_crlf(path.read_bytes()))
+        assert _outcome(lines_path) == _outcome(fast)
