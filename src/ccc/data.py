@@ -17,13 +17,15 @@ Every csv file goes through one codec: write_csv writes a table a block
 of rows at a time, and CsvRows parses one with numpy's reader, streamed
 from disk or, for a file with a \r or a bad row, from its lines, then
 checks it with array expressions. Numbers are plain ASCII decimals and
-feature values must be finite.
+feature values must be finite. Each file is written to path.tmp, then
+moved onto path (files.atomic_open), so a failed write tears nothing.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataFormatError
+from .files import atomic_open
 from .models import Classifier, batch_forward
 from .rng import RngStream
 
@@ -179,9 +182,10 @@ def annotation_histogram(ds: CrowdDataset) -> np.ndarray:
     return np.bincount(ds.ann_annotator, minlength=ds.annotator_count).astype(np.int64)
 
 
-def evaluate_accuracy(clf: Classifier, features: np.ndarray, labels: np.ndarray) -> float:
+def evaluate_accuracy(clf: Classifier, features: np.ndarray, labels: np.ndarray,
+                      ws=None) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    _, _, P = batch_forward(clf, features)
+    _, _, P = batch_forward(clf, features, ws)
     pred = P.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 
@@ -235,7 +239,7 @@ def write_csv(path, header: str, blocks) -> None:
     text that reads back to the same bits (str of a Python float is its
     repr).
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for block in blocks:
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
@@ -283,8 +287,9 @@ class CsvRows:
     A file without a \r is parsed as it streams from disk, and a file
     with one is parsed from its lines, each line end made a \n. If the
     reader rejects the file, the rows before the first wrong field count
-    are parsed at once, and only if that fails is each row parsed on its
-    own to find the first unreadable one.
+    are parsed at once. If that fails, the row numpy's error names is
+    checked, and only if it is not the first unreadable one is each row
+    parsed on its own.
 
     A row that cannot be read (a wrong field count, or a value that is not
     a plain ASCII decimal) ends the table: columns hold the rows before
@@ -340,11 +345,11 @@ class CsvRows:
         cut = next((k for k, got in enumerate(counts) if got != self.width), len(texts))
         try:
             table = self._parse(texts[:cut])
-        except ValueError:
-            k = next(k for k, text in enumerate(texts) if not _reads_as(text, self._dtype))
+        except ValueError as exc:
+            k, table = self._first_unreadable(texts, str(exc))
             self._fault, field = self._field_fault(texts[k], numbers[k])
             if field < len(self.ints):
-                return self._parse(texts[:k])
+                return table
             # A row's integers are checked before its features are read, so
             # check() sees this row's integers, with its features as 0.
             row = texts[k].split(b",")[:len(self.ints)] + [b"0"] * (self.width - len(self.ints))
@@ -354,6 +359,22 @@ class CsvRows:
                 self.count_fault.format(width=self.width, got=counts[cut]), self.path,
                 numbers[cut])
         return table
+
+    def _first_unreadable(self, texts, message: str):
+        """The first unreadable text's index, and the table of the texts before it.
+
+        numpy's message names the row, from 0 or 1 by message; it is taken
+        if unreadable with the rows before it parsing, else a scan finds it.
+        """
+        hint = re.search(r" at row (\d+)", message)
+        for k in (int(hint[1]), int(hint[1]) - 1) if hint else ():
+            if 0 <= k < len(texts) and not _reads_as(texts[k], self._dtype):
+                try:
+                    return k, self._parse(texts[:k])
+                except ValueError:
+                    break
+        k = next(k for k, text in enumerate(texts) if not _reads_as(text, self._dtype))
+        return k, self._parse(texts[:k])
 
     def _field_fault(self, line: bytes, lineno: int):
         """The fault of an unreadable row, and the index of its first bad field."""
@@ -400,7 +421,7 @@ def _features_header(d: int) -> str:
 
 def write_json(path, payload: dict) -> None:
     """Write payload as sorted, indented JSON with a trailing newline."""
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -413,7 +434,7 @@ def _write_features_csv(path: Path, features: np.ndarray) -> None:
 
 def _write_features_bin(path: Path, features: np.ndarray) -> None:
     N, D = features.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_FEATURES_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, N, D))
         fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())

@@ -12,6 +12,11 @@ are assigned to its group's block. BLAS orders that sum its own way, so
 dV equals an annotation-order sum to rounding, not bit for bit. Both
 kernels share _annotation_terms and _logit_grads.
 
+training.train owns the Workspaces of a run and drops them on return.
+The kernels, models.batch_forward and models.backprop write their large
+temporaries into one with out=, so results stay bit for bit; without one
+they allocate. Results are never views of it, save batch_forward's.
+
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true
 class, cols = reported label) induces a reported-label distribution
@@ -44,6 +49,22 @@ GRAD_FLOOR = 1e-3
 USING_NUMBA = False
 
 
+class Workspace:
+    """Grow-only scratch arrays by name: a request views the start of its
+    name's buffer, which only a larger request replaces."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = None  # freed before its successor is made
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 def _scatter_rows(index, values, rows):
     """Sum values (A, ...) into a (rows, ...) array at the given row index.
 
@@ -53,8 +74,9 @@ def _scatter_rows(index, values, rows):
     """
     tail = values.shape[1:]
     width = math.prod(tail)
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(flat, weights=values.ravel(), minlength=rows * width)
+    # Gathering whole rows of flat offsets beats a broadcast add row by row.
+    flat = np.arange(rows * width).reshape(rows, width)[index]
+    out = np.bincount(flat.ravel(), weights=values.ravel(), minlength=rows * width)
     return out.reshape((rows,) + tail)
 
 
@@ -83,7 +105,7 @@ def _annotation_terms(P, ann_i, ann_r, ann_y, M):
     return p, Ma, m, Sg, qyg, ratio, g_q
 
 
-def crowd_grads(P, ann_i, ann_r, ann_y, M, R):
+def crowd_grads(P, ann_i, ann_r, ann_y, M, R, ws=None):
     """Loss and gradients of the per-annotation transition loss.
 
     P      (n, C)   softmax outputs per batch instance
@@ -100,9 +122,11 @@ def crowd_grads(P, ann_i, ann_r, ann_y, M, R):
     n, C = P.shape
     if ann_i.shape[0] == 0:
         return 0.0, np.zeros((n, C)), np.zeros((R, C, C))
+    ws = Workspace() if ws is None else ws
     p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     loss_sum = float(-np.log(np.maximum(ratio, EPS)).sum())
-    dM = _scatter_rows(ann_r, p[:, :, None] * g_q[:, None, :], R)
+    outer = np.einsum("ac,aj->acj", p, g_q, out=ws.array("outer", Ma.shape))
+    dM = _scatter_rows(ann_r, outer, R)
     return loss_sum, _logit_grads(ann_i, p, Ma, g_q, n), dM
 
 
@@ -113,7 +137,7 @@ def _logit_grads(ann_i, p, Ma, g_q, n):
     return _scatter_rows(ann_i, p * (g_p - s[:, None]), n)
 
 
-def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G):
+def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G, ws=None):
     """The meta step's logit gradients and per-group hypergradient, (dZ, dV).
 
     dZ (n, C) is crowd_grads' dZ, bit for bit, for the virtual step of the
@@ -130,6 +154,7 @@ def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G):
     exactly 0 for unreached groups, unnormalized and without the virtual
     step's factor; callers scale by -eta_v / annotation_count.
     """
+    ws = Workspace() if ws is None else ws
     p, Ma, m, Sg, qyg, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     A_count, C = p.shape
     idx = np.arange(A_count)
@@ -145,8 +170,10 @@ def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G):
     t[~(ratio > EPS)] = 0.0
 
     # Rows (g_q; t) of annotation a fill group_of[ann_r[a]]'s C columns.
-    Y = np.zeros((2, A_count, G, C))
-    Y[:, idx, group_of[ann_r]] = g_q, t
+    Y = ws.array("groups", (2, A_count, G, C))
+    Y.fill(0.0)
+    cols = group_of[ann_r]
+    Y[0, idx, cols], Y[1, idx, cols] = g_q, t
     dV = np.concatenate([v, p]).T @ Y.reshape(2 * A_count, G * C)
     return dZ, dV.reshape(C, G, C).transpose(1, 0, 2)
 

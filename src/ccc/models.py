@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .files import atomic_open
+from .kernels import Workspace
 from .numerics import CE_FLOOR, softmax_rows
 from .rng import RngStream
 
@@ -69,7 +71,7 @@ def init_classifier(kind: str, input_dim: int, hidden_dim: int, class_count: int
     return Classifier(kind, input_dim, hidden_dim, class_count, params)
 
 
-def hidden_layer(clf: Classifier, X: np.ndarray):
+def hidden_layer(clf: Classifier, X: np.ndarray, ws=None):
     """(pre_act, penultimate) of a (n, D) float batch.
 
     pre_act is the hidden pre-activation for the mlp kind (needed for the
@@ -77,8 +79,10 @@ def hidden_layer(clf: Classifier, X: np.ndarray):
     """
     if clf.kind == "linear":
         return None, X
-    pre = X @ clf.params["W1"] + clf.params["b1"]
-    return pre, np.maximum(pre, 0.0)
+    ws = Workspace() if ws is None else ws
+    pre = np.matmul(X, clf.params["W1"], out=ws.array("pre", (X.shape[0], clf.hidden_dim)))
+    pre += clf.params["b1"]
+    return pre, np.maximum(pre, 0.0, out=ws.array("hidden", pre.shape))
 
 
 def last_layer(clf: Classifier):
@@ -88,23 +92,27 @@ def last_layer(clf: Classifier):
     return clf.params["W2"], clf.params["b2"]
 
 
-def batch_forward(clf: Classifier, X: np.ndarray):
-    """Forward a (n, D) batch; returns (pre_act, penultimate, probs)."""
+def batch_forward(clf: Classifier, X: np.ndarray, ws=None):
+    """Forward a (n, D) batch; returns (pre_act, penultimate, probs), views of ws if given."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.input_dim:
         raise ContractError(
             f"expected features of dim {clf.input_dim}, got shape {X.shape}")
-    pre, H = hidden_layer(clf, X)
+    ws = Workspace() if ws is None else ws
+    pre, H = hidden_layer(clf, X, ws)
     W, b = last_layer(clf)
-    return pre, H, softmax_rows(H @ W + b)
+    Z = np.matmul(H, W, out=ws.array("logits", (X.shape[0], clf.class_count)))
+    Z += b
+    return pre, H, softmax_rows(Z, out=Z)
 
 
-def backprop(clf: Classifier, X: np.ndarray, pre, H, dZ) -> dict[str, np.ndarray]:
-    """Parameter gradients from accumulated logit gradients dZ (n, C)."""
+def backprop(clf: Classifier, X: np.ndarray, pre, H, dZ, ws=None) -> dict[str, np.ndarray]:
+    """Parameter gradients, new arrays, from accumulated logit gradients dZ (n, C)."""
     if clf.kind == "linear":
         return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
-    dH = dZ @ clf.params["W2"].T
-    dA = dH * (pre > 0.0)
+    ws = Workspace() if ws is None else ws
+    dA = np.matmul(dZ, clf.params["W2"].T, out=ws.array("d_hidden", pre.shape))
+    dA *= pre > 0.0
     return {
         "W1": X.T @ dA,
         "b1": dA.sum(axis=0),
@@ -134,7 +142,7 @@ def single_label_ce(labels: np.ndarray):
     return loss_def
 
 
-def loss_and_grads(clf: Classifier, X: np.ndarray, loss_def):
+def loss_and_grads(clf: Classifier, X: np.ndarray, loss_def, ws=None):
     """Mean loss over the batch and its exact parameter gradients.
 
     loss_def(P) must return (per-instance losses, per-instance dloss/dlogits).
@@ -142,10 +150,10 @@ def loss_and_grads(clf: Classifier, X: np.ndarray, loss_def):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ContractError("batch must be a nonempty (n, D) array")
-    pre, H, P = batch_forward(clf, X)
+    pre, H, P = batch_forward(clf, X, ws)
     losses, dZ = loss_def(P)
     n = X.shape[0]
-    grads = backprop(clf, X, pre, H, dZ / n)
+    grads = backprop(clf, X, pre, H, dZ / n, ws)
     return float(losses.mean()), grads
 
 
@@ -176,7 +184,7 @@ _VERSION = 1
 
 def save_model(clf: Classifier, path) -> None:
     """Flat binary blob: magic, version, kind tag, dims, params (f64 LE)."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIII", _VERSION, _KIND_TAGS[clf.kind],
                              clf.input_dim, clf.hidden_dim, clf.class_count))

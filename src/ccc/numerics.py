@@ -18,12 +18,13 @@ from .rng import RngStream
 CE_FLOOR = 1e-12
 
 
-def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D logit array."""
+def softmax_rows(Z: np.ndarray, out=None) -> np.ndarray:
+    """Row-wise stable softmax of a 2-D logit array, into out (which may be Z) if given."""
     Z = np.asarray(Z, dtype=np.float64)
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    E = np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
+    np.exp(E, out=E)
+    E /= E.sum(axis=1, keepdims=True)
+    return E
 
 
 @dataclass

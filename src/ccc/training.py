@@ -20,6 +20,13 @@ run's models, with one evaluation and bookkeeping path:
 Each model is one flat ModelState. Its crowd step uses T alone until
 ccc's first post-warmup epoch adds the group corrections V.
 
+train owns two kernels.Workspaces and drops them when it returns. The
+batch step's forward, backprop and crowd_grads write their large
+temporaries into one; the meta step, which runs while the batch
+forward's arrays are in use, and the per-epoch forwards over whole sets
+use the other. Nothing train hands out, on_step's dT or the returned
+states, is a view of either.
+
 RNG streams are split per purpose (init/batches/meta per model, plus one
 for clustering), so ccc with corrections disabled (gamma=0) consumes
 batch randomness exactly like crowdlayer and reproduces its trajectory
@@ -34,6 +41,7 @@ untouched.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, asdict
@@ -42,7 +50,7 @@ import numpy as np
 
 from .data import CrowdDataset, MetaSet, evaluate_accuracy
 from .errors import ConfigError, ContractError
-from .kernels import crowd_grads, hyper_grads
+from .kernels import Workspace, crowd_grads, hyper_grads
 from .models import (PARAM_KEYS, Classifier, backprop, batch_forward,
                      hidden_layer, init_classifier, last_layer, loss_and_grads,
                      sgd_step, single_label_ce)
@@ -208,7 +216,7 @@ def _resolve_eval(ds: CrowdDataset, eval_set):
 
 
 def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
-                forward):
+                forward, ws: Workspace | None = None):
     """One joint SGD step on (classifier, transitions) for a batch.
 
     The transitions are T, or T + V[group_of] once ccc has corrections;
@@ -218,9 +226,9 @@ def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
     M = state.T if state.V is None else state.T + state.V[state.group_of]
     pre, H, P = forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
-                                   batch.ann_label, M, state.T.shape[0])
+                                   batch.ann_label, M, state.T.shape[0], ws=ws)
     a = max(batch.ann_instance.shape[0], 1)
-    grads = backprop(state.clf, batch.features, pre, H, dZ / a)
+    grads = backprop(state.clf, batch.features, pre, H, dZ / a, ws=ws)
     sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
     dT = dM / a
     state.T_mom *= cfg.momentum
@@ -234,7 +242,7 @@ def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
-                     M: int) -> MetaSet:
+                     M: int, ws: Workspace | None = None) -> MetaSet:
     """Small-loss selection, class-balanced by majority-vote candidates.
 
     mv is aggregate_majority(ds). For each class c, instances whose
@@ -243,7 +251,7 @@ def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
     pseudo-label c.
     """
     C = ds.class_count
-    _, _, P = batch_forward(scorer, ds.features)
+    _, _, P = batch_forward(scorer, ds.features, ws=ws)
     losses, _ = single_label_ce(mv)(P)
     quota = M // C
     keep: list[np.ndarray] = []
@@ -295,7 +303,7 @@ def auto_meta_lr(T: np.ndarray, g_cor: np.ndarray, gamma: float) -> float:
 def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
                         group_of: np.ndarray, batch: Batch,
                         meta_features: np.ndarray, meta_labels: np.ndarray,
-                        eta_v: float, forward) -> np.ndarray:
+                        eta_v: float, forward, ws: Workspace | None = None) -> np.ndarray:
     """Exact gradient of the meta loss w.r.t. the group corrections.
 
     The virtual step moves only the last layer: (W, b) minus eta_v times
@@ -309,7 +317,8 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     calls between its dZ and its dV. `forward` is batch_forward(clf,
     batch.features); only the last layer moves, so the batch forward at
     the current parameters is all the virtual step needs. Nothing here
-    writes to clf, so it reads the live parameters.
+    writes to clf, so it reads the live parameters. ws must not be the
+    workspace that holds forward's arrays.
     """
     a = batch.ann_instance.shape[0]
     m = meta_labels.shape[0]
@@ -317,7 +326,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
         return np.zeros_like(V)
     W, b = last_layer(clf)
     _, H, P = forward
-    _, Hm = hidden_layer(clf, meta_features)
+    _, Hm = hidden_layer(clf, meta_features, ws)
 
     def meta_u(dZ):
         W_hat = W - eta_v * (H.T @ dZ / a)
@@ -326,7 +335,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
         return H @ (Hm.T @ dZm / m) + dZm.sum(axis=0) / m
 
     _, dV = hyper_grads(P, meta_u, batch.ann_instance, batch.ann_annotator,
-                        batch.ann_label, T + V[group_of], group_of, V.shape[0])
+                        batch.ann_label, T + V[group_of], group_of, V.shape[0], ws=ws)
     return -(eta_v / a) * dV
 
 
@@ -345,13 +354,15 @@ def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> np.ndarray:
 
 
 def _meta_batches(meta: MetaSet, rng: RngStream, size: int):
-    """Endless meta batches cycling through one permutation of the meta set."""
+    """Endless meta batches cycling through one permutation of the meta set;
+    a batch of the whole set is the same each time, so it is gathered once."""
     order = rng.permutation(meta.size)
-    take = min(size, meta.size)
+    if size >= meta.size:
+        yield from itertools.repeat((meta.features[order], meta.labels[order]))
     cursor = 0
     while True:
-        sel = order[(cursor + np.arange(take)) % meta.size]
-        cursor = (cursor + take) % meta.size
+        sel = order[(cursor + np.arange(size)) % meta.size]
+        cursor = (cursor + size) % meta.size
         yield meta.features[sel], meta.labels[sel]
 
 
@@ -401,6 +412,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     curves = {tag: [] for tag in states}
     groups_by_epoch = []
     steps = dict.fromkeys(states, 0)
+    ws, sets = Workspace(), Workspace()
 
     # A blow-up makes numpy warn at every overflowing op; _check_finite
     # reports it once, at the end of the epoch where it happens.
@@ -411,8 +423,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
             if phase == "ccc":
                 m1, m2 = states["model1"], states["model2"]
                 # Each model learns from the meta set the other distills.
-                meta_sets = {"model1": distill_meta_set(ds, mv, m2.clf, cfg.meta_size),
-                             "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size)}
+                meta_sets = {"model1": distill_meta_set(ds, mv, m2.clf, cfg.meta_size, sets),
+                             "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size, sets)}
                 Ts = [m1.T, m2.T]
                 if cfg.grouping == "joint":
                     group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
@@ -431,26 +443,26 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                     idx = perm[lo:lo + cfg.batch_size]
                     if majority:
                         _, grads = loss_and_grads(state.clf, ds.features[idx],
-                                                  single_label_ce(mv[idx]))
+                                                  single_label_ce(mv[idx]), ws)
                         sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
                         continue
                     batch = make_batch(ds, idx, csr)
                     # The correction update leaves the classifier as it
                     # is, so one forward serves both stages.
-                    fwd = batch_forward(state.clf, batch.features)
+                    fwd = batch_forward(state.clf, batch.features, ws)
                     if phase == "ccc":
                         if cfg.v_reset == "iteration":
                             state.V[:] = 0.0
                         meta_X, meta_y = next(meta_batches)
                         g_cor = correction_gradient(state.clf, state.T, state.V,
                                                     state.group_of, batch,
-                                                    meta_X, meta_y, lr, fwd)
+                                                    meta_X, meta_y, lr, fwd, sets)
                         eta_m = auto_meta_lr(state.T, g_cor, cfg.gamma)
                         # Skipping the zero update keeps V exactly zero at
                         # gamma=0, where ccc reproduces crowdlayer.
                         if eta_m != 0.0:
                             state.V -= eta_m * g_cor
-                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd)
+                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd, ws)
                     if on_step is not None:
                         on_step({"model": tag, "epoch": epoch, "step": steps[tag],
                                  "phase": phase, "loss": loss, "dT": dT,
@@ -458,7 +470,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                     steps[tag] += 1
                 _check_finite(state, epoch, tag, phase)
             for tag, state in states.items():
-                curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y))
+                curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y, sets))
 
     best = {k: float(max(v)) for k, v in curves.items()}
     last = {k: float(v[-1]) for k, v in curves.items()}

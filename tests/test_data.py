@@ -1,17 +1,20 @@
 import io
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ccc import data
 from ccc.data import (CrowdDataset, _load_features_bin, _write_features_bin,
                       annotation_histogram, annotation_noise_rate,
                       confusion_distances, evaluate_accuracy, instance_noise_rate,
                       load_dataset, load_eval_set, make_blobs, save_dataset,
-                      save_eval_set, true_confusion_matrices)
+                      save_eval_set, true_confusion_matrices, write_csv, write_json)
 from ccc.errors import ContractError, DataFormatError
-from ccc.models import init_classifier, loss_and_grads, sgd_step, single_label_ce
+from ccc.models import (init_classifier, loss_and_grads, save_model, sgd_step,
+                        single_label_ce)
 from ccc.rng import RngStream
 
 
@@ -315,6 +318,52 @@ class TestIO:
         assert str(info.value).startswith("label is not an integer: '2.7'")
         assert info.value.line == 4
 
+    def _long_annotations(self, tmp_path, rows):
+        """A saved 3,000-row annotations.csv whose lines given as keys hold the values."""
+        ann = [[i, r, (i + r) % 3] for i in range(1000) for r in range(3)]
+        save_dataset(_ds(1000, 3, 3, ann), tmp_path / "d")
+        path = tmp_path / "d" / "annotations.csv"
+        lines = path.read_text().splitlines()
+        for line, text in rows.items():
+            lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("line, text, message", [
+        (2, "0,0,x", "label is not an integer: 'x'"),
+        (2950, "982,1,2.7", "label is not an integer: '2.7'"),
+        (3001, "1e0,2,0", "instance id is not an integer: '1e0'"),
+    ])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["\n", "\r\n"])
+    def test_unreadable_row_is_found_from_numpy_row_hint(self, tmp_path, monkeypatch,
+                                                         line, text, message, newline):
+        path = self._long_annotations(tmp_path, {line: text})
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        calls = []
+        reads_as = data._reads_as
+        monkeypatch.setattr(data, "_reads_as", lambda *args: calls.append(1) or reads_as(*args))
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value).startswith(message) and info.value.line == line
+        # At most the two rows the hint may name, then one per field of the bad row.
+        assert len(calls) <= 5
+
+    def test_wrong_row_hint_falls_back_to_a_scan(self, tmp_path, monkeypatch):
+        self._long_annotations(tmp_path, {40: "13,0,x", 2950: "982,1,2.7"})
+        loadtxt = np.loadtxt
+
+        def misleading(*args, **kwargs):
+            try:
+                return loadtxt(*args, **kwargs)
+            except ValueError as exc:  # names the second bad row, not the first
+                raise ValueError(re.sub(r"at row \d+", "at row 2948", str(exc))) from None
+
+        monkeypatch.setattr(np, "loadtxt", misleading)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value).startswith("label is not an integer: 'x'")
+        assert info.value.line == 40
+
     @pytest.mark.parametrize("newline, whole_file", [
         (b"\r\n", False), (b"\r", False), (b"\r\n", True), (b"\r", True),
     ], ids=["\r\n", "\r", "whole-file-\r\n", "whole-file-\r"])
@@ -371,6 +420,40 @@ class TestIO:
             X2, y2, c = load_eval_set(tmp_path / f"ev{n}")
             assert X2.shape == (n, 2) and y2.shape == (n,)
             assert np.array_equal(X, X2) and np.array_equal(y, y2) and c == 3
+
+
+def _model_without_bias():
+    clf = init_classifier("linear", 2, 0, 2, RngStream(0))
+    del clf.params["b"]  # save_model raises after writing W
+    return clf
+
+
+def _blocks_then_raise():
+    yield (np.arange(3), np.arange(3))
+    raise RuntimeError("disk full")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, "a,b", _blocks_then_raise()),
+        lambda path: write_json(path, {"a": 1, "b": object()}),
+        lambda path: save_model(_model_without_bias(), path),
+        lambda path: _write_features_bin(path, np.array([[0.5, "x"]], dtype=object)),
+    ], ids=["write_csv", "write_json", "save_model", "features.bin"])
+    def test_failed_write_keeps_the_earlier_file_and_leaves_no_tmp(self, tmp_path, write):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"earlier")
+        with pytest.raises(Exception):
+            write(path)
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_write_replaces_the_file_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"earlier")
+        write_csv(path, "a,b", [(np.arange(2), np.arange(2))])
+        assert path.read_text() == "a,b\n0,0\n1,1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestMakeBlobs:

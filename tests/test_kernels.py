@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccc import kernels
+from ccc.models import backprop, batch_forward, init_classifier
 from ccc.rng import RngStream
 
 
@@ -57,6 +58,56 @@ class TestCrowdGrads:
         one = np.ones(1, dtype=np.int64)
         loss, _, _ = kernels.crowd_grads(P, z, z, one, np.stack([np.eye(3)]), 1)
         assert loss == pytest.approx(-np.log(0.5), rel=1e-12)
+
+
+def _same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestWorkspace:
+    # (n, A) per batch: the annotation count grows, shrinks, hits 0, grows
+    # past every earlier batch, and the last batch is a short one.
+    BATCHES = [(6, 15), (8, 40), (3, 5), (5, 0), (8, 60), (2, 4)]
+
+    def test_reused_workspace_equals_fresh_arrays_bit_for_bit(self):
+        ws = kernels.Workspace()
+        clf = init_classifier("mlp", 3, 7, 4, RngStream(1))
+        handed_out = []
+        for seed, (n, A) in enumerate(self.BATCHES):
+            P, ai, ar, ay, M, groups, U = _random_case(seed, n=n, C=4, R=5, A=A, G=2)
+            want = kernels.crowd_grads(P, ai, ar, ay, M, 5)
+            got = kernels.crowd_grads(P, ai, ar, ay, M, 5, ws=ws)
+            assert got[0] == want[0]
+            assert all(map(_same_bits, got[1:], want[1:]))
+            want = kernels.hyper_grads(P, lambda dZ: U, ai, ar, ay, M, groups, 2)
+            got_h = kernels.hyper_grads(P, lambda dZ: U, ai, ar, ay, M, groups, 2, ws=ws)
+            assert all(map(_same_bits, got_h, want))
+
+            X = RngStream(seed).normal((n, 3))
+            fwd = batch_forward(clf, X, ws=ws)
+            assert all(map(_same_bits, fwd, batch_forward(clf, X)))
+            grads = backprop(clf, X, *fwd[:2], got[1], ws=ws)
+            want = backprop(clf, X, *batch_forward(clf, X)[:2], got[1])
+            assert all(_same_bits(grads[k], want[k]) for k in want)
+            handed_out += [*got[1:], *got_h, *grads.values()]
+        # Later calls on the same workspace leave earlier results alone.
+        kept = [a.copy() for a in handed_out]
+        for seed, (n, A) in enumerate(reversed(self.BATCHES)):
+            P, ai, ar, ay, M, groups, U = _random_case(seed + 10, n=n, C=4, R=5, A=A, G=2)
+            kernels.crowd_grads(P, ai, ar, ay, M, 5, ws=ws)
+            kernels.hyper_grads(P, lambda dZ: U, ai, ar, ay, M, groups, 2, ws=ws)
+            fwd = batch_forward(clf, RngStream(seed).normal((n, 3)), ws=ws)
+            backprop(clf, RngStream(seed).normal((n, 3)), *fwd[:2], fwd[2], ws=ws)
+        assert all(map(_same_bits, handed_out, kept))
+
+    def test_grows_only_and_views_a_smaller_shape(self):
+        ws = kernels.Workspace()
+        big = ws.array("a", (4, 5))
+        small = ws.array("a", (2, 3))
+        assert small.flags.c_contiguous and np.shares_memory(small, big)
+        assert not np.shares_memory(ws.array("a", (6, 5)), big)
+        assert not np.shares_memory(ws.array("b", (2, 3)), small)
 
 
 class TestSelectK:

@@ -1,9 +1,10 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
 
-from ccc.data import CrowdDataset, make_blobs
+from ccc.data import CrowdDataset, MetaSet, make_blobs
 from ccc.errors import ConfigError, ContractError
 from ccc.models import batch_forward, hidden_layer, init_classifier, last_layer
 from ccc.numerics import CE_FLOOR, kmeans, softmax_rows
@@ -13,7 +14,7 @@ from ccc.training import (Batch, ModelState, TrainConfig, aggregate_majority,
                           auto_meta_lr, correction_gradient, distill_meta_set,
                           group_annotators, init_confusion_votes, make_batch,
                           train, _check_finite, _crowd_step, _init_confusions)
-from ccc import kernels
+from ccc import kernels, training
 
 
 def _blob_crowd(seed=0, n=120, c=4, d=6, r=8, k=2, spread=0.2, eps=0.3):
@@ -576,3 +577,60 @@ class TestTrainCcc:
         res = train(ds, cfg)
         assert len(res.curves["model1"]) == 4
         assert all(np.isfinite(v) for v in res.curves["model1"])
+
+
+class TestWorkspace:
+    def test_nothing_handed_out_is_a_view_of_the_workspace(self, monkeypatch):
+        buffers = {}
+
+        class Recording(kernels.Workspace):
+            def array(self, name, shape, dtype=np.float64):
+                out = super().array(name, shape, dtype)
+                buffers[id(out.base)] = out.base
+                return out
+
+        monkeypatch.setattr(training, "Workspace", Recording)
+        # 70 instances in batches of 32 end each epoch on a short batch.
+        ds = _blob_crowd(seed=40, n=70)
+        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=9, model="mlp",
+                        hidden_dim=8, meta_batch=4)
+        steps = []
+        res = train(ds, cfg, on_step=lambda rec: steps.append((rec["dT"], rec["dT"].copy())))
+        assert buffers and len(steps) == 2 * 4 * 3
+        # Each step's dT keeps its value through every later step.
+        assert all(np.array_equal(dT, kept) for dT, kept in steps)
+        handed_out = [dT for dT, _ in steps]
+        for state in res.states.values():
+            handed_out += [*state.clf.params.values(), *state.clf.momentum.values(),
+                           state.T, state.T_mom, state.V, state.group_of]
+        assert not any(np.shares_memory(a, b) for a in handed_out for b in buffers.values())
+
+    def test_whole_set_meta_batches_are_gathered_once(self):
+        meta = MetaSet(np.arange(10.0).reshape(5, 2), np.arange(5))
+        whole = training._meta_batches(meta, RngStream(3), 8)
+        first = next(whole)
+        assert sorted(first[1].tolist()) == list(range(5))
+        assert all(batch[0] is first[0] for batch, _ in zip(whole, range(3)))
+        part = training._meta_batches(meta, RngStream(3), 2)
+        labels = np.concatenate([next(part)[1] for _ in range(5)])
+        assert np.array_equal(labels, np.tile(first[1], 2))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_second_identical_ccc_train_takes_few_page_faults(self):
+        import resource
+
+        # Desk-shaped but short. Allocating each step's large temporaries
+        # anew made the second train take tens of thousands of minor faults.
+        master = RngStream(41)
+        X, y = make_blobs(2000, 10, 16, 0.29, master.split("features"))
+        ds = generate(y, X, build_pool("IND-I", 10, R=50, k=3, rng=master.split("pool")),
+                      master.split("labels"))
+        cfg = TrainConfig(algo="ccc", epochs=12, warmup=2, batch_size=128, meta_batch=200,
+                          lr=0.05, momentum=0.9, weight_decay=0.0, meta_size=200,
+                          lr_decay_epoch=None, model="mlp", hidden_dim=128, seed=1)
+        train(ds, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(ds, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 4000
