@@ -133,44 +133,29 @@ def _parse_feature_source(expr: str):
 
 
 def _parse_pattern_file(path) -> list[PatternSpec]:
+    """Specs of '<count> <kind> [arg]' lines: count >= 1, one argument for
+    symmetric, pair (epsilon) and classwise (good classes), none otherwise."""
     specs: list[PatternSpec] = []
     for lineno, line in _read_lines(path, "pattern"):
-        parts = line.split()
         try:
-            count = int(parts[0])
-            kind = parts[1]
-            arg = parts[2] if len(parts) > 2 else None
-            for _ in range(count):
-                if kind in ("symmetric", "pair"):
-                    specs.append(PatternSpec(kind, epsilon=float(arg)))
-                elif kind == "classwise":
-                    good = tuple(int(v) for v in arg.split(","))
-                    specs.append(PatternSpec(kind, good_classes=good))
-                else:
-                    specs.append(PatternSpec(kind))
-        except (IndexError, ValueError, ContractError) as exc:
+            head, kind, *args = line.split()
+            count = int(head)
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
+            takes_arg = kind in ("symmetric", "pair", "classwise")
+            if len(args) != takes_arg:
+                raise ValueError(f"{kind} takes {'one argument' if takes_arg else 'no argument'}, "
+                                 f"got {len(args)}")
+            if kind == "classwise":
+                spec = PatternSpec(kind, good_classes=tuple(int(v) for v in args[0].split(",")))
+            else:  # symmetric and pair take epsilon, the other kinds nothing
+                spec = PatternSpec(kind, *map(float, args))
+        except (ValueError, ContractError) as exc:
             raise DataFormatError(f"bad pattern line: {exc}", path, lineno) from None
+        specs += [spec] * count  # build_pool copies each spec
     if not specs:
         raise DataFormatError("pattern file defines no annotators", path)
     return specs
-
-
-def _parse_pair_map(expr: str, C: int) -> np.ndarray:
-    pm = np.full(C, -1, dtype=np.int64)
-    for part in expr.split(","):
-        try:
-            a, b = (int(v) for v in part.split(":"))
-        except ValueError:
-            raise ConfigError(f"bad pair map entry {part!r}: expected int:int") from None
-        if not 0 <= a < C or pm[a] >= 0:
-            raise ConfigError(f"pair map source class {a} is out of range or repeated")
-        if not 0 <= b < C or b == a:
-            raise ConfigError(f"pair map target class {b} is out of range or equal to "
-                              f"its source {a}")
-        pm[a] = b
-    if (pm < 0).any():
-        raise ConfigError("pair map must cover every class")
-    return pm
 
 
 def cmd_simulate(args) -> int:
@@ -205,12 +190,7 @@ def cmd_simulate(args) -> int:
     else:
         features, truth, C = load_eval_set(src["path"])
 
-    pair_map = None
-    if args.pair_map is not None:
-        pair_map = _parse_pair_map(args.pair_map, C)
-
-    pool = build_pool(pool_source, C, R=args.annotators, rng=master.split("pool"),
-                      pair_map=pair_map, **given)
+    pool = build_pool(pool_source, C, R=args.annotators, rng=master.split("pool"), **given)
     result = generate(truth, features, pool, master.split("labels"),
                       return_dense=args.dump_dense,
                       preset=args.preset, seed=seed)
@@ -416,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, default=None, help="labels kept per instance")
     sim.add_argument("--alpha", type=float, default=None)
     sim.add_argument("--beta", type=float, default=None)
-    sim.add_argument("--pair-map", help="override pair confusions, e.g. 0:1,1:0")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", required=True)
     sim.add_argument("--test-size", type=int, default=0,

@@ -30,9 +30,7 @@ def softmax_rows(Z: np.ndarray, out=None) -> np.ndarray:
 @dataclass
 class KmeansResult:
     assignments: np.ndarray  # (P,) int64 cluster index per point
-    centroids: np.ndarray    # (G, dim)
     inertia: float           # sum of squared distances to assigned centroid
-    iterations: int
 
 
 def _plusplus_seed(X: np.ndarray, G: int, rng: RngStream) -> np.ndarray:
@@ -73,9 +71,7 @@ def kmeans(points, G: int, rng: RngStream, max_iter: int = 100) -> KmeansResult:
     prev_assign = None
     prev_inertia = np.inf
     assign = np.zeros(P, dtype=np.int64)
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1).astype(np.int64)
 
@@ -103,4 +99,4 @@ def kmeans(points, G: int, rng: RngStream, max_iter: int = 100) -> KmeansResult:
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign.copy()
-    return KmeansResult(assign, centroids, prev_inertia, iterations)
+    return KmeansResult(assign, prev_inertia)

@@ -11,8 +11,7 @@ with.
 
 Independent pattern kinds (rows = true class, cols = reported label):
     symmetric-e  diag 1-e, off-diag e/(C-1)
-    pair-e       diag 1-e, weight e on the paired class
-                 (default pairing c -> (c+1) mod C, overridable)
+    pair-e       diag 1-e, weight e on the paired class (c+1) mod C
     classwise-S  one-hot rows for classes in S, uniform 1/C otherwise
     dummy        uniform 1/C everywhere
 
@@ -74,7 +73,6 @@ class AnnotatorPool:
     alpha: float
     beta: float
     class_count: int
-    pair_map: np.ndarray | None = None
     group_of: np.ndarray = field(default=None)  # generator pattern-group ids
 
     @property
@@ -82,18 +80,7 @@ class AnnotatorPool:
         return len(self.specs)
 
 
-def default_pair_map(C: int) -> np.ndarray:
-    return (np.arange(C, dtype=np.int64) + 1) % C
-
-
-def _check_pair_map(pair_map, C: int) -> np.ndarray:
-    pm = np.asarray(pair_map, dtype=np.int64)
-    if pm.shape != (C,) or (pm < 0).any() or (pm >= C).any() or (pm == np.arange(C)).any():
-        raise ContractError("pair map must map each class to a different class in range")
-    return pm
-
-
-def pattern_matrix(spec: PatternSpec, C: int, pair_map=None) -> np.ndarray:
+def pattern_matrix(spec: PatternSpec, C: int) -> np.ndarray:
     """Row-stochastic confusion matrix of an independent pattern."""
     if not spec.independent:
         raise ContractError(f"{spec.kind} has no standalone pattern matrix")
@@ -104,11 +91,10 @@ def pattern_matrix(spec: PatternSpec, C: int, pair_map=None) -> np.ndarray:
         mat = np.full((C, C), e / (C - 1))
         np.fill_diagonal(mat, 1.0 - e)
     elif spec.kind == "pair":
-        pm = default_pair_map(C) if pair_map is None else _check_pair_map(pair_map, C)
         e = spec.epsilon
         mat = np.zeros((C, C))
         np.fill_diagonal(mat, 1.0 - e)
-        mat[np.arange(C), pm] += e
+        mat[np.arange(C), (np.arange(C) + 1) % C] += e
     elif spec.kind == "classwise":
         good = set(spec.good_classes)
         if not all(0 <= g < C for g in good):
@@ -199,7 +185,7 @@ def preset_specs(name: str, per_group: int):
 
 def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
                alpha: float = 1.5, beta: float = 3.0, *,
-               rng: RngStream, pair_map=None) -> AnnotatorPool:
+               rng: RngStream) -> AnnotatorPool:
     """Assemble a pool: propensities and fixed correlated targets.
 
     spec_source is a preset name or an explicit list of PatternSpec.
@@ -227,7 +213,6 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     independents = [i for i, s in enumerate(specs) if s.independent]
     if not independents:
         raise ContractError("pool needs at least one independent annotator")
-    pm = None if pair_map is None else _check_pair_map(pair_map, C)
 
     propensities = rng.beta(alpha, beta, R)
     for spec in specs:
@@ -244,8 +229,7 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
         groups = np.asarray(
             [keymap.setdefault((s.kind, s.epsilon, s.good_classes), len(keymap))
              for s in specs], dtype=np.int64)
-    return AnnotatorPool(specs, propensities, k, alpha, beta, C,
-                         pair_map=pm, group_of=groups)
+    return AnnotatorPool(specs, propensities, k, alpha, beta, C, group_of=groups)
 
 
 def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
@@ -278,7 +262,7 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
             continue
-        cum = np.cumsum(pattern_matrix(spec, C, pool.pair_map), axis=1)
+        cum = np.cumsum(pattern_matrix(spec, C), axis=1)
         dense[r] = draw_labels(cum, truth, rng.uniform(N))
     for r, spec in enumerate(pool.specs):
         if spec.independent:

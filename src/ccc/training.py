@@ -11,14 +11,16 @@ run's models, with one evaluation and bookkeeping path:
   * ccc: two coupled crowdlayer models. Warmup epochs are the crowdlayer
     step; after them each epoch distills a class-balanced meta set for
     the other model (small-loss selection over majority-vote
-    candidates), clusters annotators by their learned transitions, and
-    runs a three-stage update per batch: a discarded virtual step of the
-    last layer, a meta update of the per-group correction matrices
-    through that step (exact last-layer hypergradient), and the actual
-    step on corrected transitions.
+    candidates), clusters the annotators of both models jointly by their
+    learned transitions, and runs a three-stage update per batch: a
+    discarded virtual step of the last layer, a meta update of the
+    per-group correction matrices through that step (exact last-layer
+    hypergradient), and the actual step on corrected transitions.
 
-Each model is one flat ModelState. Its crowd step uses T alone until
-ccc's first post-warmup epoch adds the group corrections V.
+Each model is one flat ModelState: classifier, transitions T and their
+momentum. A correction lives for one step: it starts at zero, takes one
+meta update, shifts the transitions its step sees from T to
+M = T + V[group_of], and is then dropped.
 
 train owns two kernels.Workspaces and drops them when it returns. The
 batch step's forward, backprop and crowd_grads write their large
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, asdict
 
@@ -65,8 +68,6 @@ CHOICES = {
     "algo": ("majority", "crowdlayer", "ccc"),
     "confusion_init": ("identity", "votes"),
     "model": tuple(PARAM_KEYS),
-    "v_reset": ("iteration", "epoch"),
-    "grouping": ("joint", "per-model"),
 }
 
 
@@ -87,9 +88,7 @@ class TrainConfig:
     confusion_init: str = "identity"
     model: str = "linear"
     hidden_dim: int = 32
-    lr_decay_epoch: int | None = 40   # divide lr by 10 from this epoch on
-    v_reset: str = "iteration"
-    grouping: str = "joint"
+    lr_decay_epoch: int | None = 40   # divide lr by 10 from this epoch on; None: never
 
     def validate(self) -> None:
         for name, allowed in CHOICES.items():
@@ -99,8 +98,13 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.algo == "ccc" and not 0 <= self.warmup < self.epochs:
             raise ConfigError("need 0 <= warmup < epochs")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
+        if not 0 < self.lr < math.inf:  # also rejects nan
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("momentum", "weight_decay", "gamma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.lr_decay_epoch is not None and self.lr_decay_epoch < 0:
+            raise ConfigError(f"lr_decay_epoch must be >= 0 or None, got {self.lr_decay_epoch}")
         if self.meta_size < 1 or self.meta_batch < 1 or self.groups < 1:
             raise ConfigError("meta_size, meta_batch, groups must be >= 1")
         if self.model == "mlp" and self.hidden_dim < 1:
@@ -109,12 +113,10 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """One model: T and T_mom are set for crowd steps, V and group_of after ccc warmup."""
+    """One model: T and T_mom are set for crowd steps (crowdlayer and ccc)."""
     clf: Classifier
     T: np.ndarray | None = None         # (R, C, C) learned transitions, unconstrained
     T_mom: np.ndarray | None = None     # momentum buffers, same shape
-    V: np.ndarray | None = None         # (G, C, C), re-zeroed per iteration (or epoch)
-    group_of: np.ndarray | None = None  # (R,) annotator -> group
 
 
 @dataclass
@@ -216,14 +218,14 @@ def _resolve_eval(ds: CrowdDataset, eval_set):
 
 
 def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
-                forward, ws: Workspace | None = None):
+                forward, M: np.ndarray, ws: Workspace | None = None):
     """One joint SGD step on (classifier, transitions) for a batch.
 
-    The transitions are T, or T + V[group_of] once ccc has corrections;
-    V stays constant. `forward` is batch_forward(state.clf, batch.features)
-    at the current parameters. Returns (mean loss, normalized dT).
+    The loss scores annotations through M: state.T, or ccc's corrected
+    transitions; its gradient w.r.t. M updates state.T. `forward` is
+    batch_forward(state.clf, batch.features) at the current parameters.
+    Returns (mean loss, normalized dT).
     """
-    M = state.T if state.V is None else state.T + state.V[state.group_of]
     pre, H, P = forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                                    batch.ann_label, M, state.T.shape[0], ws=ws)
@@ -300,14 +302,16 @@ def auto_meta_lr(T: np.ndarray, g_cor: np.ndarray, gamma: float) -> float:
     return gamma * float(T.max()) / denom
 
 
-def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
-                        group_of: np.ndarray, batch: Batch,
+def correction_gradient(clf: Classifier, M: np.ndarray, group_of: np.ndarray,
+                        G: int, batch: Batch,
                         meta_features: np.ndarray, meta_labels: np.ndarray,
                         eta_v: float, forward, ws: Workspace | None = None) -> np.ndarray:
-    """Exact gradient of the meta loss w.r.t. the group corrections.
+    """Exact gradient of the meta loss w.r.t. the (G, C, C) group corrections.
 
-    The virtual step moves only the last layer: (W, b) minus eta_v times
-    their batch-loss gradient under transitions T + V. The meta loss is
+    The gradient is taken where the corrections V shift the transitions
+    to M = T + V[group_of]; the training loop passes T, so V = 0. The
+    virtual step moves only the last layer: (W, b) minus eta_v times
+    their batch-loss gradient under transitions M. The meta loss is
     plain cross entropy at the virtually stepped layer over the frozen
     penultimate map. Its total derivative w.r.t. V is -eta_v times the
     V-gradient of <grad_{W,b} batch loss, meta-loss gradient at the
@@ -323,7 +327,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
     a = batch.ann_instance.shape[0]
     m = meta_labels.shape[0]
     if a == 0 or m == 0:
-        return np.zeros_like(V)
+        return np.zeros((G, *M.shape[1:]))
     W, b = last_layer(clf)
     _, H, P = forward
     _, Hm = hidden_layer(clf, meta_features, ws)
@@ -335,7 +339,7 @@ def correction_gradient(clf: Classifier, T: np.ndarray, V: np.ndarray,
         return H @ (Hm.T @ dZm / m) + dZm.sum(axis=0) / m
 
     _, dV = hyper_grads(P, meta_u, batch.ann_instance, batch.ann_annotator,
-                        batch.ann_label, T + V[group_of], group_of, V.shape[0], ws=ws)
+                        batch.ann_label, M, group_of, G, ws=ws)
     return -(eta_v / a) * dV
 
 
@@ -367,7 +371,7 @@ def _meta_batches(meta: MetaSet, rng: RngStream, size: int):
 
 
 def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
-    arrays = dict(state.clf.params, T=state.T, V=state.V)
+    arrays = dict(state.clf.params, T=state.T)
     bad = [name for name, arr in arrays.items()
            if arr is not None and not np.isfinite(arr).all()]
     if bad:
@@ -425,15 +429,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                 # Each model learns from the meta set the other distills.
                 meta_sets = {"model1": distill_meta_set(ds, mv, m2.clf, cfg.meta_size, sets),
                              "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size, sets)}
-                Ts = [m1.T, m2.T]
-                if cfg.grouping == "joint":
-                    group_maps = [group_annotators(Ts, G, kmeans_rng)] * 2
-                else:
-                    group_maps = [group_annotators([T], G, kmeans_rng) for T in Ts]
-                groups_by_epoch.append((epoch, group_maps[0].copy()))
-                for state, group_of in zip((m1, m2), group_maps):
-                    state.V = np.zeros((G, C, C))
-                    state.group_of = group_of
+                group_of = group_annotators([m1.T, m2.T], G, kmeans_rng)
+                groups_by_epoch.append((epoch, group_of))
             for tag, state in states.items():
                 if phase == "ccc":
                     meta_batches = _meta_batches(meta_sets[tag], meta_rngs[tag],
@@ -450,19 +447,17 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                     # The correction update leaves the classifier as it
                     # is, so one forward serves both stages.
                     fwd = batch_forward(state.clf, batch.features, ws)
+                    M = state.T
                     if phase == "ccc":
-                        if cfg.v_reset == "iteration":
-                            state.V[:] = 0.0
                         meta_X, meta_y = next(meta_batches)
-                        g_cor = correction_gradient(state.clf, state.T, state.V,
-                                                    state.group_of, batch,
+                        g_cor = correction_gradient(state.clf, state.T, group_of, G, batch,
                                                     meta_X, meta_y, lr, fwd, sets)
                         eta_m = auto_meta_lr(state.T, g_cor, cfg.gamma)
-                        # Skipping the zero update keeps V exactly zero at
+                        # Skipping the zero update keeps M exactly T at
                         # gamma=0, where ccc reproduces crowdlayer.
                         if eta_m != 0.0:
-                            state.V -= eta_m * g_cor
-                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd, ws)
+                            M = state.T - (eta_m * g_cor)[group_of]
+                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd, M, ws)
                     if on_step is not None:
                         on_step({"model": tag, "epoch": epoch, "step": steps[tag],
                                  "phase": phase, "loss": loss, "dT": dT,

@@ -134,7 +134,7 @@ def test_criterion_03_hypergradient_oracle():
         return float(-np.log(np.maximum(Pm[np.arange(m), ym], CE_FLOOR)).mean())
 
     t0 = time.perf_counter()
-    g = correction_gradient(clf, T, V, group_of, batch, Xm, ym, eta_v,
+    g = correction_gradient(clf, T + V[group_of], group_of, G, batch, Xm, ym, eta_v,
                             batch_forward(clf, X))
     h = 1e-4
     num = np.zeros_like(V)

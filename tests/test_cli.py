@@ -107,27 +107,7 @@ class TestSimulate:
         meta = json.loads((out / "test" / "meta.json").read_text())
         assert meta["n"] == 30 and meta["r"] == 0
 
-    def test_pair_map_override(self, tmp_path):
-        patterns = tmp_path / "pair.txt"
-        patterns.write_text("2 pair 1.0\n")
-        out = tmp_path / "paired"
-        argv = ["simulate", "--features", "blobs:N=30,C=3,D=4,spread=0.1",
-                "--patterns", str(patterns), "--pair-map", "0:2,1:0,2:1",
-                "--k", "1", "--seed", "2", "--out", str(out)]
-        assert main(argv) == 0
-        ds = load_dataset(out)
-        # epsilon 1.0 routes every label through the explicit pair map
-        pair = np.array([2, 0, 1])
-        assert np.array_equal(ds.ann_label, pair[ds.truth[ds.ann_instance]])
-
     @pytest.mark.parametrize("flag, value", [
-        ("--pair-map", "0:2,1:0,9:2"),     # source class out of range
-        ("--pair-map", "0:2,1:0,-1:2"),    # negative source class
-        ("--pair-map", "0:2,1:0,3:x"),     # target not an integer
-        ("--pair-map", "0:2,x:0,2:1"),     # source not an integer
-        ("--pair-map", "0:2,0:1,2:1"),     # source class repeated
-        ("--pair-map", "0:2,1:0,2:9"),     # target class out of range
-        ("--pair-map", "0:2,1:1,2:0"),     # target equal to its source
         ("--features", "blobs:N=x,C=3,D=4"),
         ("--features", "blobs:N=30,C=3,D=4,spread=wide"),
         ("--features", "blobs:N=0,C=3,D=4"),
@@ -144,10 +124,30 @@ class TestSimulate:
         patterns.write_text("2 pair 1.0\n")
         out = tmp_path / "bad"
         argv = {"--features": "blobs:N=30,C=3,D=4", "--patterns": str(patterns),
-                "--pair-map": "0:2,1:0,2:1", "--k": "1", "--out": str(out)}
+                "--k": "1", "--out": str(out)}
         argv[flag] = value
         assert main(["simulate", *(x for kv in argv.items() for x in kv)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "2 symmetric",              # epsilon missing
+        "2 classwise",              # good classes missing
+        "-3 symmetric 0.2",         # negative count
+        "0 dummy",                  # zero count
+        "3 symmetric 0.2 junk",     # extra argument
+        "2 dummy 0.5",              # argument to a kind that takes none
+    ])
+    def test_bad_pattern_line_exit_code(self, tmp_path, capsys, line):
+        patterns = tmp_path / "bad.txt"
+        patterns.write_text(f"2 symmetric 0.2\n{line}\n")
+        out = tmp_path / "bad"
+        argv = ["simulate", "--features", "blobs:N=30,C=3,D=4",
+                "--patterns", str(patterns), "--k", "1", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("validation error: bad pattern line: ")
+        assert err.endswith(f"[{patterns}:2]")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -406,6 +406,19 @@ class TestTrain:
         assert "--seed and --seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gamma", "nan", "gamma must be finite and >= 0, got nan"),
+        ("--lr", "0", "lr must be finite and > 0, got 0.0"),
+    ])
+    def test_nonsense_rate_exit_code(self, tmp_path, capsys, flag, value, message):
+        # Rejected before any data is read: the dataset does not exist.
+        out = tmp_path / "rate-run"
+        # Appended after _train_args' own --lr 0.2, so the last one given wins.
+        argv = _train_args(tmp_path / "missing", out, "ccc", **{flag[2:]: value})
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not out.exists()
+
     def test_mlp_without_hidden_units_exit_code(self, tmp_path, capsys):
         # Rejected before any data is read: the dataset does not exist.
         out = tmp_path / "mlp-run"
@@ -477,7 +490,22 @@ class TestTrain:
 
 
 class TestConfigAndDefaults:
-    @pytest.mark.parametrize("key", ["learning-rate", "epoch", "batch_size", "algo"])
+    @pytest.mark.parametrize("command, flag, value", [
+        (["train", "--data", "d", "--algo", "ccc"], "--v-reset", "epoch"),
+        (["train", "--data", "d", "--algo", "ccc"], "--grouping", "joint"),
+        (["simulate", "--features", "blobs:N=30,C=2,D=4", "--preset", "IND-I"],
+         "--pair-map", "0:1,1:0"),
+    ], ids=["v-reset", "grouping", "pair-map"])
+    def test_removed_flag_rejected_by_argparse(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["learning-rate", "epoch", "batch_size", "algo",
+                                     "v-reset", "grouping"])
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_unknown_config_key_exit_code(self, tmp_path, capsys, command, key):
         ds_dir = _simulate(tmp_path, "typo")

@@ -153,8 +153,10 @@ class TestKmeans:
         assert np.array_equal(a.assignments, b.assignments)
         assert a.inertia == b.inertia
 
-    def test_inertia_nonnegative_and_iterations_reported(self):
+    def test_inertia_is_the_assignment_sum_of_squares(self):
         X = RngStream(4).normal((25, 3))
         res = kmeans(X, 5, rng=RngStream(5))
+        means = np.stack([X[res.assignments == g].mean(axis=0) for g in range(5)])
+        want = float(((X - means[res.assignments]) ** 2).sum())
         assert res.inertia >= 0.0
-        assert 1 <= res.iterations <= 100
+        assert res.inertia == pytest.approx(want, rel=1e-12)

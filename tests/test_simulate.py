@@ -32,10 +32,6 @@ class TestPatternMatrix:
         assert np.allclose(np.diag(mat), 0.4)
         assert np.allclose(mat[np.arange(4), (np.arange(4) + 1) % 4], 0.6)
 
-    def test_pair_map_override(self):
-        mat = pattern_matrix(PatternSpec("pair", epsilon=0.5), 2, pair_map=[1, 0])
-        assert np.allclose(mat, [[0.5, 0.5], [0.5, 0.5]])
-
     def test_all_patterns_row_stochastic(self):
         specs = [PatternSpec("symmetric", epsilon=0.41),
                  PatternSpec("pair", epsilon=0.77),
@@ -55,9 +51,9 @@ class TestPatternMatrix:
             PatternSpec("symmetric", epsilon=1.5)
 
 
-def _dense_labels(specs, C, true_label, n, seed, pair_map=None):
+def _dense_labels(specs, C, true_label, n, seed):
     """Phase-1 labels (n, R) of a k=1 pool on n instances of one true class."""
-    pool = build_pool(specs, C, k=1, rng=RngStream(seed), pair_map=pair_map)
+    pool = build_pool(specs, C, k=1, rng=RngStream(seed))
     truth = np.full(n, true_label, dtype=np.int64)
     _, dense = generate(truth, np.zeros((n, 1)), pool, RngStream(seed).split("labels"),
                         return_dense=True)
@@ -84,12 +80,11 @@ class TestIndependentSampling:
 class TestCorrelatedSampling:
     # Annotator 0 is the independent target; annotator 1 reacts to it.
     def test_copy(self):
-        # pair-1.0 with 1 -> 7 always reports 7 on class 1
-        pair_map = [1, 7, 3, 4, 5, 6, 7, 8, 9, 0]
+        # pair-1.0 always reports 2 on class 1
         specs = [PatternSpec("pair", epsilon=1.0), PatternSpec("copy", target=0)]
-        dense = _dense_labels(specs, 10, 1, 50, 0, pair_map=pair_map)
-        assert (dense[:, 0] == 7).all()
-        assert (dense[:, 1] == 7).all()
+        dense = _dense_labels(specs, 10, 1, 50, 0)
+        assert (dense[:, 0] == 2).all()
+        assert (dense[:, 1] == 2).all()
 
     def test_supportive_with_correct_target(self):
         specs = [PatternSpec("symmetric", epsilon=0.0), PatternSpec("supportive", target=0)]

@@ -13,7 +13,7 @@ from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import (Batch, ModelState, TrainConfig, aggregate_majority,
                           auto_meta_lr, correction_gradient, distill_meta_set,
                           group_annotators, init_confusion_votes, make_batch,
-                          train, _check_finite, _crowd_step, _init_confusions)
+                          train, _crowd_step, _init_confusions)
 from ccc import kernels, training
 
 
@@ -187,7 +187,7 @@ class TestCrowdlayerTraining:
         W0 = clf.params["W"].copy()
         b0 = clf.params["b"].copy()
         _crowd_step(state, batch, lr, _tiny_cfg(momentum=0.0, weight_decay=0.0),
-                    forward=batch_forward(clf, x))
+                    forward=batch_forward(clf, x), M=state.T)
         np.testing.assert_allclose(clf.params["W"], W0 - lr * dW_hand, atol=1e-8)
         np.testing.assert_allclose(clf.params["b"], b0 - lr * db_hand, atol=1e-8)
         np.testing.assert_allclose(state.T[0], T[0] - lr * dT_hand, atol=1e-8)
@@ -358,7 +358,7 @@ def _meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v):
 class TestOuterStep:
     def test_zero_virtual_lr_gives_zero_gradient(self):
         clf, T, group_of, batch, Xm, ym = _outer_fixture()
-        g = correction_gradient(clf, T, np.zeros((1, 3, 3)), group_of, batch,
+        g = correction_gradient(clf, T, group_of, 1, batch,
                                 Xm, ym, eta_v=0.0,
                                 forward=batch_forward(clf, batch.features))
         assert (g == 0.0).all()
@@ -368,7 +368,7 @@ class TestOuterStep:
         G, C = 1, 3
         V = 0.02 * RngStream(5).normal((G, C, C))
         eta_v = 0.3
-        g = correction_gradient(clf, T, V, group_of, batch, Xm, ym, eta_v,
+        g = correction_gradient(clf, T + V[group_of], group_of, G, batch, Xm, ym, eta_v,
                                 forward=batch_forward(clf, batch.features))
         h = 1e-4
         num = np.zeros_like(V)
@@ -390,7 +390,7 @@ class TestOuterStep:
         clf, T, _, batch, Xm, ym = _outer_fixture(seed=3, R=2, G=2)
         group_of = np.array([0, 1], dtype=np.int64)
         batch.ann_annotator[:] = 0
-        g = correction_gradient(clf, T, np.zeros((2, 3, 3)), group_of, batch,
+        g = correction_gradient(clf, T, group_of, 2, batch,
                                 Xm, ym, eta_v=0.25,
                                 forward=batch_forward(clf, batch.features))
         assert (g[1] == 0.0).all()
@@ -401,7 +401,7 @@ class TestOuterStep:
         clf, T, group_of, batch, Xm, ym = _outer_fixture(seed=4)
         before = {k: v.copy() for k, v in clf.params.items()}
         T_before = T.copy()
-        g = correction_gradient(clf, T, np.zeros((1, 3, 3)), group_of, batch,
+        g = correction_gradient(clf, T, group_of, 1, batch,
                                 Xm, ym, eta_v=0.3,
                                 forward=batch_forward(clf, batch.features))
         for key, value in before.items():
@@ -417,22 +417,20 @@ class TestActualStep:
         batch = make_batch(ds, idx, ds.instance_slices())
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
 
-        # A crowdlayer state (V is None, M = T) against zero corrections
-        # in one group and in three (M = T + 0).
+        # A crowdlayer step (M = T) against zero corrections in one group
+        # and in three (M = T + 0[group_of]).
         clf = init_classifier("linear", ds.d, 0, 4, RngStream(15))
         T0 = _init_confusions(ds, cfg)
         R = ds.annotator_count
-        states = [ModelState(copy.deepcopy(clf), T=T0.copy(), T_mom=np.zeros_like(T0),
-                             V=V, group_of=group_of)
-                  for V, group_of in ((None, None),
-                                      (np.zeros((1, 4, 4)), np.zeros(R, dtype=np.int64)),
-                                      (np.zeros((3, 4, 4)),
-                                       (np.arange(R) % 3).astype(np.int64)))]
-        for state in states:
+        states = [ModelState(copy.deepcopy(clf), T=T0.copy(), T_mom=np.zeros_like(T0))
+                  for _ in range(3)]
+        Ms = [states[0].T,
+              states[1].T + np.zeros((1, 4, 4))[np.zeros(R, dtype=np.int64)],
+              states[2].T + np.zeros((3, 4, 4))[np.arange(R) % 3]]
+        for state, M in zip(states, Ms):
             _crowd_step(state, batch, cfg.lr, cfg,
-                        forward=batch_forward(state.clf, batch.features))
+                        forward=batch_forward(state.clf, batch.features), M=M)
         ref = states[0]
-        assert ref.V is None
         for state in states[1:]:
             for key in ("W", "b"):
                 assert np.array_equal(ref.clf.params[key], state.clf.params[key])
@@ -448,10 +446,10 @@ class TestActualStep:
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
         T0 = _init_confusions(ds, cfg)
         state = ModelState(init_classifier("linear", ds.d, 0, 4, RngStream(17)),
-                           T=T0, T_mom=np.zeros_like(T0), V=np.zeros((2, 4, 4)),
-                           group_of=np.zeros(ds.annotator_count, dtype=np.int64))
+                           T=T0, T_mom=np.zeros_like(T0))
+        M = T0 + np.zeros((2, 4, 4))[np.zeros(ds.annotator_count, dtype=np.int64)]
         _crowd_step(state, batch, cfg.lr, cfg,
-                    forward=batch_forward(state.clf, batch.features))
+                    forward=batch_forward(state.clf, batch.features), M=M)
         for r in absent:
             assert np.array_equal(state.T[r], np.eye(4))
 
@@ -468,12 +466,29 @@ class TestDivergenceGuard:
             train(ds, _tiny_cfg(algo=algo, lr=1e200, epochs=3), on_step=steps.append)
         assert {info["epoch"] for info in steps} <= {0}
 
-    def test_non_finite_correction_names_v(self):
+    def test_nan_correction_stops_the_run_in_its_epoch(self, monkeypatch):
+        # A NaN meta lr makes every corrected transition NaN, so the first
+        # ccc epoch's step poisons T and the run stops there.
+        monkeypatch.setattr(training, "auto_meta_lr", lambda T, g_cor, gamma: float("nan"))
         ds = _blob_crowd(seed=33)
-        state = train(ds, _tiny_cfg(algo="ccc", epochs=2, warmup=1)).states["model2"]
-        state.V[0, 0, 0] = np.nan
-        with pytest.raises(ConfigError, match=r"epoch 1, model2, ccc phase: non-finite V"):
-            _check_finite(state, 1, "model2", "ccc")
+        steps = []
+        with pytest.raises(ConfigError, match=r"epoch 1, model1, ccc phase: non-finite "):
+            train(ds, _tiny_cfg(algo="ccc", epochs=3, warmup=1), on_step=steps.append)
+        assert {info["epoch"] for info in steps} == {0, 1}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", float("nan")), ("lr", float("nan")), ("lr", -0.05),
+        ("lr", 0.0), ("lr", float("inf")), ("momentum", float("inf")),
+        ("momentum", -0.1), ("weight_decay", -1.0), ("lr_decay_epoch", -1),
+    ])
+    def test_nonsense_value_rejected_before_training(self, field, value):
+        steps = []
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            train(_blob_crowd(seed=34), _tiny_cfg(algo="ccc", **{field: value}),
+                  on_step=steps.append)
+        assert steps == []
 
 
 class TestTrainCcc:
@@ -547,14 +562,6 @@ class TestTrainCcc:
         with pytest.raises(ConfigError):
             train(ds, _tiny_cfg(algo="ccc", gamma=-1.0, epochs=3, warmup=1))
 
-    def test_epoch_reset_and_per_model_grouping_run(self):
-        ds = _blob_crowd(seed=25)
-        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=6,
-                        v_reset="epoch", grouping="per-model")
-        res = train(ds, cfg)
-        assert len(res.curves["model1"]) == 4
-        assert np.isfinite(res.states["model1"].T).all()
-
     def test_votes_init_trains(self):
         ds = _blob_crowd(seed=26)
         cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1, seed=7,
@@ -602,7 +609,7 @@ class TestWorkspace:
         handed_out = [dT for dT, _ in steps]
         for state in res.states.values():
             handed_out += [*state.clf.params.values(), *state.clf.momentum.values(),
-                           state.T, state.T_mom, state.V, state.group_of]
+                           state.T, state.T_mom]
         assert not any(np.shares_memory(a, b) for a in handed_out for b in buffers.values())
 
     def test_whole_set_meta_batches_are_gathered_once(self):
