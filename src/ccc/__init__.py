@@ -10,7 +10,7 @@ hypergradient).
 
 __version__ = "0.1.0"
 
-from .data import CrowdDataset, MetaSet, load_dataset, make_blobs, save_dataset
+from .data import CrowdDataset, load_dataset, make_blobs, save_dataset
 from .models import Classifier, init_classifier
 from .rng import RngStream
 from .simulate import AnnotatorPool, PatternSpec, build_pool, generate
@@ -20,7 +20,6 @@ __all__ = [
     "AnnotatorPool",
     "Classifier",
     "CrowdDataset",
-    "MetaSet",
     "PatternSpec",
     "RngStream",
     "TrainConfig",

@@ -32,7 +32,7 @@ from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
-from .simulate import PRESET_POOL_SIZE, PRESETS, PatternSpec, build_pool, generate
+from .simulate import PRESETS, PatternSpec, build_pool, generate
 from .training import CHOICES, TrainConfig, train
 
 EXIT_OK = 0
@@ -170,27 +170,20 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--preset and --patterns are mutually exclusive")
     if args.preset is not None:
         pool_source = args.preset
-        R = PRESET_POOL_SIZE if args.annotators is None else args.annotators
     elif args.patterns is not None:
         pool_source = _parse_pattern_file(args.patterns)
-        R = len(pool_source)
     else:
         raise ConfigError("simulate needs --preset or --patterns")
-    opts = {name: _POOL_PARAMS[name].default for name in SIMULATE_OPTIONS[1:]} | given
-    if not 1 <= opts["k"] <= R:
-        raise ConfigError(f"k must be between 1 and the pool size {R}, got {opts['k']}")
-    for name in ("alpha", "beta"):
-        if not opts[name] > 0:  # also rejects nan
-            raise ConfigError(f"{name} must be positive, got {opts[name]}")
 
+    # Streams are split by purpose, so the pool is checked before features are made.
     master = RngStream(seed)
     if src_kind == "blobs":
-        features, truth = make_blobs(rng=master.split("features"), **src)
         C = src["C"]
     else:
         features, truth, C = load_eval_set(src["path"])
-
     pool = build_pool(pool_source, C, R=args.annotators, rng=master.split("pool"), **given)
+    if src_kind == "blobs":
+        features, truth = make_blobs(rng=master.split("features"), **src)
     result = generate(truth, features, pool, master.split("labels"),
                       return_dense=args.dump_dense,
                       preset=args.preset, seed=seed)

@@ -104,17 +104,6 @@ class CrowdDataset:
         return ai, self.ann_annotator[order], self.ann_label[order], ptr
 
 
-@dataclass
-class MetaSet:
-    """Class-balanced distilled instances with pseudo-labels."""
-    features: np.ndarray  # (M', D)
-    labels: np.ndarray    # (M',) int64
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
@@ -461,16 +450,14 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
         raise ContractError(f"unknown features format {features_format!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    features_file = "features.csv" if features_format == "csv" else "features.bin"
+    features_file = f"features.{features_format}"
     write_json(directory / "meta.json", {
         "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
         "preset": ds.preset, "seed": ds.seed,
         "format_version": FORMAT_VERSION, "features_file": features_file,
     })
-    if features_format == "csv":
-        _write_features_csv(directory / "features.csv", ds.features)
-    else:
-        _write_features_bin(directory / "features.bin", ds.features)
+    write = _write_features_csv if features_format == "csv" else _write_features_bin
+    write(directory / features_file, ds.features)
     order = np.lexsort((ds.ann_annotator, ds.ann_instance))
     write_csv(directory / "annotations.csv", "instance,annotator,label",
               [(ds.ann_instance[order], ds.ann_annotator[order], ds.ann_label[order])])
@@ -519,10 +506,8 @@ def _load_features_bin(path: Path, n: int, d: int) -> np.ndarray:
     return features
 
 
-def _load_features(directory: Path, meta: dict) -> np.ndarray:
-    name = meta.get("features_file", "features.csv")
-    load = _load_features_bin if name.endswith(".bin") else _load_features_csv
-    return load(directory / name, meta["n"], meta["d"])
+# The features files a dataset directory may name, with their loaders.
+_FEATURES_LOADERS = {"features.csv": _load_features_csv, "features.bin": _load_features_bin}
 
 
 def _load_meta(directory: Path) -> dict:
@@ -550,9 +535,16 @@ def _load_meta(directory: Path) -> dict:
     if meta["format_version"] != FORMAT_VERSION:
         raise DataFormatError(
             f"unsupported format_version {meta['format_version']}", meta_path)
-    if not isinstance(meta.get("features_file", ""), str):
-        raise DataFormatError("meta.json field 'features_file' must be a string", meta_path)
+    name = meta.setdefault("features_file", "features.csv")
+    if not (isinstance(name, str) and name in _FEATURES_LOADERS):
+        raise DataFormatError(f"meta.json field 'features_file' must be "
+                              f"{' or '.join(_FEATURES_LOADERS)}, got {name!r}", meta_path)
     return meta
+
+
+def _load_features(directory: Path, meta: dict) -> np.ndarray:
+    name = meta["features_file"]
+    return _FEATURES_LOADERS[name](directory / name, meta["n"], meta["d"])
 
 
 def _load_truth(path: Path, n: int, c: int) -> np.ndarray:
@@ -580,11 +572,14 @@ def _load_annotations(path: Path, n: int, r: int, c: int):
                # i * r + a collides falsely only through an out-of-range id,
                # whose range fault is on the same row or an earlier one
                (_repeats(i * r + a), lambda k: f"duplicate annotation ({i[k]}, {a[k]})"))
+    # with i.size >= n the count table is no larger than the file's rows
+    if i.size < n or not np.bincount(i, minlength=n).all():
+        raise DataFormatError("every instance needs at least one annotation", path)
     return i, a, y
 
 
 def load_dataset(directory) -> CrowdDataset:
-    """Load and fully validate a crowd dataset directory."""
+    """Load a crowd dataset directory; its file loaders check what validate() would."""
     directory = Path(directory)
     meta = _load_meta(directory)
     n, c, r = meta["n"], meta["c"], meta["r"]
@@ -595,16 +590,11 @@ def load_dataset(directory) -> CrowdDataset:
     if truth_path.exists():
         truth = _load_truth(truth_path, n, c)
 
-    ds = CrowdDataset(
+    return CrowdDataset(
         features=features, class_count=c, annotator_count=r,
         ann_instance=ai, ann_annotator=ar, ann_label=al,
         truth=truth, preset=meta.get("preset"), seed=meta.get("seed"),
     )
-    try:
-        ds.validate()
-    except ContractError as exc:
-        raise DataFormatError(str(exc), directory) from None
-    return ds
 
 
 def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,

@@ -5,9 +5,8 @@ expose the penultimate representation and the last-layer parameters so
 the training code can run its virtual step and meta gradient through the
 last layer alone while treating everything below as constant.
 
-Parameter layout (declaration order, also the serialization order):
-    linear: W (D, C), b (C,)
-    mlp:    W1 (D, H), b1 (H,), W2 (H, C), b2 (C,)
+param_shapes gives each kind's parameter layout, in declaration order,
+which is also the serialization order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .kernels import Workspace
 from .numerics import CE_FLOOR, softmax_rows
 from .rng import RngStream
 
-PARAM_KEYS = {"linear": ("W", "b"), "mlp": ("W1", "b1", "W2", "b2")}
 _KIND_TAGS = {"linear": 0, "mlp": 1}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
@@ -42,32 +40,35 @@ class Classifier:
             self.momentum = {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
+def param_shapes(kind: str, D: int, H: int, C: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each parameter, in order, for D inputs, H hidden units, C classes."""
+    if kind == "linear":
+        return [("W", (D, C)), ("b", (C,))]
+    return [("W1", (D, H)), ("b1", (H,)), ("W2", (H, C)), ("b2", (C,))]
+
+
+PARAM_KEYS = {kind: tuple(name for name, _ in param_shapes(kind, 0, 0, 0))
+              for kind in _KIND_TAGS}
+
+
 def init_classifier(kind: str, input_dim: int, hidden_dim: int, class_count: int,
                     rng: RngStream) -> Classifier:
-    """Scaled-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Scaled-uniform weights (bound sqrt(6/(fan_in+fan_out))), drawn in order; zero biases."""
     if kind not in PARAM_KEYS:
         raise ContractError(f"unknown classifier kind {kind!r}")
     if input_dim < 1 or class_count < 1:
         raise ContractError("input_dim and class_count must be >= 1")
-    if kind == "linear":
-        if hidden_dim != 0:
-            raise ContractError("linear kind requires hidden_dim == 0")
-        bound = np.sqrt(6.0 / (input_dim + class_count))
-        params = {
-            "W": rng.uniform_range(-bound, bound, (input_dim, class_count)),
-            "b": np.zeros(class_count),
-        }
-    else:
-        if hidden_dim < 1:
-            raise ContractError("mlp kind requires hidden_dim >= 1")
-        b1 = np.sqrt(6.0 / (input_dim + hidden_dim))
-        b2 = np.sqrt(6.0 / (hidden_dim + class_count))
-        params = {
-            "W1": rng.uniform_range(-b1, b1, (input_dim, hidden_dim)),
-            "b1": np.zeros(hidden_dim),
-            "W2": rng.uniform_range(-b2, b2, (hidden_dim, class_count)),
-            "b2": np.zeros(class_count),
-        }
+    if kind == "linear" and hidden_dim != 0:
+        raise ContractError("linear kind requires hidden_dim == 0")
+    if kind == "mlp" and hidden_dim < 1:
+        raise ContractError("mlp kind requires hidden_dim >= 1")
+    params = {}
+    for key, shape in param_shapes(kind, input_dim, hidden_dim, class_count):
+        if len(shape) == 1:
+            params[key] = np.zeros(shape)
+        else:
+            bound = np.sqrt(6.0 / sum(shape))
+            params[key] = rng.uniform_range(-bound, bound, shape)
     return Classifier(kind, input_dim, hidden_dim, class_count, params)
 
 
@@ -204,14 +205,9 @@ def load_model(path) -> Classifier:
     if tag not in _TAG_KINDS:
         raise ContractError(f"{path}: unknown classifier kind tag {tag}")
     kind = _TAG_KINDS[tag]
-    shapes = {
-        "linear": [("W", (input_dim, class_count)), ("b", (class_count,))],
-        "mlp": [("W1", (input_dim, hidden_dim)), ("b1", (hidden_dim,)),
-                ("W2", (hidden_dim, class_count)), ("b2", (class_count,))],
-    }[kind]
     params = {}
     offset = 24
-    for key, shape in shapes:
+    for key, shape in param_shapes(kind, input_dim, hidden_dim, class_count):
         count = int(np.prod(shape))
         end = offset + 8 * count
         if end > len(blob):

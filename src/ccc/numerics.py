@@ -16,6 +16,7 @@ from .errors import ContractError
 from .rng import RngStream
 
 CE_FLOOR = 1e-12
+KMEANS_MAX_ITER = 100  # Lloyd iterations before kmeans stops unconverged
 
 
 def softmax_rows(Z: np.ndarray, out=None) -> np.ndarray:
@@ -52,10 +53,10 @@ def _plusplus_seed(X: np.ndarray, G: int, rng: RngStream) -> np.ndarray:
     return centroids
 
 
-def kmeans(points, G: int, rng: RngStream, max_iter: int = 100) -> KmeansResult:
+def kmeans(points, G: int, rng: RngStream) -> KmeansResult:
     """Lloyd iterations from k-means++ seeding.
 
-    Stops when assignments stabilize or max_iter is hit. Empty clusters
+    Stops when assignments stabilize or KMEANS_MAX_ITER is hit. Empty clusters
     are repaired by donating the point currently farthest from its
     centroid, which keeps the inertia non-increasing (asserted each
     iteration).
@@ -71,7 +72,7 @@ def kmeans(points, G: int, rng: RngStream, max_iter: int = 100) -> KmeansResult:
     prev_assign = None
     prev_inertia = np.inf
     assign = np.zeros(P, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1).astype(np.int64)
 

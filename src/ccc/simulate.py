@@ -30,6 +30,7 @@ N per correlated annotator (index order; copy consumes none), then the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,7 +190,8 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     """Assemble a pool: propensities and fixed correlated targets.
 
     spec_source is a preset name or an explicit list of PatternSpec.
-    Preset pools need R divisible by 5; the canonical size is 250.
+    Preset pools need R divisible by 5; the canonical size is 250. Bad
+    pool options raise ConfigError before anything is drawn.
     """
     if isinstance(spec_source, str):
         R = PRESET_POOL_SIZE if R is None else R
@@ -203,12 +205,13 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
             raise ConfigError(f"R={R} does not match {len(specs)} specs")
         groups = None
     R = len(specs)
-    if k > R:
-        raise ContractError(f"k={k} exceeds pool size {R}")
-    if alpha <= 0 or beta <= 0:
-        raise ContractError("Beta parameters must be positive")
+    if not 1 <= k <= R:
+        raise ConfigError(f"k must be between 1 and the pool size {R}, got {k}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 < value < math.inf:  # also rejects nan
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     for spec in specs:
-        if spec.good_classes and max(spec.good_classes) >= C:
+        if spec.good_classes and not all(0 <= g < C for g in spec.good_classes):
             raise ConfigError(f"classwise classes {spec.good_classes} out of range for C={C}")
     independents = [i for i, s in enumerate(specs) if s.independent]
     if not independents:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import CrowdDataset, MetaSet, evaluate_accuracy
+from .data import CrowdDataset, evaluate_accuracy
 from .errors import ConfigError, ContractError
 from .kernels import Workspace, crowd_grads, hyper_grads
 from .models import (PARAM_KEYS, Classifier, backprop, batch_forward,
@@ -122,8 +122,6 @@ class ModelState:
 @dataclass
 class RunResult:
     """One run: per-model-tag curves and best/last (plus "mean" for ccc)."""
-    algo: str
-    seed: int
     curves: dict[str, list[float]]
     best: dict[str, float]
     last: dict[str, float]
@@ -158,7 +156,10 @@ def aggregate_majority(ds: CrowdDataset) -> np.ndarray:
 # confusion initialization
 # ---------------------------------------------------------------------------
 
-def init_confusion_votes(ds: CrowdDataset, smoothing: float = 1e-6) -> np.ndarray:
+VOTES_SMOOTHING = 1e-6  # added to every vote count before the log-ratio
+
+
+def init_confusion_votes(ds: CrowdDataset) -> np.ndarray:
     """Log-ratio initialization from soft vote statistics.
 
     Per instance, Q is the mean of its one-hot crowd labels. Row p of
@@ -177,7 +178,7 @@ def init_confusion_votes(ds: CrowdDataset, smoothing: float = 1e-6) -> np.ndarra
     for p in range(C):
         np.add.at(num[:, p, :], (ds.ann_annotator, ds.ann_label), Qa[:, p])
         np.add.at(den[:, p], ds.ann_annotator, Qa[:, p])
-    return np.log((num + smoothing) / (den + C * smoothing)[:, :, None])
+    return np.log((num + VOTES_SMOOTHING) / (den + C * VOTES_SMOOTHING)[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +245,24 @@ def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
-                     M: int, ws: Workspace | None = None) -> MetaSet:
+                     M: int, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Small-loss selection, class-balanced by majority-vote candidates.
 
     mv is aggregate_majority(ds). For each class c, instances whose
     majority-vote label is c are ranked by the scorer's cross entropy
     against c; the floor(M/C) smallest-loss ones enter the meta set with
-    pseudo-label c.
+    pseudo-label c. Returns the meta set's (features, labels).
     """
-    C = ds.class_count
     _, _, P = batch_forward(scorer, ds.features, ws=ws)
     losses, _ = single_label_ce(mv)(P)
-    quota = M // C
-    keep: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for c in range(C):
+    keep = []
+    for c in range(ds.class_count):
         cand = np.flatnonzero(mv == c)
         if cand.size == 0:
             log.warning("meta distillation: no candidates for class %d", c)
-            continue
-        order = cand[np.argsort(losses[cand], kind="stable")]
-        chosen = order[:quota]
-        keep.append(chosen)
-        labels.append(np.full(chosen.size, c, dtype=np.int64))
-    if not keep:
-        return MetaSet(np.empty((0, ds.d)), np.empty(0, dtype=np.int64))
+        keep.append(cand[np.argsort(losses[cand], kind="stable")][:M // ds.class_count])
     sel = np.concatenate(keep)
-    return MetaSet(ds.features[sel], np.concatenate(labels))
+    return ds.features[sel], mv[sel]
 
 
 def group_annotators(Ts: list[np.ndarray], G: int, rng: RngStream,
@@ -283,8 +275,6 @@ def group_annotators(Ts: list[np.ndarray], G: int, rng: RngStream,
     if any(T.shape != Ts[0].shape for T in Ts):
         raise ContractError("all confusion sets must have the same shape")
     R = Ts[0].shape[0]
-    if G > R:
-        raise ContractError(f"G={G} exceeds annotator count {R}")
     feats = np.concatenate([T.reshape(R, -1) for T in Ts], axis=1)
     best = None
     for _ in range(max(1, restarts)):
@@ -357,17 +347,19 @@ def _init_confusions(ds: CrowdDataset, cfg: TrainConfig) -> np.ndarray:
     return np.exp(init_confusion_votes(ds))
 
 
-def _meta_batches(meta: MetaSet, rng: RngStream, size: int):
-    """Endless meta batches cycling through one permutation of the meta set;
-    a batch of the whole set is the same each time, so it is gathered once."""
-    order = rng.permutation(meta.size)
-    if size >= meta.size:
-        yield from itertools.repeat((meta.features[order], meta.labels[order]))
+def _meta_batches(meta, rng: RngStream, size: int):
+    """Endless batches cycling through one permutation of a (features, labels) meta
+    set; a batch of the whole set is the same each time, so it is gathered once."""
+    features, labels = meta
+    m = labels.shape[0]
+    order = rng.permutation(m)
+    if size >= m:
+        yield from itertools.repeat((features[order], labels[order]))
     cursor = 0
     while True:
-        sel = order[(cursor + np.arange(size)) % meta.size]
-        cursor = (cursor + size) % meta.size
-        yield meta.features[sel], meta.labels[sel]
+        sel = order[(cursor + np.arange(size)) % m]
+        cursor = (cursor + size) % m
+        yield features[sel], labels[sel]
 
 
 def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
@@ -390,6 +382,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     cfg.validate()
     t0 = time.perf_counter()
     eval_X, eval_y = _resolve_eval(ds, eval_set)
+    if ds.n == 0 or len(eval_y) == 0:
+        raise ContractError("training needs a nonempty dataset and a nonempty eval set")
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
     ccc = cfg.algo == "ccc"
     if ccc and cfg.meta_size < C:
@@ -473,7 +467,6 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         mean_curve = [(a + b) / 2 for a, b in zip(*curves.values())]
         best["mean"] = float(max(mean_curve))
         last["mean"] = float(mean_curve[-1])
-    return RunResult(algo=cfg.algo, seed=cfg.seed, curves=curves, best=best,
-                     last=last, states=states, config=asdict(cfg),
+    return RunResult(curves=curves, best=best, last=last, states=states, config=asdict(cfg),
                      wall_time_sec=time.perf_counter() - t0,
                      groups_by_epoch=groups_by_epoch)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ccc.cli import main
-from ccc.data import load_dataset, make_blobs, save_eval_set, write_dense_labels
+from ccc.data import (CrowdDataset, load_dataset, make_blobs, save_dataset, save_eval_set,
+                      write_dense_labels)
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import TrainConfig
@@ -153,9 +154,12 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value, message", [
         ("--k", "0", "k must be between 1 and the pool size 3, got 0"),
         ("--k", "4", "k must be between 1 and the pool size 3, got 4"),
-        ("--alpha", "-1", "alpha must be positive, got -1.0"),
-        ("--beta", "0", "beta must be positive, got 0.0"),
-    ], ids=["k-zero", "k-above-pool", "alpha-negative", "beta-zero"])
+        ("--alpha", "-1", "alpha must be finite and positive, got -1.0"),
+        ("--beta", "0", "beta must be finite and positive, got 0.0"),
+        ("--alpha", "inf", "alpha must be finite and positive, got inf"),
+        ("--beta", "1e400", "beta must be finite and positive, got inf"),
+    ], ids=["k-zero", "k-above-pool", "alpha-negative", "beta-zero", "alpha-inf",
+            "beta-overflow"])
     def test_bad_pool_value_exit_code(self, tmp_path, capsys, flag, value, message):
         patterns = tmp_path / "three.txt"
         patterns.write_text("3 symmetric 0.2\n")
@@ -165,6 +169,17 @@ class TestSimulate:
         argv[flag] = value
         assert main(["simulate", *(x for kv in argv.items() for x in kv)]) == 2
         assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not out.exists()
+
+    def test_negative_classwise_class_exit_code(self, tmp_path, capsys):
+        patterns = tmp_path / "classwise.txt"
+        patterns.write_text("2 symmetric 0.2\n1 classwise -1,2\n")
+        out = tmp_path / "bad"
+        argv = ["simulate", "--features", "blobs:N=30,C=3,D=4",
+                "--patterns", str(patterns), "--k", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == \
+            "config error: classwise classes (-1, 2) out of range for C=3"
         assert not out.exists()
 
     def test_dump_dense_wide_classes_writes_int64_text(self, tmp_path):
@@ -260,6 +275,7 @@ class TestInspect:
     @pytest.mark.parametrize("key, value", [
         ("n", -1), ("n", 50.0), ("n", True), ("d", "x"), ("c", None), ("r", -3),
         ("format_version", "1"), ("format_version", 1.0), ("features_file", 7),
+        ("features_file", "/features.csv"), ("features_file", "../meta/features.csv"),
     ])
     def test_bad_meta_field_exit_code(self, tmp_path, capsys, key, value):
         ds_dir = _simulate(tmp_path, "meta", test_size=0)
@@ -312,6 +328,21 @@ class TestTrain:
         assert (tmp_path / "run-ccc" / "groups.csv").exists()
         assert (tmp_path / "run-ccc" / "confusions.csv").read_text().splitlines()[0] \
             == "model,annotator,row,col,value"
+
+    @pytest.mark.parametrize("algo", ["majority", "crowdlayer", "ccc"])
+    def test_empty_dataset_or_eval_set_exit_code(self, tmp_path, capsys, algo):
+        ds_dir = _simulate(tmp_path, "full")
+        empty = tmp_path / "empty"
+        none = np.zeros(0, dtype=np.int64)
+        save_dataset(CrowdDataset(np.zeros((0, 6)), 4, 10, none, none, none, truth=none), empty)
+        save_eval_set(np.zeros((0, 6)), none, empty / "test", 4)
+        for data, test in ((empty, ds_dir / "test"), (ds_dir, empty / "test")):
+            out = tmp_path / f"run-{data.name}"
+            argv = _train_args(data, out, algo)
+            argv[argv.index("--test") + 1] = str(test)
+            assert main(argv) == 3
+            assert "nonempty" in capsys.readouterr().err
+            assert not (out / "run.json").exists()
 
     def test_ccc_gamma_zero_matches_crowdlayer_curve(self, tmp_path):
         ds_dir = _simulate(tmp_path, "red")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc.errors import ContractError
+from ccc.errors import ConfigError, ContractError
 from ccc.kernels import select_k
 from ccc.models import single_label_ce
 from ccc.numerics import kmeans, softmax_rows
@@ -84,9 +84,9 @@ class TestSampleBeta:
 
     def test_bad_params(self):
         specs = [PatternSpec("dummy")]
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             build_pool(specs, 4, k=1, alpha=0.0, beta=1.0, rng=RngStream(0))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             build_pool(specs, 4, k=1, alpha=1.0, beta=-2.0, rng=RngStream(0))
 
 

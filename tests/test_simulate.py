@@ -155,8 +155,12 @@ class TestBuildPool:
         assert (np.bincount(pool.group_of) == 10).all()
 
     def test_k_exceeds_pool(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             build_pool([PatternSpec("dummy")] * 2, 10, k=3, rng=RngStream(0))
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ConfigError, match="k must be between 1 and the pool size 2, got 0"):
+            build_pool([PatternSpec("dummy")] * 2, 10, k=0, rng=RngStream(0))
 
 
 def _balanced_truth(n, c):

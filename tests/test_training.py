@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from ccc.data import CrowdDataset, MetaSet, make_blobs
+from ccc.data import CrowdDataset, make_blobs
 from ccc.errors import ConfigError, ContractError
 from ccc.models import batch_forward, hidden_layer, init_classifier, last_layer
 from ccc.numerics import CE_FLOOR, kmeans, softmax_rows
@@ -128,7 +128,7 @@ class TestConfusionInit:
             ann_instance=np.array([0, 0, 1, 2]),
             ann_annotator=np.array([0, 1, 0, 1]),
             ann_label=np.array([0, 0, 1, 0]))
-        T = init_confusion_votes(ds, smoothing=1e-6)
+        T = init_confusion_votes(ds)
         e = 1e-6
         # r0 labeled i0 (Q=[1,0]) with 0 and i1 (Q=[0,1]) with 1
         assert T[0, 0, 0] == pytest.approx(np.log((1 + e) / (1 + 2 * e)))
@@ -239,16 +239,16 @@ class TestDistillation:
             ann_instance=np.arange(4), ann_annotator=np.zeros(4, dtype=np.int64),
             ann_label=y.copy(), truth=y)
         scorer = init_classifier("linear", 3, 0, 4, rng.split("clf"))
-        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=4)
-        assert meta.size == 4
-        assert sorted(meta.labels.tolist()) == [0, 1, 2, 3]
+        _, labels = distill_meta_set(ds, aggregate_majority(ds), scorer, M=4)
+        assert labels.size == 4
+        assert sorted(labels.tolist()) == [0, 1, 2, 3]
 
     def test_selected_losses_are_minima(self):
         ds = _blob_crowd(seed=8, n=80, c=4)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(9))
         M = 16
         mv = aggregate_majority(ds)
-        meta = distill_meta_set(ds, mv, scorer, M)
+        meta_features, meta_labels = distill_meta_set(ds, mv, scorer, M)
         _, _, P = batch_forward(scorer, ds.features)
         losses = -np.log(np.maximum(P[np.arange(ds.n), mv], CE_FLOOR))
         quota = M // 4
@@ -256,9 +256,9 @@ class TestDistillation:
         for c in range(4):
             cand = np.flatnonzero(mv == c)
             expect = np.sort(losses[cand])[:quota]
-            got_mask = meta.labels == c
+            got_mask = meta_labels == c
             assert got_mask.sum() <= quota
-            got_feats = meta.features[got_mask]
+            got_feats = meta_features[got_mask]
             got_losses = []
             for f in got_feats:
                 idx = np.flatnonzero((ds.features == f).all(axis=1))[0]
@@ -268,15 +268,14 @@ class TestDistillation:
     def test_per_class_quota(self):
         ds = _blob_crowd(seed=10, n=100, c=4)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(11))
-        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=20)
-        counts = np.bincount(meta.labels, minlength=4)
+        _, labels = distill_meta_set(ds, aggregate_majority(ds), scorer, M=20)
+        counts = np.bincount(labels, minlength=4)
         assert (counts <= 5).all()
 
     def test_purity_on_noiseless_annotations(self):
         ds = _blob_crowd(seed=12, eps=0.0)
         scorer = init_classifier("linear", ds.d, 0, 4, RngStream(13))
-        meta = distill_meta_set(ds, aggregate_majority(ds), scorer, M=12)
-        for feat, label in zip(meta.features, meta.labels):
+        for feat, label in zip(*distill_meta_set(ds, aggregate_majority(ds), scorer, M=12)):
             idx = np.flatnonzero((ds.features == feat).all(axis=1))[0]
             assert ds.truth[idx] == label
 
@@ -613,7 +612,7 @@ class TestWorkspace:
         assert not any(np.shares_memory(a, b) for a in handed_out for b in buffers.values())
 
     def test_whole_set_meta_batches_are_gathered_once(self):
-        meta = MetaSet(np.arange(10.0).reshape(5, 2), np.arange(5))
+        meta = (np.arange(10.0).reshape(5, 2), np.arange(5))
         whole = training._meta_batches(meta, RngStream(3), 8)
         first = next(whole)
         assert sorted(first[1].tolist()) == list(range(5))
