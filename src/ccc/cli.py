@@ -275,9 +275,17 @@ def _write_confusions(path: Path, confusions: dict[str, np.ndarray]) -> None:
     write_csv(path, "model,annotator,row,col,value", blocks)
 
 
+def _check_eval_set(X, c: int, against: str, classes: int, d: int) -> None:
+    """Raise ConfigError unless the eval set (X, c) has the class count and
+    feature dim of `against`, the dataset or model it is used with."""
+    for what, got, want in (("class count", c, classes), ("feature dim", X.shape[1], d)):
+        if got != want:
+            raise ConfigError(f"eval set {what} {got} != {against} {want}")
+
+
 def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     res = train(ds, cfg, eval_set)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once train has accepted the run
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
     _write_curves(out_dir / "curves.csv", res.curves)
@@ -318,10 +326,7 @@ def cmd_train(args) -> int:
     eval_set = None
     if args.test is not None:
         X, y, c = load_eval_set(args.test)
-        if c != ds.class_count:
-            raise ConfigError(f"test set class count {c} != dataset {ds.class_count}")
-        if X.shape[1] != ds.d:
-            raise ConfigError(f"test set feature dim {X.shape[1]} != dataset {ds.d}")
+        _check_eval_set(X, c, "dataset", ds.class_count, ds.d)
         eval_set = (X, y)
     out_dir = Path(args.out)
     if seeds is None:
@@ -354,10 +359,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     clf = load_model(args.model)
     X, y, c = load_eval_set(args.data)
-    if c != clf.class_count:
-        raise ConfigError(f"class count mismatch: model {clf.class_count}, data {c}")
-    if X.shape[1] != clf.input_dim:
-        raise ConfigError(f"feature dim mismatch: model {clf.input_dim}, data {X.shape[1]}")
+    _check_eval_set(X, c, "model", clf.class_count, clf.input_dim)
     acc = evaluate_accuracy(clf, X, y)
     print(f"accuracy: {acc:.6f}")
     if args.out:

@@ -15,8 +15,9 @@ layout with r = 0 and no annotations.csv; see save_eval_set.
 
 Every csv file goes through one codec: write_csv writes a table a block
 of rows at a time, and CsvRows parses one with numpy's reader, streamed
-from disk or, for a file with a \r or a bad row, from its lines, then
-checks it with array expressions. Numbers are plain ASCII decimals and
+from disk or, for lines that end at a lone \r or a bad row, from its
+lines, then checks it with array expressions. A line with nothing
+before its line end is blank. Numbers are plain ASCII decimals and
 feature values must be finite. Each file is written to path.tmp, then
 moved onto path (files.atomic_open), so a failed write tears nothing.
 """
@@ -174,6 +175,8 @@ def annotation_histogram(ds: CrowdDataset) -> np.ndarray:
 def evaluate_accuracy(clf: Classifier, features: np.ndarray, labels: np.ndarray,
                       ws=None) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
+    if len(labels) == 0:
+        raise ContractError("accuracy needs a nonempty eval set")
     _, _, P = batch_forward(clf, features, ws)
     pred = P.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
@@ -212,11 +215,6 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 _ROWS_PER_WRITE = 256  # rows turned into text at once; bounds the live Python objects
-
-
-def _chunks(fh):
-    """The rest of a binary file, 64 KiB at a time."""
-    return iter(lambda: fh.read(1 << 16), b"")
 
 
 def write_csv(path, header: str, blocks) -> None:
@@ -267,18 +265,16 @@ class CsvRows:
     r"""The rows of one csv table, parsed by numpy's reader.
 
     The file is a header line, then one row per nonblank line. Lines end
-    at \n, \r\n or \r, the header's too. Only a line that is exactly \n
-    is blank, so one that holds only a \r is a row of one empty field.
-    `ints` names the leading integer fields, and `floats` feature values
-    follow them. columns holds one int64 array per integer field, then a
-    (rows, floats) float64 array when floats > 0.
+    at \n, \r\n or \r, the header's too, and a line with nothing before
+    its line end is blank. `ints` names the leading integer fields, and
+    `floats` feature values follow them. columns holds one int64 array
+    per integer field, then a (rows, floats) float64 array when floats > 0.
 
-    A file without a \r is parsed as it streams from disk, and a file
-    with one is parsed from its lines, each line end made a \n. If the
-    reader rejects the file, the rows before the first wrong field count
-    are parsed at once. If that fails, the row numpy's error names is
-    checked, and only if it is not the first unreadable one is each row
-    parsed on its own.
+    The reader parses the file as it streams from disk. A file whose
+    header ends at a lone \r, and a file the reader rejects, are parsed
+    from their lines instead; if those fail to parse, the row numpy's
+    error names is checked, and only if it is not the first unreadable
+    one is each row parsed on its own.
 
     A row that cannot be read (a wrong field count, or a value that is not
     a plain ASCII decimal) ends the table: columns hold the rows before
@@ -299,55 +295,47 @@ class CsvRows:
         self._dtype = np.dtype(fields)
         self._fault = None
         with open(path, "rb") as fh:
-            # numpy's reader cannot end a line at a lone \r and skips a line
-            # of only \r\n, which this format reads as a row of one empty
-            # field, so a file with a \r is read a line at a time.
-            fast = not any(b"\r" in chunk for chunk in _chunks(fh))
-            fh.seek(0)
-            head = (fh.readline().splitlines() or [b""])[0]
+            # numpy's reader cannot end a line at a lone \r, so a file whose
+            # header does is read a line at a time. readline() stops only at
+            # a \n, so `line` may hold the whole file; it is dropped first.
+            line = fh.readline()
+            lone_cr = line.count(b"\r") > line.endswith(b"\r\n")
+            head = re.match(rb"[^\r\n]*", line)[0]
+            del line
             if head != header.encode():
                 raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
                                       path, 1)
             try:
-                table = _loadtxt(fh, self._dtype) if fast else self._parse(self._lines()[1])
+                table = self._read_lines() if lone_cr else _loadtxt(fh, self._dtype)
             except ValueError:
-                table = self._read_to_fault()
+                table = self._read_lines()
         self.columns = [np.ascontiguousarray(table[name]) for name in self._dtype.names]
 
     def _lines(self):
         """The line numbers, and the texts without line ends, of the rows' lines."""
-        lines = self.path.read_bytes().splitlines(True)[1:]
-        return ([no for no, line in enumerate(lines, 2) if line != b"\n"],
-                [line.rstrip(b"\r\n") for line in lines if line != b"\n"])
+        lines = self.path.read_bytes().splitlines()
+        del lines[0]
+        return [no for no, text in enumerate(lines, 2) if text], [text for text in lines if text]
 
     def _parse(self, texts) -> np.ndarray:
         """One row of the table per text; ValueError if one is unreadable."""
-        table = _loadtxt(io.BytesIO(b"\n".join(texts)), self._dtype)
-        if table.size != len(texts):  # the reader skips an empty line
-            raise ValueError("a row is empty")
-        return table
+        return _loadtxt(io.BytesIO(b"\n".join(texts)), self._dtype)
 
-    def _read_to_fault(self):
-        """The rows before the first unreadable one, whose fault check() raises."""
+    def _read_lines(self):
+        """The table of the rows' lines, up to the first unreadable one, whose fault
+        check() raises."""
         numbers, texts = self._lines()
-        counts = [text.count(b",") + 1 for text in texts]
-        cut = next((k for k, got in enumerate(counts) if got != self.width), len(texts))
         try:
-            table = self._parse(texts[:cut])
+            return self._parse(texts)
         except ValueError as exc:
             k, table = self._first_unreadable(texts, str(exc))
-            self._fault, field = self._field_fault(texts[k], numbers[k])
-            if field < len(self.ints):
-                return table
-            # A row's integers are checked before its features are read, so
-            # check() sees this row's integers, with its features as 0.
-            row = texts[k].split(b",")[:len(self.ints)] + [b"0"] * (self.width - len(self.ints))
-            return self._parse(texts[:k] + [b",".join(row)])
-        if cut < len(texts):
-            self._fault = DataFormatError(
-                self.count_fault.format(width=self.width, got=counts[cut]), self.path,
-                numbers[cut])
-        return table
+        self._fault, field = self._field_fault(texts[k], numbers[k])
+        if field < len(self.ints):
+            return table
+        # A row's integers are checked before its features are read, so
+        # check() sees this row's integers, with its features as 0.
+        row = texts[k].split(b",")[:len(self.ints)] + [b"0"] * (self.width - len(self.ints))
+        return self._parse(texts[:k] + [b",".join(row)])
 
     def _first_unreadable(self, texts, message: str):
         """The first unreadable text's index, and the table of the texts before it.
@@ -366,8 +354,12 @@ class CsvRows:
         return k, self._parse(texts[:k])
 
     def _field_fault(self, line: bytes, lineno: int):
-        """The fault of an unreadable row, and the index of its first bad field."""
+        """The fault of an unreadable row, and the index of its first bad field (0 for a
+        wrong field count)."""
         fields = line.split(b",")
+        if len(fields) != self.width:
+            return DataFormatError(self.count_fault.format(width=self.width, got=len(fields)),
+                                   self.path, lineno), 0
         for j, text in enumerate(fields):
             if j < len(self.ints) and not _reads_as(text, np.int64):
                 field = text.decode(errors="replace")

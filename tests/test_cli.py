@@ -342,7 +342,7 @@ class TestTrain:
             argv[argv.index("--test") + 1] = str(test)
             assert main(argv) == 3
             assert "nonempty" in capsys.readouterr().err
-            assert not (out / "run.json").exists()
+            assert not out.exists()
 
     def test_ccc_gamma_zero_matches_crowdlayer_curve(self, tmp_path):
         ds_dir = _simulate(tmp_path, "red")
@@ -510,7 +510,7 @@ class TestTrain:
         assert err == f"validation error: non-finite feature value for instance 2 {where}"
         assert not out.exists()
 
-    def test_mismatched_test_set_rejected(self, tmp_path):
+    def test_mismatched_test_set_rejected(self, tmp_path, capsys):
         ds_dir = _simulate(tmp_path, "mm")
         other = tmp_path / "other-test"
         save_eval_set(RngStream(0).normal((10, 6)), np.zeros(10, dtype=int),
@@ -518,6 +518,8 @@ class TestTrain:
         argv = ["train", "--data", str(ds_dir), "--test", str(other),
                 "--algo", "majority", "--out", str(tmp_path / "x")]
         assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "config error: eval set class count 9 != dataset 4"
 
 
 class TestConfigAndDefaults:
@@ -632,7 +634,7 @@ class TestEval:
                      str(tmp_path / "data"), "--out", str(report)]) == 0
         assert json.loads(report.read_text())["accuracy"] == 0.75
 
-    def test_dim_mismatch_exit_code(self, tmp_path):
+    def test_dim_mismatch_exit_code(self, tmp_path, capsys):
         from ccc.models import init_classifier, save_model
         clf = init_classifier("linear", 3, 0, 2, RngStream(0))
         model = tmp_path / "m.bin"
@@ -641,6 +643,20 @@ class TestEval:
                       tmp_path / "data", class_count=2)
         assert main(["eval", "--model", str(model),
                      "--data", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "config error: eval set feature dim 2 != model 3"
+
+    def test_empty_eval_set_exit_code(self, tmp_path, capsys):
+        from ccc.models import init_classifier, save_model
+        model = tmp_path / "m.bin"
+        save_model(init_classifier("linear", 2, 0, 2, RngStream(0)), model)
+        save_eval_set(np.zeros((0, 2)), np.zeros(0, dtype=int), tmp_path / "data",
+                      class_count=2)
+        report = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path / "data"),
+                     "--out", str(report)]) == 3
+        assert "nonempty" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestPipelineDeterminism:

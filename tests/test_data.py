@@ -30,6 +30,38 @@ def _ds(n, c, r, ann, truth=None, d=2):
     )
 
 
+def _assert_same_arrays(got, want):
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    for name in ("ann_instance", "ann_annotator", "ann_label", "truth"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestValidate:
+    ANN = [[0, 0, 0], [1, 1, 1], [2, 0, 2]]
+
+    def test_valid_dataset_passes(self):
+        _ds(3, 3, 2, self.ANN, truth=[0, 1, 2]).validate()
+
+    @pytest.mark.parametrize("ann, truth, break_it, message", [
+        (ANN, None, lambda ds: setattr(ds, "ann_label", ds.ann_label[:-1]), "one length"),
+        ([[0, 0, 0], [1, 1, 1], [3, 0, 2]], None, None, "instance id out of range"),
+        ([[0, 0, 0], [1, 1, 1], [-1, 0, 2]], None, None, "instance id out of range"),
+        ([[0, 0, 0], [1, 2, 1], [2, 0, 2]], None, None, "annotator id out of range"),
+        ([[0, 0, 0], [1, 1, 3], [2, 0, 2]], None, None, "label out of range"),
+        ([[0, 0, 0], [1, 1, 1], [2, 0, 2], [1, 1, 0]], None, None, "duplicate"),
+        ([[0, 0, 0], [1, 1, 1]], None, None, "at least one annotation"),
+        (ANN, [0, 1], None, "truth length"),
+        (ANN, [0, 1, 3], None, "truth label out of range"),
+    ], ids=["lengths", "instance-high", "instance-negative", "annotator", "label",
+            "duplicate", "coverage", "truth-length", "truth-range"])
+    def test_each_rule_rejects(self, ann, truth, break_it, message):
+        ds = _ds(3, 3, 2, ann, truth=truth)
+        if break_it is not None:
+            break_it(ds)
+        with pytest.raises(ContractError, match=message):
+            ds.validate()
+
+
 class TestNoiseRates:
     def test_instance_rate_hand_case(self):
         # inst0 sees {0,1}, truth 0; inst1 sees {1}, truth 1 -> clean
@@ -162,6 +194,11 @@ class TestAnnotationHistogram:
 
 
 class TestEvaluateAccuracy:
+    def test_empty_eval_set_rejected(self):
+        clf = init_classifier("linear", 2, 0, 3, RngStream(0))
+        with pytest.raises(ContractError, match="nonempty"):
+            evaluate_accuracy(clf, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
     def test_uniform_tie_breaks_to_class_zero(self):
         clf = init_classifier("linear", 2, 0, 3, RngStream(0))
         clf.params["W"][:] = 0.0
@@ -377,19 +414,46 @@ class TestIO:
             header, body = path.read_bytes().split(b"\n", 1)
             header_end = newline if whole_file else b"\n"
             path.write_bytes(header + header_end + body.replace(b"\n", newline))
-        got = load_dataset(tmp_path / "d")
-        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
-        for name in ("ann_instance", "ann_annotator", "ann_label", "truth"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        _assert_same_arrays(load_dataset(tmp_path / "d"), want)
 
-    def test_line_of_only_cr_is_a_row_not_a_blank(self, tmp_path):
+    @pytest.mark.parametrize("blank", [b"\r\n", b"\r", b"\r\n\r\n", b"\r\r\n"],
+                             ids=["\r\n", "\r", "two-\r\n", "\r-then-\r\n"])
+    def test_crlf_or_cr_only_line_is_skipped_like_a_blank(self, tmp_path, blank):
+        ds = self._sample()
+        ds.features = RngStream(6).normal((8, 3))
+        save_dataset(ds, tmp_path / "d")
+        want = load_dataset(tmp_path / "d")
+        for name in ("features.csv", "annotations.csv", "truth.csv"):
+            path = tmp_path / "d" / name
+            lines = path.read_bytes().split(b"\n")
+            path.write_bytes(b"\n".join(lines[:3]) + b"\n" + blank + b"\n".join(lines[3:]))
+        _assert_same_arrays(load_dataset(tmp_path / "d"), want)
+
+    @pytest.mark.parametrize("blank", [b"\r\n", b"\r"], ids=["\r\n", "\r"])
+    def test_crlf_or_cr_only_line_keeps_the_next_rows_line(self, tmp_path, blank):
         save_dataset(self._sample(), tmp_path / "d")
         path = tmp_path / "d" / "annotations.csv"
-        lines = path.read_text().split("\n")
-        path.write_text("\n".join(lines[:3] + ["\r"] + lines[3:]))
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"0,1"  # line 5 once the blank line is in
+        path.write_bytes(b"\n".join(lines[:3]) + b"\n" + blank + b"\n".join(lines[3:]))
         with pytest.raises(DataFormatError) as info:
             load_dataset(tmp_path / "d")
-        assert str(info.value).startswith("expected 3 fields") and info.value.line == 4
+        assert str(info.value).startswith("expected 3 fields") and info.value.line == 5
+
+    def test_crlf_file_streams_without_the_line_path(self, tmp_path, monkeypatch):
+        ds = self._sample()
+        ds.features = RngStream(6).normal((8, 3))
+        save_dataset(ds, tmp_path / "d")
+        want = load_dataset(tmp_path / "d")
+        for name in ("features.csv", "annotations.csv", "truth.csv"):
+            path = tmp_path / "d" / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+        def no_lines(self):
+            raise AssertionError(f"{self.path.name} was read a line at a time")
+
+        monkeypatch.setattr(data.CsvRows, "_lines", no_lines)
+        _assert_same_arrays(load_dataset(tmp_path / "d"), want)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         ds = self._sample()

@@ -4,8 +4,8 @@ Loading a saved directory must give back the same arrays (features
 compared as raw bits, so -0.0 and subnormals count), and saving the
 loaded data again must write byte-identical files, for csv and bin
 features alike. A damaged csv file must load the same, arrays or fault,
-whether numpy's reader takes it whole or the codec reads it a line at
-a time.
+whether numpy's reader streams it or the codec reads it a line at a
+time, as it does when every line ends at a lone \r.
 """
 
 import shutil
@@ -111,12 +111,6 @@ JUNK = st.sampled_from(["x", "", " ", " 7 ", "1.5", "1e0", "--1", "0x1", "1_0", 
                         "\u0663", "\x00", "'1'", "+4", "1e400"])
 
 
-def _crlf(data: bytes) -> bytes:
-    """data with every nonblank line's \n made \r\n: the codec's line path."""
-    return b"".join(line[:-1] + b"\r\n" if line != b"\n" and line.endswith(b"\n") else line
-                    for line in data.splitlines(True))
-
-
 def _outcome(directory: Path):
     """The loaded arrays as raw bits, or the fault's message and file:line."""
     try:
@@ -157,5 +151,7 @@ def test_damaged_file_loads_the_same_on_the_fast_and_the_line_path(ds, data):
 
         shutil.copytree(fast, lines_path)
         for path in lines_path.glob("*.csv"):
-            path.write_bytes(_crlf(path.read_bytes()))
+            # numpy's reader cannot end a line at a lone \r, so the codec
+            # reads a file whose header ends at one a line at a time.
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         assert _outcome(lines_path) == _outcome(fast)
