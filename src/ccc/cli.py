@@ -5,11 +5,12 @@ that any two invocations with equal (config, seed, dataset) produce
 byte-identical numeric outputs. Exit codes are per error family:
 0 success, 2 configuration, 3 data validation, 4 I/O.
 
-Config files are flat key=value lines (# comments allowed); explicit
-command-line flags override file values, which override the library's
-defaults (TrainConfig for train, build_pool for simulate). Each train
-flag, its type and its choices come from TrainConfig's fields. --seeds
-runs its replicates one after another, in the order given.
+Config files (--config on simulate and train) are flat key=value lines
+(# comments allowed); explicit command-line flags override file values,
+which override the library's defaults (TrainConfig for train, build_pool
+for simulate). Each train flag, its type and its choices come from
+TrainConfig's fields. --seeds runs its replicates one after another, in
+the order given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +83,13 @@ def _given(args, names) -> dict:
     """The options among names set by a flag or by the config file, the
     flag winning. Options set by neither are left out, so the library's
     defaults apply to them."""
+    config = load_config_file(args.config) if args.config else {}
     given = {}
     for name in names:
         key = name.replace("_", "-")
         value = getattr(args, name, None)
-        if value is None and key in args._config_values:
-            text = args._config_values[key]
+        if value is None and key in config:
+            text = config[key]
             try:
                 value = OPTION_TYPES[name](text)
             except ValueError:
@@ -255,9 +257,7 @@ def _train_config_from(args) -> TrainConfig:
     given = _given(args, TRAIN_OPTIONS)
     if given.get("lr_decay_epoch", 0) < 0:
         given["lr_decay_epoch"] = None  # a negative epoch disables decay
-    cfg = TrainConfig(algo=args.algo, **given)
-    cfg.validate()
-    return cfg
+    return TrainConfig(algo=args.algo, **given)
 
 
 def _write_curves(path: Path, curves: dict[str, list[float]]) -> None:
@@ -297,7 +297,7 @@ def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
                   [(np.full(len(g), epoch), np.arange(len(g)), g)
                    for epoch, g in res.groups_by_epoch])
     payload = {
-        "algo": cfg.algo, "seed": cfg.seed, "config": res.config,
+        "algo": cfg.algo, "seed": cfg.seed, "config": asdict(cfg),
         "wall_time_sec": res.wall_time_sec,
         "final_eval": {k: v[-1] for k, v in res.curves.items()},
         "best": res.best, "last": res.last,
@@ -318,9 +318,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    if args.seed is not None and args.seeds:
+    if args.seed is not None and args.seeds is not None:
         raise ConfigError("--seed and --seeds are mutually exclusive")
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
     cfg = _train_config_from(args)
     ds = load_dataset(args.data)
     eval_set = None
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     ins = sub.add_parser("inspect", help="write stats.json and confusion distances")
     ins.add_argument("--data", required=True)
     ins.add_argument("--out", default=None, help="default: the dataset directory")
-    ins.add_argument("--config")
     ins.set_defaults(func=cmd_inspect)
 
     tr = sub.add_parser("train", help="train one algorithm on a dataset")
@@ -427,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True, help="eval-set directory")
     ev.add_argument("--out", help="optional eval.json path")
-    ev.add_argument("--config")
     ev.set_defaults(func=cmd_eval)
     return parser
 
@@ -436,7 +434,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = load_config_file(args.config) if args.config else {}
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ A dataset directory contains:
     annotations.csv  header "instance,annotator,label", no duplicates
     truth.csv        optional, header "instance,label"
 
-An evaluation set (features + truth, no annotations) uses the same
-layout with r = 0 and no annotations.csv; see save_eval_set.
+An evaluation set is a dataset directory with r = 0 and no
+annotations.csv: meta.json, features.csv and truth.csv (save_eval_set).
 
 Every csv file goes through one codec: write_csv writes a table a block
 of rows at a time, and CsvRows parses one with numpy's reader, streamed
@@ -431,13 +431,9 @@ def write_dense_labels(path, dense: np.ndarray) -> None:
     write_csv(path, "instance,annotator,label", blocks)
 
 
-def _write_truth(path: Path, labels) -> None:
-    labels = np.asarray(labels)
-    write_csv(path, "instance,label", [(np.arange(labels.shape[0]), labels)])
-
-
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
-    """Write the dataset directory; annotations in (instance, annotator) order."""
+    """Write the dataset directory: annotations.csv, in (instance, annotator)
+    order, only when r > 0, and truth.csv, which a truthless dataset removes."""
     if features_format not in FEATURES_FORMATS:
         raise ContractError(f"unknown features format {features_format!r}")
     directory = Path(directory)
@@ -450,11 +446,15 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
     })
     write = _write_features_csv if features_format == "csv" else _write_features_bin
     write(directory / features_file, ds.features)
-    order = np.lexsort((ds.ann_annotator, ds.ann_instance))
-    write_csv(directory / "annotations.csv", "instance,annotator,label",
-              [(ds.ann_instance[order], ds.ann_annotator[order], ds.ann_label[order])])
+    if ds.annotator_count:
+        order = np.lexsort((ds.ann_annotator, ds.ann_instance))
+        write_csv(directory / "annotations.csv", "instance,annotator,label",
+                  [(ds.ann_instance[order], ds.ann_annotator[order], ds.ann_label[order])])
     if ds.truth is not None:
-        _write_truth(directory / "truth.csv", ds.truth)
+        truth = np.asarray(ds.truth)
+        write_csv(directory / "truth.csv", "instance,label", [(np.arange(truth.shape[0]), truth)])
+    else:
+        (directory / "truth.csv").unlink(missing_ok=True)
 
 
 def _load_features_csv(path: Path, n: int, d: int) -> np.ndarray:
@@ -591,17 +591,11 @@ def load_dataset(directory) -> CrowdDataset:
 
 def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,
                   class_count: int, seed: int | None = None) -> None:
-    """Write a labeled feature set (no annotations) for testing/eval."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    n, d = features.shape
-    write_json(directory / "meta.json", {
-        "n": n, "d": d, "c": class_count, "r": 0,
-        "preset": None, "seed": seed,
-        "format_version": FORMAT_VERSION, "features_file": "features.csv",
-    })
-    _write_features_csv(directory / "features.csv", features)
-    _write_truth(directory / "truth.csv", labels)
+    """Write a labeled feature set for testing/eval: a csv dataset directory
+    with r = 0 and no annotations.csv."""
+    none = np.empty(0, dtype=np.int64)
+    save_dataset(CrowdDataset(features, class_count, 0, none, none, none,
+                              truth=labels, seed=seed), directory)
 
 
 def load_eval_set(directory):

@@ -12,10 +12,10 @@ are assigned to its group's block. BLAS orders that sum its own way, so
 dV equals an annotation-order sum to rounding, not bit for bit. Both
 kernels share _annotation_terms and _logit_grads.
 
-training.train owns the Workspaces of a run and drops them on return.
-The kernels, models.batch_forward and models.backprop write their large
-temporaries into one with out=, so results stay bit for bit; without one
-they allocate. Results are never views of it, save batch_forward's.
+training.train owns a run's Workspaces, float64 buffers by name, and
+drops them on return. The kernels, models.batch_forward and models.backprop
+write their large temporaries into one with out=, so results stay bit
+for bit; without one they allocate. No result but batch_forward's views it.
 
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true
@@ -50,18 +50,18 @@ USING_NUMBA = False
 
 
 class Workspace:
-    """Grow-only scratch arrays by name: a request views the start of its
-    name's buffer, which only a larger request replaces."""
+    """Grow-only float64 scratch arrays by name: a request views the start
+    of its name's buffer, which only a larger request replaces."""
 
     def __init__(self):
         self._buffers = {}
 
-    def array(self, name, shape, dtype=np.float64):
+    def array(self, name, shape):
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
+        if buf is None or buf.size < size:
             buf = self._buffers[name] = None  # freed before its successor is made
-            buf = self._buffers[name] = np.empty(size, dtype)
+            buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
 
@@ -117,17 +117,15 @@ def crowd_grads(P, ann_i, ann_r, ann_y, M, R, ws=None):
     Returns (loss_sum, dZ, dM) where dZ (n, C) accumulates logit gradients
     via softmax backprop and dM (R, C, C) accumulates the matrix gradients.
     Nothing is normalized; callers divide by the annotation count.
-    Annotators absent from the batch keep exact-zero rows in dM.
+    Annotators absent from the batch keep exact-zero rows in dM, so an
+    empty batch (A = 0) gives a zero loss and all-zero gradients.
     """
-    n, C = P.shape
-    if ann_i.shape[0] == 0:
-        return 0.0, np.zeros((n, C)), np.zeros((R, C, C))
     ws = Workspace() if ws is None else ws
     p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
     loss_sum = float(-np.log(np.maximum(ratio, EPS)).sum())
     outer = np.einsum("ac,aj->acj", p, g_q, out=ws.array("outer", Ma.shape))
     dM = _scatter_rows(ann_r, outer, R)
-    return loss_sum, _logit_grads(ann_i, p, Ma, g_q, n), dM
+    return loss_sum, _logit_grads(ann_i, p, Ma, g_q, P.shape[0]), dM
 
 
 def _logit_grads(ann_i, p, Ma, g_q, n):

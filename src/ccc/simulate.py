@@ -15,6 +15,9 @@ Independent pattern kinds (rows = true class, cols = reported label):
     classwise-S  one-hot rows for classes in S, uniform 1/C otherwise
     dummy        uniform 1/C everywhere
 
+A preset (IND-I..IV, COR-I..IV) is a list of five pattern groups, which
+build_pool expands into an explicit pattern list.
+
 Correlated kinds resolve against a fixed target annotator chosen at pool
 build time among the independent annotators:
     copy        always the target's label
@@ -109,8 +112,7 @@ def pattern_matrix(spec: PatternSpec, C: int) -> np.ndarray:
     return mat
 
 
-# Preset pools: five pattern groups each (canonically 50 annotators per
-# group). Class lists are 0-based.
+# Five pattern groups per preset. Class lists are 0-based.
 PRESETS: dict[str, list[PatternSpec]] = {
     "IND-I": [
         PatternSpec("symmetric", epsilon=0.3),
@@ -171,39 +173,28 @@ PRESETS: dict[str, list[PatternSpec]] = {
 }
 
 
-def preset_specs(name: str, per_group: int):
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r} "
-                          f"(available: {', '.join(sorted(PRESETS))})")
-    specs = []
-    groups = []
-    for gi, proto in enumerate(PRESETS[name]):
-        for _ in range(per_group):
-            specs.append(PatternSpec(proto.kind, proto.epsilon, proto.good_classes))
-            groups.append(gi)
-    return specs, np.asarray(groups, dtype=np.int64)
-
-
 def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
                alpha: float = 1.5, beta: float = 3.0, *,
                rng: RngStream) -> AnnotatorPool:
     """Assemble a pool: propensities and fixed correlated targets.
 
-    spec_source is a preset name or an explicit list of PatternSpec.
-    Preset pools need R divisible by 5; the canonical size is 250. Bad
-    pool options raise ConfigError before anything is drawn.
+    spec_source is a preset name or an explicit list of PatternSpec; a
+    preset expands to R // 5 annotators per pattern group (R divisible
+    by 5, canonically 250). Bad pool options raise ConfigError before
+    anything is drawn. group_of numbers the pattern definitions by first
+    appearance, which for a preset is its group order.
     """
     if isinstance(spec_source, str):
         R = PRESET_POOL_SIZE if R is None else R
         if R % 5 != 0 or R < 5:
             raise ConfigError(f"preset pools need R divisible by 5, got {R}")
-        specs, groups = preset_specs(spec_source, R // 5)
-    else:
-        specs = [PatternSpec(s.kind, s.epsilon, s.good_classes, s.target)
-                 for s in spec_source]
-        if R is not None and R != len(specs):
-            raise ConfigError(f"R={R} does not match {len(specs)} specs")
-        groups = None
+        if spec_source not in PRESETS:
+            raise ConfigError(f"unknown preset {spec_source!r} "
+                              f"(available: {', '.join(sorted(PRESETS))})")
+        spec_source = [proto for proto in PRESETS[spec_source] for _ in range(R // 5)]
+    specs = [PatternSpec(s.kind, s.epsilon, s.good_classes, s.target) for s in spec_source]
+    if R is not None and R != len(specs):
+        raise ConfigError(f"R={R} does not match {len(specs)} specs")
     R = len(specs)
     if not 1 <= k <= R:
         raise ConfigError(f"k must be between 1 and the pool size {R}, got {k}")
@@ -226,12 +217,9 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
                                            len(independents) - 1)]
         elif not specs[spec.target].independent:
             raise ContractError("correlated targets must be independent annotators")
-    if groups is None:
-        # group by identical pattern definition, for diagnostics
-        keymap: dict[tuple, int] = {}
-        groups = np.asarray(
-            [keymap.setdefault((s.kind, s.epsilon, s.good_classes), len(keymap))
-             for s in specs], dtype=np.int64)
+    keymap: dict[tuple, int] = {}
+    groups = np.asarray([keymap.setdefault((s.kind, s.epsilon, s.good_classes), len(keymap))
+                         for s in specs], dtype=np.int64)
     return AnnotatorPool(specs, propensities, k, alpha, beta, C, group_of=groups)
 
 

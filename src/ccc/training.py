@@ -47,7 +47,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,10 @@ CHOICES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings, validated when built (ConfigError) and frozen;
+    dataclasses.replace builds, and so validates, a changed copy."""
     algo: str = "ccc"
     epochs: int = 60
     warmup: int = 10
@@ -90,7 +92,7 @@ class TrainConfig:
     hidden_dim: int = 32
     lr_decay_epoch: int | None = 40   # divide lr by 10 from this epoch on; None: never
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
@@ -126,7 +128,6 @@ class RunResult:
     best: dict[str, float]
     last: dict[str, float]
     states: dict[str, ModelState]
-    config: dict
     wall_time_sec: float
     groups_by_epoch: list[tuple[int, np.ndarray]]
 
@@ -379,7 +380,6 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     trains model1 and model2. The tag names the model's RNG streams and
     its entries in the result. `on_step` receives one dict per crowd step.
     """
-    cfg.validate()
     t0 = time.perf_counter()
     eval_X, eval_y = _resolve_eval(ds, eval_set)
     if ds.n == 0 or len(eval_y) == 0:
@@ -467,6 +467,5 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         mean_curve = [(a + b) / 2 for a, b in zip(*curves.values())]
         best["mean"] = float(max(mean_curve))
         last["mean"] = float(mean_curve[-1])
-    return RunResult(curves=curves, best=best, last=last, states=states, config=asdict(cfg),
-                     wall_time_sec=time.perf_counter() - t0,
-                     groups_by_epoch=groups_by_epoch)
+    return RunResult(curves=curves, best=best, last=last, states=states,
+                     wall_time_sec=time.perf_counter() - t0, groups_by_epoch=groups_by_epoch)

@@ -3,7 +3,8 @@
 perfbench/spans.py wraps functions by module and name and reads the
 kernels' positional arguments for its annotation counters. A rename or
 signature change there would leave a traced benchmark pass silently
-empty, so this test runs the recorder around a tiny ccc run.
+empty, so one test runs the recorder around a tiny ccc run, and one
+pins the list of targets that name no function.
 """
 
 from pathlib import Path
@@ -16,6 +17,21 @@ from ccc.simulate import PatternSpec, build_pool, generate
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HOT_PATH = ("kernels.crowd_grads", "kernels.hyper_grads", "training.make_batch",
             "training.correction_gradient", "models.batch_forward")
+# The trace targets that name no function today. Any other target that
+# goes missing (a rename or a deletion) would read as zero calls.
+ABSENT = ["data.true_confusion_matrix", "data.confusion_distance",
+          "training.train_majority", "training.train_crowdlayer", "training.train_ccc"]
+
+
+def test_every_other_trace_target_is_present(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ccc.cli  # noqa: F401  (loads every module the CLI traces)
+    import spans
+
+    rec = spans.Recorder()
+    rec.install()
+    rec.uninstall()
+    assert rec.absent == ABSENT
 
 
 def test_recorder_hooks_ccc_hot_path(monkeypatch):

@@ -419,6 +419,7 @@ class TestTrain:
         pytest.param("1,x", id="1,x-1"),    # seed not an integer
         pytest.param("1,1", id="1,1-1"),    # repeated seed would share seed-1/
         pytest.param("2,1,2", id="1,1-2"),  # repeated, not next to each other
+        pytest.param("", id="empty"),       # no seed at all, not one default seed
     ])
     def test_bad_seeds_or_threads_exit_code(self, tmp_path, capsys, seeds):
         ds_dir = _simulate(tmp_path, "seeds")
@@ -426,7 +427,10 @@ class TestTrain:
         argv = _train_args(ds_dir, out, "majority")
         argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", seeds]
         assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if not seeds:
+            assert "--seeds must be comma-separated integers, got ''" in err
         assert not out.exists()
 
     def test_seed_with_seeds_exit_code(self, tmp_path, capsys):
@@ -528,7 +532,10 @@ class TestConfigAndDefaults:
         (["train", "--data", "d", "--algo", "ccc"], "--grouping", "joint"),
         (["simulate", "--features", "blobs:N=30,C=2,D=4", "--preset", "IND-I"],
          "--pair-map", "0:1,1:0"),
-    ], ids=["v-reset", "grouping", "pair-map"])
+        # inspect and eval read no config value, so they take no --config
+        (["inspect", "--data", "d"], "--config", "c.cfg"),
+        (["eval", "--model", "m.bin", "--data", "d"], "--config", "c.cfg"),
+    ], ids=["v-reset", "grouping", "pair-map", "inspect-config", "eval-config"])
     def test_removed_flag_rejected_by_argparse(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

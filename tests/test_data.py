@@ -1,7 +1,9 @@
 import io
+import json
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -480,10 +482,24 @@ class TestIO:
         for n in (5, 0):  # n = 0 writes header-only csv files
             X = RngStream(8).normal((n, 2))
             y = np.array([0, 1, 2, 0, 1][:n])
-            save_eval_set(X, y, tmp_path / f"ev{n}", class_count=3)
+            save_eval_set(X, y, tmp_path / f"ev{n}", class_count=3, seed=n)
+            # a dataset directory with no annotators and no annotations.csv
+            assert sorted(p.name for p in (tmp_path / f"ev{n}").iterdir()) == [
+                "features.csv", "meta.json", "truth.csv"]
+            assert json.loads((tmp_path / f"ev{n}" / "meta.json").read_text()) == {
+                "n": n, "d": 2, "c": 3, "r": 0, "preset": None, "seed": n,
+                "format_version": 1, "features_file": "features.csv"}
             X2, y2, c = load_eval_set(tmp_path / f"ev{n}")
             assert X2.shape == (n, 2) and y2.shape == (n,)
             assert np.array_equal(X, X2) and np.array_equal(y, y2) and c == 3
+
+    def test_truthless_save_removes_a_stale_truth_file(self, tmp_path):
+        ds = self._sample()
+        save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / "truth.csv").exists()
+        save_dataset(replace(ds, truth=None), tmp_path / "d")
+        assert not (tmp_path / "d" / "truth.csv").exists()
+        assert load_dataset(tmp_path / "d").truth is None
 
 
 def _model_without_bias():

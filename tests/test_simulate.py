@@ -149,6 +149,23 @@ class TestBuildPool:
         with pytest.raises(ConfigError):
             build_pool("IND-V", 10, rng=RngStream(0))
 
+    def test_preset_pool_size_checked_before_its_name(self):
+        with pytest.raises(ConfigError, match="preset pools need R divisible by 5, got 7"):
+            build_pool("IND-V", 10, R=7, rng=RngStream(0))
+
+    @pytest.mark.parametrize("R", [5, 50, 250])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_is_its_expanded_pattern_list(self, name, R):
+        by_name = build_pool(name, 10, R=R, rng=RngStream(11))
+        listed = build_pool([proto for proto in PRESETS[name] for _ in range(R // 5)], 10,
+                            rng=RngStream(11))
+        key = [(s.kind, s.epsilon, s.good_classes, s.target) for s in by_name.specs]
+        assert key == [(s.kind, s.epsilon, s.good_classes, s.target) for s in listed.specs]
+        assert np.array_equal(by_name.propensities, listed.propensities)
+        assert np.array_equal(by_name.group_of, listed.group_of)
+        # the first-appearance numbering is the preset's group index
+        assert np.array_equal(by_name.group_of, np.repeat(np.arange(5), R // 5))
+
     def test_scaled_pool_size(self):
         pool = build_pool("IND-I", 10, R=50, k=3, rng=RngStream(7))
         assert pool.annotator_count == 50

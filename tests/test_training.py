@@ -1,5 +1,6 @@
 import copy
 import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -477,6 +478,13 @@ class TestDivergenceGuard:
 
 
 class TestConfigValidation:
+    def test_config_is_frozen_and_checked_when_built(self):
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.lr = 0.1
+        with pytest.raises(ConfigError, match="lr must be finite and > 0, got nan"):
+            replace(cfg, lr=float("nan"))
+
     @pytest.mark.parametrize("field, value", [
         ("gamma", float("nan")), ("lr", float("nan")), ("lr", -0.05),
         ("lr", 0.0), ("lr", float("inf")), ("momentum", float("inf")),
@@ -590,8 +598,8 @@ class TestWorkspace:
         buffers = {}
 
         class Recording(kernels.Workspace):
-            def array(self, name, shape, dtype=np.float64):
-                out = super().array(name, shape, dtype)
+            def array(self, name, shape):
+                out = super().array(name, shape)
                 buffers[id(out.base)] = out.base
                 return out
 
