@@ -189,14 +189,13 @@ def cmd_simulate(args) -> int:
     result = generate(truth, features, pool, master.split("labels"),
                       return_dense=args.dump_dense,
                       preset=args.preset, seed=seed)
-    if args.dump_dense:
-        ds, dense = result
-    else:
-        ds, dense = result, None
+    ds = result[0] if args.dump_dense else result
 
     save_dataset(ds, out_dir, features_format=args.features_format)
-    if dense is not None:
-        write_dense_labels(out_dir / "dense_labels.csv", dense)
+    if args.dump_dense:
+        write_dense_labels(out_dir / "dense_labels.csv", result[1])
+    else:  # an earlier run's table would not match this dataset
+        (out_dir / "dense_labels.csv").unlink(missing_ok=True)
     if args.test_size and src_kind == "blobs":
         test_X, test_y = make_blobs(rng=master.split("test-features"),
                                     **{**src, "N": args.test_size})

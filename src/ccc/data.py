@@ -433,7 +433,8 @@ def write_dense_labels(path, dense: np.ndarray) -> None:
 
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory: annotations.csv, in (instance, annotator)
-    order, only when r > 0, and truth.csv, which a truthless dataset removes."""
+    order, only when r > 0, and truth.csv, which a truthless dataset removes,
+    as it removes the features file of the other format."""
     if features_format not in FEATURES_FORMATS:
         raise ContractError(f"unknown features format {features_format!r}")
     directory = Path(directory)
@@ -446,6 +447,8 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
     })
     write = _write_features_csv if features_format == "csv" else _write_features_bin
     write(directory / features_file, ds.features)
+    for other in set(FEATURES_FORMATS) - {features_format}:
+        (directory / f"features.{other}").unlink(missing_ok=True)
     if ds.annotator_count:
         order = np.lexsort((ds.ann_annotator, ds.ann_instance))
         write_csv(directory / "annotations.csv", "instance,annotator,label",

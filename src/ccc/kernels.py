@@ -193,35 +193,70 @@ def draw_labels(cum_rows, truth, u):
     return lab
 
 
-# Rows per select_k block, so that its (block, R) weights and cumsum fit
-# in cache. Rows are drawn independently: the picks do not depend on it.
+# Rows per block of select_k's third and later draws, so that the block
+# fits in cache. Rows are drawn independently: the picks do not depend on it.
 SELECT_K_ROWS = 1024
+
+
+def _count_at_or_below(cums, rows, t):
+    """Per i, the count of entries of the nondecreasing row cums[rows[i]]
+    at or below t[i]: they form a prefix, found by binary search."""
+    R = cums.shape[1]
+    count = np.zeros(t.shape, dtype=np.int64)
+    step = 1 << (R.bit_length() - 1)
+    while step:
+        probe = count + step
+        below = cums[rows, np.minimum(probe, R) - 1] <= t
+        count = np.where((probe <= R) & below, probe, count)
+        step >>= 1
+    return count
 
 
 def select_k(weights, U):
     """Successive weighted draws without replacement, batched over rows.
 
-    weights (R,) nonnegative, U (N, k) uniforms. Each draw is
-    proportional to the weights of the not-yet-picked annotators; picked
-    entries are zeroed before the next draw. Processes SELECT_K_ROWS rows
-    at a time to bound the working set. Returns int64 picks (N, k).
+    weights (R,) nonnegative with at least k positive, U (N, k) uniforms.
+    A row's pick is the count of entries of its cumsum, picked weights
+    zeroed, at or below u * total. Returns int64 picks (N, k), equal to
+    that recipe run one row at a time. Draw 1 shares one cumsum across
+    rows. Draw 2 looks each row up in an (R, R) table whose row j is the
+    cumsum with weight j zeroed, since a row's weights then depend only
+    on its first pick. Later draws sum SELECT_K_ROWS rows at a time in
+    an (R, rows) block, one annotator at a time, so each add runs across
+    rows and each entry gets np.cumsum's additions in np.cumsum's order.
+    Rounding can push u * total up to the total, which counts all R
+    entries; such a row lands on its last positive weight instead.
     """
     R = weights.shape[0]
     N, k = U.shape
+    positive = np.flatnonzero(weights > 0.0)
     out = np.empty((N, k), dtype=np.int64)
-    for lo in range(0, N, SELECT_K_ROWS):
-        hi = min(lo + SELECT_K_ROWS, N)
-        w = np.repeat(weights[None, :], hi - lo, axis=0)
-        rows = np.arange(hi - lo)
-        for d in range(k):
-            cums = np.cumsum(w, axis=1)
-            t = U[lo:hi, d] * cums[:, -1]
-            sel = (cums <= t[:, None]).sum(axis=1)
-            # Rounding can push t to the total; land on the last positive weight.
-            last_pos = R - 1 - np.argmax((w > 0.0)[:, ::-1], axis=1)
-            sel = np.minimum(sel, last_pos)
-            out[lo:hi, d] = sel
-            w[rows, sel] = 0.0
+    for d in range(k):
+        if d == 0:
+            cum = np.cumsum(weights)
+            sel = np.searchsorted(cum, U[:, 0] * cum[-1], side="right")
+        elif d == 1:
+            table = np.repeat(weights[None, :], R, axis=0)
+            np.fill_diagonal(table, 0.0)
+            table = np.cumsum(table, axis=1)
+            first = out[:, 0]
+            sel = _count_at_or_below(table, first, U[:, 1] * table[first, -1])
+        else:
+            sel = np.empty(N, dtype=np.int64)
+            for lo in range(0, N, SELECT_K_ROWS):
+                hi = min(lo + SELECT_K_ROWS, N)
+                cols = np.arange(hi - lo)
+                block = np.repeat(weights[:, None], hi - lo, axis=1)
+                block[out[lo:hi, :d].T, cols] = 0.0
+                for r in range(1, R):
+                    block[r] += block[r - 1]
+                sel[lo:hi] = _count_at_or_below(block.T, cols, U[lo:hi, d] * block[-1])
+        # Picks are distinct positive positions: a capped row's last free
+        # one follows the leading ranks, counted from the top, it picked.
+        capped = np.flatnonzero(sel == R)
+        rank = np.sort(positive.size - 1 - np.searchsorted(positive, out[capped, :d]), axis=1)
+        sel[capped] = positive[positive.size - 1 - (rank == np.arange(d)).sum(axis=1)]
+        out[:, d] = sel
     return out
 
 

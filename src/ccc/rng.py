@@ -11,6 +11,7 @@ Parallel work must operate on independent children from split().
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -37,6 +38,13 @@ class RngStream:
 
     def uniform(self, size=None) -> np.ndarray | float:
         return self.gen.random(size)
+
+    def uniform_ahead(self, skip: int, size=None) -> np.ndarray | float:
+        """The uniforms after the next `skip` draws, read from a copy: PCG64
+        spends one output per double, so `advance` skips them."""
+        ahead = copy.deepcopy(self.gen.bit_generator)
+        ahead.advance(skip)
+        return np.random.Generator(ahead).random(size)
 
     def normal(self, size=None) -> np.ndarray | float:
         return self.gen.standard_normal(size)

@@ -1,13 +1,14 @@
-"""Synthetic crowd annotations: dense pattern labeling, then sparse pruning.
+"""Synthetic crowd annotations: pattern labeling, then sparse pruning.
 
-Generation runs in two phases. Phase 1 labels every instance with every
-annotator according to its confusion pattern; independent annotators go
-first, then correlated ones read their target's phase-1 label. Phase 2
-keeps exactly k annotators per instance, sampled without replacement
-proportional to per-annotator propensities drawn once from
+Generation is defined in two phases. Phase 1 labels every instance with
+every annotator according to its confusion pattern; independent
+annotators go first, then correlated ones read their target's phase-1
+label. Phase 2 keeps exactly k annotators per instance, sampled without
+replacement proportional to per-annotator propensities drawn once from
 Beta(alpha, beta). Low-propensity annotators end up with very few
 retained labels, which is the sparsity profile the trainer has to cope
-with.
+with. generate works out phase 2's picks first and then computes only
+the phase-1 labels that are kept or that a correlated annotator reads.
 
 Independent pattern kinds (rows = true class, cols = reported label):
     symmetric-e  diag 1-e, off-diag e/(C-1)
@@ -28,7 +29,9 @@ RNG consumption order is part of the format: pool build draws R
 propensities then one uniform per correlated annotator (index order);
 generation draws N uniforms per independent annotator (index order),
 N per correlated annotator (index order; copy consumes none), then the
-(N, k) selection uniforms.
+(N, k) selection uniforms. A label left uncomputed still consumes its
+uniform, so the stream and every label kept are those of the dense
+recipe.
 """
 
 from __future__ import annotations
@@ -181,8 +184,9 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     spec_source is a preset name or an explicit list of PatternSpec; a
     preset expands to R // 5 annotators per pattern group (R divisible
     by 5, canonically 250). Bad pool options raise ConfigError before
-    anything is drawn. group_of numbers the pattern definitions by first
-    appearance, which for a preset is its group order.
+    anything is drawn, and so does a k above the number of positive
+    propensities once they are drawn. group_of numbers the pattern
+    definitions by first appearance, which for a preset is its group order.
     """
     if isinstance(spec_source, str):
         R = PRESET_POOL_SIZE if R is None else R
@@ -209,6 +213,10 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
         raise ContractError("pool needs at least one independent annotator")
 
     propensities = rng.beta(alpha, beta, R)
+    positive = int(np.count_nonzero(propensities > 0.0))
+    if k > positive:  # Beta draws can underflow to exactly 0.0
+        raise ConfigError(f"k={k} exceeds the {positive} positive propensities drawn from "
+                          f"Beta(alpha={alpha}, beta={beta}); raise alpha or lower k")
     for spec in specs:
         if spec.independent:
             continue
@@ -223,16 +231,33 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     return AnnotatorPool(specs, propensities, k, alpha, beta, C, group_of=groups)
 
 
+def _needed(pool: AnnotatorPool, ann_instance, ann_annotator) -> list[np.ndarray]:
+    """Per annotator, the instances where its phase-1 label is read: where
+    it is picked and, if independent, where an annotator targeting it is.
+    Repeats are harmless: an instance's label is the same each time."""
+    ends = np.cumsum(np.bincount(ann_annotator, minlength=pool.annotator_count))
+    picked = np.split(ann_instance[np.argsort(ann_annotator)], ends[:-1])
+    need = [[at] for at in picked]
+    for r, spec in enumerate(pool.specs):
+        if not spec.independent:
+            need[spec.target].append(picked[r])
+    return [np.concatenate(parts) for parts in need]
+
+
 def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
              return_dense: bool = False, preset: str | None = None,
              seed: int | None = None):
     """Run both phases and assemble a CrowdDataset.
 
     Every instance ends with exactly pool.k annotations, stored in
-    (instance, annotator) order. With return_dense=True the dense
-    phase-1 label table is returned alongside for auditing, as an (N, R)
-    view of the annotator-major (R, N) array of dtype np.min_scalar_type(C - 1)
-    (uint8 for C <= 256, else uint16). The dataset's ann_label is int64.
+    (instance, annotator) order. The picks come first, from selection
+    uniforms read ahead of phase 1's. Phase 1 then draws its uniforms as
+    documented but computes only the labels _needed lists, and the stream
+    ends past the selection uniforms. With return_dense=True every label
+    is computed and the dense phase-1 table is returned alongside for
+    auditing, as an (N, R) view of the annotator-major (R, N) array of
+    dtype np.min_scalar_type(C - 1) (uint8 for C <= 256, else uint16).
+    The dataset's ann_label is int64.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.size == 0:
@@ -245,33 +270,40 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         raise ContractError("truth labels out of range")
     N = truth.shape[0]
     R = pool.annotator_count
-    if pool.k > R:
-        raise ContractError(f"k={pool.k} exceeds pool size {R}")
+    if pool.k > np.count_nonzero(pool.propensities > 0.0):
+        raise ContractError(f"k={pool.k} exceeds the annotators with positive propensity")
 
-    # Annotator-major, so that each annotator writes one contiguous row.
+    drawing = sum(spec.kind != "copy" for spec in pool.specs)
+    picks = select_k(pool.propensities, rng.uniform_ahead(N * drawing, (N, pool.k)))
+    picks = np.sort(picks, axis=1)  # canonical per-instance annotator order
+    ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
+    ann_annotator = picks.reshape(-1)
+
+    need = [slice(None)] * R if return_dense else _needed(pool, ann_instance, ann_annotator)
+    # Annotator-major, so that each annotator writes one row; entries no
+    # one reads stay unwritten.
     dense = np.empty((R, N), dtype=np.min_scalar_type(C - 1))
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
             continue
         cum = np.cumsum(pattern_matrix(spec, C), axis=1)
-        dense[r] = draw_labels(cum, truth, rng.uniform(N))
+        at = need[r]
+        dense[r, at] = draw_labels(cum, truth[at], rng.uniform(N)[at])
     for r, spec in enumerate(pool.specs):
         if spec.independent:
             continue
-        target = dense[spec.target]
+        at = need[r]
+        target = dense[spec.target, at]
         if spec.kind == "copy":
-            dense[r] = target
+            dense[r, at] = target
             continue
-        u = rng.uniform(N)
+        u = rng.uniform(N)[at]
         uniform_label = np.minimum((u * C).astype(np.int64), C - 1)
-        right = target == truth
+        right = target == truth[at]
         keep_truth = right if spec.kind == "supportive" else ~right
-        dense[r] = np.where(keep_truth, truth, uniform_label)
-
-    picks = select_k(pool.propensities, rng.uniform((N, pool.k)))
-    picks = np.sort(picks, axis=1)  # canonical per-instance annotator order
-    ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
-    ann_annotator = picks.reshape(-1)
+        dense[r, at] = np.where(keep_truth, truth[at], uniform_label)
+    del need  # as large as the annotations, and validate's peak is still to come
+    rng.uniform((N, pool.k))  # step past the selection uniforms read above
     ann_label = dense[ann_annotator, ann_instance].astype(np.int64)
 
     ds = CrowdDataset(

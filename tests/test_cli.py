@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -102,6 +103,46 @@ class TestSimulate:
         assert np.array_equal(table[:, 0], np.repeat(np.arange(20), 10))
         assert np.array_equal(table[:, 1], np.tile(np.arange(10), 20))
         assert np.array_equal(table[:, 2], dense.reshape(-1))
+
+    def test_resimulate_removes_the_earlier_runs_files(self, tmp_path):
+        out = tmp_path / "d"
+        base = ["simulate", "--features", "blobs:N=40,C=10,D=3", "--preset", "IND-I",
+                "--annotators", "10", "--out", str(out)]
+        assert main(base + ["--dump-dense", "--seed", "1"]) == 0
+        assert (out / "dense_labels.csv").exists() and (out / "features.csv").exists()
+        assert main(base + ["--features-format", "bin", "--seed", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "annotations.csv", "features.bin", "meta.json", "truth.csv"]
+
+    # sha256 of every file simulate wrote, frozen from the dense-phase-1
+    # simulator; a change to generation, RNG consumption or the writers
+    # shows here.
+    GOLDEN = {
+        ("IND-I", "1", "csv", True): {
+            "annotations.csv": "0abf9c4cc13554a3f6aae7611adbe61d6799e5fb808c4bc12cf2365e98d599d6",
+            "dense_labels.csv": "684ed2be8f6f71b35b281886ea53f23fa453366076a36d556a7fd12ef44bf9a3",
+            "features.csv": "a2cde731f3ea8e17896844a731fe51e80a6e218242aaac3cb3f50bc40bd67803",
+            "meta.json": "e741f4db75d1443ee959c082b85cfef19974565587d1ffa50f3993205bbd8751",
+            "truth.csv": "1721ad45186357f70ea213c51c48a4576bd49df7c69984156aeec2c8ac2a6db9",
+        },
+        ("COR-II", "2", "bin", False): {
+            "annotations.csv": "4294d0eec729991a0ef26e6e2dfefcf9fa13086d13e7467260822a5094e0b177",
+            "features.bin": "cf93a234b5db435e30bea70462546dea110baf0cc49b5dbb47ca61d28f2e104e",
+            "meta.json": "ef05c53655dd5607dc39fea111ab461c280f521f736bdb171fce076df560462a",
+            "truth.csv": "1721ad45186357f70ea213c51c48a4576bd49df7c69984156aeec2c8ac2a6db9",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_files_match_golden_digests(self, tmp_path, case):
+        preset, seed, fmt, dense = case
+        out = tmp_path / "d"
+        argv = ["simulate", "--features", "blobs:N=60,C=10,D=3", "--preset", preset,
+                "--annotators", "25", "--k", "3", "--seed", seed,
+                "--features-format", fmt, "--out", str(out)]
+        assert main(argv + ["--dump-dense"] * dense) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == self.GOLDEN[case]
 
     def test_test_split_written(self, tmp_path):
         out = _simulate(tmp_path, "with-test", test_size=30)

@@ -501,6 +501,15 @@ class TestIO:
         assert not (tmp_path / "d" / "truth.csv").exists()
         assert load_dataset(tmp_path / "d").truth is None
 
+    @pytest.mark.parametrize("first, second", [("csv", "bin"), ("bin", "csv")])
+    def test_save_removes_the_other_formats_features_file(self, tmp_path, first, second):
+        ds = self._sample()
+        save_dataset(ds, tmp_path / "d", features_format=first)
+        save_dataset(ds, tmp_path / "d", features_format=second)
+        assert not (tmp_path / "d" / f"features.{first}").exists()
+        assert (tmp_path / "d" / f"features.{second}").exists()
+        _assert_same_arrays(load_dataset(tmp_path / "d"), ds)
+
 
 def _model_without_bias():
     clf = init_classifier("linear", 2, 0, 2, RngStream(0))

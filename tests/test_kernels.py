@@ -6,6 +6,7 @@ import pytest
 from ccc import kernels
 from ccc.models import backprop, batch_forward, init_classifier
 from ccc.rng import RngStream
+from test_kernel_props import select_k_oracle
 
 
 def _random_case(seed, n=6, C=4, R=5, A=15, G=2):
@@ -111,6 +112,28 @@ class TestWorkspace:
 
 
 class TestSelectK:
+    def test_beta_weights_at_pool_scale_equal_row_oracle(self):
+        # A criterion-1-sized pool: each draw's path at R = 250.
+        w = RngStream(2).beta(1.5, 3.0, 250)
+        U = RngStream(3).uniform((3000, 3))
+        assert np.array_equal(kernels.select_k(w, U), select_k_oracle(w, U))
+
+    def test_uniforms_on_cumsum_entries_equal_row_oracle(self):
+        # u * total lands exactly on an entry of the row's cumsum, so a
+        # cumsum summed in another order would move some count by one.
+        w = RngStream(4).beta(1.5, 3.0, 40)
+        U = RngStream(5).uniform((1500, 3))
+        rng = np.random.default_rng(6)
+        for row in U:
+            left = w.copy()
+            for d in range(3):
+                cums = np.cumsum(left)
+                entry = cums[rng.integers(0, 40)]
+                if entry / cums[-1] < 1.0 and entry / cums[-1] * cums[-1] == entry:
+                    row[d] = entry / cums[-1]
+                left[select_k_oracle(left, row[None, d:d + 1])[0, 0]] = 0.0
+        assert np.array_equal(kernels.select_k(w, U), select_k_oracle(w, U))
+
     def test_never_picks_zero_weight(self):
         w = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
         U = RngStream(0).uniform((5000, 2))

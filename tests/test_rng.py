@@ -52,3 +52,18 @@ def test_scalar_and_vector_draws_agree():
 
 def test_permutation_deterministic():
     assert np.array_equal(RngStream(9).permutation(20), RngStream(9).permutation(20))
+
+
+def test_uniform_ahead_reads_past_skip_without_moving():
+    s = RngStream(12)
+    s.uniform(3)  # an odd offset, so the read-ahead starts mid-stream
+    state = s.gen.bit_generator.state
+    ahead = s.uniform_ahead(1000, (40, 3))
+    assert s.gen.bit_generator.state == state
+    s.uniform(1000)
+    assert np.array_equal(ahead, s.uniform((40, 3)))
+
+
+def test_uniform_ahead_of_zero_is_the_next_draw():
+    s = RngStream(13)
+    assert np.array_equal(s.uniform_ahead(0, 5), s.uniform(5))

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccc.data import (annotation_histogram, annotation_noise_rate,
                       save_dataset, true_confusion_matrices)
 from ccc.errors import ConfigError, ContractError
+from ccc.kernels import draw_labels, select_k
 from ccc.rng import RngStream
 from ccc.simulate import (PRESETS, AnnotatorPool, PatternSpec, build_pool,
                           generate, pattern_matrix)
@@ -175,6 +177,15 @@ class TestBuildPool:
         with pytest.raises(ConfigError):
             build_pool([PatternSpec("dummy")] * 2, 10, k=3, rng=RngStream(0))
 
+    def test_k_above_the_positive_propensities_rejected(self):
+        # alpha 0.001 underflows most Beta draws to exactly 0.0
+        pool = build_pool("IND-I", 10, R=250, k=3, alpha=0.001, rng=RngStream(0))
+        positive = int((pool.propensities > 0.0).sum())
+        assert 3 <= positive < 250
+        with pytest.raises(ConfigError, match=f"k={positive + 1} exceeds the {positive} "
+                           r"positive propensities drawn from Beta\(alpha=0.001, beta=3.0\)"):
+            build_pool("IND-I", 10, R=250, k=positive + 1, alpha=0.001, rng=RngStream(0))
+
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError, match="k must be between 1 and the pool size 2, got 0"):
             build_pool([PatternSpec("dummy")] * 2, 10, k=0, rng=RngStream(0))
@@ -295,7 +306,92 @@ class TestGenerate:
         with pytest.raises(ContractError):
             generate(_balanced_truth(10, 4), np.zeros((10, 1)), pool, RngStream(0))
 
+    def test_k_exceeds_positive_propensities(self):
+        specs = [PatternSpec("dummy")] * 3
+        pool = AnnotatorPool(specs, np.array([0.5, 0.0, 0.5]), k=3, alpha=1.5,
+                             beta=3.0, class_count=4)
+        with pytest.raises(ContractError, match="k=3 exceeds the annotators with positive"):
+            generate(_balanced_truth(10, 4), np.zeros((10, 1)), pool, RngStream(0))
+
     def test_empty_truth_rejected(self):
         pool = build_pool([PatternSpec("dummy")], 4, k=1, rng=RngStream(0))
         with pytest.raises(ContractError):
             generate(np.empty(0, dtype=np.int64), np.zeros((0, 1)), pool, RngStream(0))
+
+
+def generate_oracle(truth, pool, rng):
+    """The dense recipe: label every (instance, annotator) pair in phase 1,
+    then keep pool.k per instance. Returns (ann_instance, ann_annotator,
+    ann_label, dense (N, R))."""
+    N, R, C = truth.shape[0], pool.annotator_count, pool.class_count
+    dense = np.empty((R, N), dtype=np.min_scalar_type(C - 1))
+    for r, spec in enumerate(pool.specs):
+        if not spec.independent:
+            continue
+        cum = np.cumsum(pattern_matrix(spec, C), axis=1)
+        dense[r] = draw_labels(cum, truth, rng.uniform(N))
+    for r, spec in enumerate(pool.specs):
+        if spec.independent:
+            continue
+        target = dense[spec.target]
+        if spec.kind == "copy":
+            dense[r] = target
+            continue
+        u = rng.uniform(N)
+        uniform_label = np.minimum((u * C).astype(np.int64), C - 1)
+        right = target == truth
+        keep_truth = right if spec.kind == "supportive" else ~right
+        dense[r] = np.where(keep_truth, truth, uniform_label)
+    picks = np.sort(select_k(pool.propensities, rng.uniform((N, pool.k))), axis=1)
+    ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
+    ann_annotator = picks.reshape(-1)
+    return ann_instance, ann_annotator, dense[ann_annotator, ann_instance], dense.T
+
+
+@st.composite
+def generate_cases(draw):
+    # Pattern lists of every kind, C from 2, zero propensities and k up
+    # to the number of positive ones.
+    C = draw(st.integers(2, 5))
+    independent = st.one_of(
+        st.builds(PatternSpec, st.sampled_from(["symmetric", "pair"]),
+                  epsilon=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)),
+        st.builds(PatternSpec, st.just("classwise"), good_classes=st.lists(
+            st.integers(0, C - 1), min_size=1, max_size=C, unique=True).map(tuple)),
+        st.just(PatternSpec("dummy")))
+    correlated = st.sampled_from(["copy", "supportive", "opposite"]).map(PatternSpec)
+    specs = draw(st.lists(independent, min_size=1, max_size=4))
+    specs += draw(st.lists(correlated, max_size=4))
+    specs = draw(st.permutations(specs))
+    R = len(specs)
+    weight = st.sampled_from([0.0, 0.2, 1.0]) | st.floats(1e-3, 1.0)
+    propensities = np.array(draw(st.lists(weight, min_size=R, max_size=R)))
+    if not (propensities > 0.0).any():
+        propensities[draw(st.integers(0, R - 1))] = 0.5
+    k = draw(st.integers(1, int((propensities > 0.0).sum())))
+    N = draw(st.integers(1, 40))
+    truth = np.array(draw(st.lists(st.integers(0, C - 1), min_size=N, max_size=N)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return specs, C, propensities, k, truth, seed, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(generate_cases())
+def test_generate_equals_dense_oracle(case):
+    specs, C, propensities, k, truth, seed, return_dense = case
+    pool = build_pool(specs, C, k=1, rng=RngStream(seed, ("pool",)))
+    pool.propensities, pool.k = propensities, k
+    rng = RngStream(seed, ("labels",))
+    got = generate(truth, np.zeros((truth.size, 1)), pool, rng, return_dense=return_dense)
+    ds, dense = got if return_dense else (got, None)
+    want = generate_oracle(truth, pool, RngStream(seed, ("labels",)))
+    assert np.array_equal(ds.ann_instance, want[0])
+    assert np.array_equal(ds.ann_annotator, want[1])
+    assert ds.ann_label.dtype == np.int64 and np.array_equal(ds.ann_label, want[2])
+    if return_dense:
+        assert dense.dtype == want[3].dtype and np.array_equal(dense, want[3])
+    # the stream ends as if every phase-1 label and selection uniform was drawn
+    drawing = sum(spec.kind != "copy" for spec in pool.specs)
+    sequential = RngStream(seed, ("labels",))
+    sequential.uniform(truth.size * (drawing + k))
+    assert rng.gen.bit_generator.state == sequential.gen.bit_generator.state
