@@ -27,9 +27,9 @@ from . import __version__
 from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
                    annotation_noise_rate, confusion_distances,
                    evaluate_accuracy, instance_noise_rate, load_dataset,
-                   load_eval_set, make_blobs, save_dataset, save_eval_set,
-                   true_confusion_matrices, write_csv, write_dense_labels,
-                   write_json)
+                   load_eval_set, make_blobs, remove_eval_set, save_dataset,
+                   save_eval_set, true_confusion_matrices, write_csv,
+                   write_dense_labels, write_json)
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
@@ -200,8 +200,10 @@ def cmd_simulate(args) -> int:
         test_X, test_y = make_blobs(rng=master.split("test-features"),
                                     **{**src, "N": args.test_size})
         save_eval_set(test_X, test_y, out_dir / "test", C, seed=seed)
-    elif args.test_size:
-        print("--test-size applies to blobs sources only; no test split written")
+    else:  # an earlier run's test set belongs to another seed or source
+        remove_eval_set(out_dir / "test")
+        if args.test_size:
+            print("--test-size applies to blobs sources only; no test split written")
 
     nr1 = instance_noise_rate(ds)
     nr2 = annotation_noise_rate(ds)
@@ -295,6 +297,11 @@ def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
         write_csv(out_dir / "groups.csv", "epoch,annotator,group",
                   [(np.full(len(g), epoch), np.arange(len(g)), g)
                    for epoch, g in res.groups_by_epoch])
+    for name, wrote in (("model2.bin", "model2" in res.states),
+                        ("confusions.csv", bool(confusions)),
+                        ("groups.csv", bool(res.groups_by_epoch))):
+        if not wrote:  # an earlier run of another algorithm left it
+            (out_dir / name).unlink(missing_ok=True)
     payload = {
         "algo": cfg.algo, "seed": cfg.seed, "config": asdict(cfg),
         "wall_time_sec": res.wall_time_sec,

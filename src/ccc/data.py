@@ -70,6 +70,9 @@ class CrowdDataset:
         return self.ann_instance.shape[0]
 
     def validate(self) -> None:
+        """Raise ContractError at the first broken rule, checked in this
+        order: lengths, ranges, a repeated (instance, annotator) pair, an
+        uncovered instance (the file loaders' two rules), then truth."""
         n, r, c = self.n, self.annotator_count, self.class_count
         ai, ar, al = self.ann_instance, self.ann_annotator, self.ann_label
         if ai.shape != ar.shape or ai.shape != al.shape:
@@ -80,10 +83,9 @@ class CrowdDataset:
             raise ContractError("annotation annotator id out of range")
         if al.size and (al.min() < 0 or al.max() >= c):
             raise ContractError("annotation label out of range")
-        pairs = ai * r + ar
-        if np.unique(pairs).size != pairs.size:
+        if _repeats(ai * r + ar).any():
             raise ContractError("duplicate (instance, annotator) annotation")
-        if np.unique(ai).size != n:
+        if not np.bincount(ai, minlength=n).all():
             raise ContractError("every instance needs at least one annotation")
         if self.truth is not None:
             if self.truth.shape[0] != n:
@@ -386,9 +388,13 @@ class CsvRows:
 
 
 def _repeats(key: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key already appeared in an earlier row."""
-    out = np.ones(key.size, dtype=bool)
-    out[np.unique(key, return_index=True)[1]] = False  # first occurrences
+    """Mask of the rows whose key already appeared in an earlier row: a
+    stable sort keeps equal keys in row order, so in each run of equal
+    keys every row but the first is a repeat."""
+    order = np.argsort(key, kind="stable")
+    run = key[order]
+    out = np.zeros(key.size, dtype=bool)
+    out[order[1:]] = run[1:] == run[:-1]
     return out
 
 
@@ -599,6 +605,22 @@ def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,
     none = np.empty(0, dtype=np.int64)
     save_dataset(CrowdDataset(features, class_count, 0, none, none, none,
                               truth=labels, seed=seed), directory)
+
+
+def remove_eval_set(directory) -> None:
+    """Remove the files save_eval_set writes if directory holds an eval
+    set (its meta.json loads, with r = 0), then the directory if that
+    left it empty. Any other file, and any other directory, stays."""
+    directory = Path(directory)
+    try:
+        if _load_meta(directory)["r"] != 0:
+            return
+    except DataFormatError:
+        return
+    for name in (*_FEATURES_LOADERS, "truth.csv", "meta.json"):
+        (directory / name).unlink(missing_ok=True)
+    if not any(directory.iterdir()):
+        directory.rmdir()
 
 
 def load_eval_set(directory):

@@ -231,17 +231,22 @@ def build_pool(spec_source, C: int, R: int | None = None, k: int = 3,
     return AnnotatorPool(specs, propensities, k, alpha, beta, C, group_of=groups)
 
 
-def _needed(pool: AnnotatorPool, ann_instance, ann_annotator) -> list[np.ndarray]:
-    """Per annotator, the instances where its phase-1 label is read: where
-    it is picked and, if independent, where an annotator targeting it is.
-    Repeats are harmless: an instance's label is the same each time."""
-    ends = np.cumsum(np.bincount(ann_annotator, minlength=pool.annotator_count))
-    picked = np.split(ann_instance[np.argsort(ann_annotator)], ends[:-1])
-    need = [[at] for at in picked]
+def _layout(pool: AnnotatorPool, picked: list[np.ndarray], dense: bool):
+    """Where phase-1 labels are computed and read: annotator r labels the
+    instances at[r], keeps labels[r][own[r]] and, if correlated, reads
+    labels[target][src[r]]. Sparse, at[r] is r's picks followed, for an
+    independent r, by the picks of each annotator targeting it in pool
+    order (an instance may repeat), so own and src are slices. Dense,
+    every annotator labels every instance and own[r] is r's picks."""
+    if dense:
+        return [slice(None)] * len(picked), picked, [slice(None)] * len(picked)
+    at, src = [[p] for p in picked], [None] * len(picked)
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
-            need[spec.target].append(picked[r])
-    return [np.concatenate(parts) for parts in need]
+            start = sum(part.size for part in at[spec.target])
+            src[r] = slice(start, start + picked[r].size)
+            at[spec.target].append(picked[r])
+    return [np.concatenate(parts) for parts in at], [slice(0, p.size) for p in picked], src
 
 
 def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
@@ -252,12 +257,13 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     Every instance ends with exactly pool.k annotations, stored in
     (instance, annotator) order. The picks come first, from selection
     uniforms read ahead of phase 1's. Phase 1 then draws its uniforms as
-    documented but computes only the labels _needed lists, and the stream
-    ends past the selection uniforms. With return_dense=True every label
-    is computed and the dense phase-1 table is returned alongside for
-    auditing, as an (N, R) view of the annotator-major (R, N) array of
-    dtype np.min_scalar_type(C - 1) (uint8 for C <= 256, else uint16).
-    The dataset's ann_label is int64.
+    documented but labels each annotator only where _layout says its
+    labels are read, into one array per annotator, and the stream ends
+    past the selection uniforms. With return_dense=True every annotator
+    labels every instance, and the stacked labels are returned alongside
+    for auditing as an (N, R) view of an annotator-major (R, N) array.
+    Phase-1 labels are stored as np.min_scalar_type(C - 1) (uint8 for
+    C <= 256, else uint16); the dataset's ann_label is int64.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.size == 0:
@@ -279,32 +285,33 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
     ann_annotator = picks.reshape(-1)
 
-    need = [slice(None)] * R if return_dense else _needed(pool, ann_instance, ann_annotator)
-    # Annotator-major, so that each annotator writes one row; entries no
-    # one reads stay unwritten.
-    dense = np.empty((R, N), dtype=np.min_scalar_type(C - 1))
+    order = np.argsort(ann_annotator)  # annotations grouped by annotator
+    ends = np.cumsum(np.bincount(ann_annotator, minlength=R))
+    at, own, src = _layout(pool, np.split(ann_instance[order], ends[:-1]), return_dense)
+    dtype = np.min_scalar_type(C - 1)
+    labels: list[np.ndarray] = [None] * R
     for r, spec in enumerate(pool.specs):
         if not spec.independent:
             continue
         cum = np.cumsum(pattern_matrix(spec, C), axis=1)
-        at = need[r]
-        dense[r, at] = draw_labels(cum, truth[at], rng.uniform(N)[at])
+        labels[r] = draw_labels(cum, truth[at[r]], rng.uniform(N)[at[r]]).astype(dtype)
     for r, spec in enumerate(pool.specs):
         if spec.independent:
             continue
-        at = need[r]
-        target = dense[spec.target, at]
+        target = labels[spec.target][src[r]]
         if spec.kind == "copy":
-            dense[r, at] = target
+            labels[r] = target
             continue
-        u = rng.uniform(N)[at]
+        u = rng.uniform(N)[at[r]]
         uniform_label = np.minimum((u * C).astype(np.int64), C - 1)
-        right = target == truth[at]
+        right = target == truth[at[r]]
         keep_truth = right if spec.kind == "supportive" else ~right
-        dense[r, at] = np.where(keep_truth, truth[at], uniform_label)
-    del need  # as large as the annotations, and validate's peak is still to come
+        labels[r] = np.where(keep_truth, truth[at[r]], uniform_label).astype(dtype)
     rng.uniform((N, pool.k))  # step past the selection uniforms read above
-    ann_label = dense[ann_annotator, ann_instance].astype(np.int64)
+    ann_label = np.empty(ann_annotator.size, dtype=np.int64)
+    ann_label[order] = np.concatenate([lab[mine] for lab, mine in zip(labels, own)])
+    dense = np.stack(labels) if return_dense else None
+    del at, order  # each as large as the annotations, and validate's peak is to come
 
     ds = CrowdDataset(
         features=features, class_count=C, annotator_count=R,

@@ -114,21 +114,26 @@ class TestSimulate:
         assert sorted(p.name for p in out.iterdir()) == [
             "annotations.csv", "features.bin", "meta.json", "truth.csv"]
 
-    # sha256 of every file simulate wrote, frozen from the dense-phase-1
-    # simulator; a change to generation, RNG consumption or the writers
+    # sha256 of every file simulate and then inspect wrote, frozen from
+    # the dense-phase-1 simulator and the np.unique-based loader checks;
+    # a change to generation, RNG consumption, loading or the writers
     # shows here.
     GOLDEN = {
         ("IND-I", "1", "csv", True): {
             "annotations.csv": "0abf9c4cc13554a3f6aae7611adbe61d6799e5fb808c4bc12cf2365e98d599d6",
+            "cm_distances.csv": "09ef877142d638c000e439ee09b4601475a9dfffd905fc3bdf9e9a4bc33fef0a",
             "dense_labels.csv": "684ed2be8f6f71b35b281886ea53f23fa453366076a36d556a7fd12ef44bf9a3",
             "features.csv": "a2cde731f3ea8e17896844a731fe51e80a6e218242aaac3cb3f50bc40bd67803",
             "meta.json": "e741f4db75d1443ee959c082b85cfef19974565587d1ffa50f3993205bbd8751",
+            "stats.json": "fbc339b9d50cb414dcfebddf1d20eb2541fc4f1ba047ae4df343f0885abe6f7f",
             "truth.csv": "1721ad45186357f70ea213c51c48a4576bd49df7c69984156aeec2c8ac2a6db9",
         },
         ("COR-II", "2", "bin", False): {
             "annotations.csv": "4294d0eec729991a0ef26e6e2dfefcf9fa13086d13e7467260822a5094e0b177",
+            "cm_distances.csv": "7cb089366ab28a79c36c87d6702a15eef7a915c41e741902121b5efb7c3c74cf",
             "features.bin": "cf93a234b5db435e30bea70462546dea110baf0cc49b5dbb47ca61d28f2e104e",
             "meta.json": "ef05c53655dd5607dc39fea111ab461c280f521f736bdb171fce076df560462a",
+            "stats.json": "b31fa267d44aa2c1b8ca4131268546a6a3f35524bd96fc91040daa2de125765e",
             "truth.csv": "1721ad45186357f70ea213c51c48a4576bd49df7c69984156aeec2c8ac2a6db9",
         },
     }
@@ -141,6 +146,7 @@ class TestSimulate:
                 "--annotators", "25", "--k", "3", "--seed", seed,
                 "--features-format", fmt, "--out", str(out)]
         assert main(argv + ["--dump-dense"] * dense) == 0
+        assert main(["inspect", "--data", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()} == self.GOLDEN[case]
 
@@ -148,6 +154,37 @@ class TestSimulate:
         out = _simulate(tmp_path, "with-test", test_size=30)
         meta = json.loads((out / "test" / "meta.json").read_text())
         assert meta["n"] == 30 and meta["r"] == 0
+
+    @pytest.mark.parametrize("source", ["blobs", "file"])
+    def test_resimulate_without_a_test_split_removes_the_earlier_one(self, tmp_path, source):
+        out = _simulate(tmp_path, "d", seed=1, test_size=30)
+        assert (out / "test" / "truth.csv").exists()
+        if source == "blobs":
+            _simulate(tmp_path, "d", seed=2, test_size=0)
+        else:  # a file: source writes no test split, whatever --test-size says
+            src = tmp_path / "src"
+            save_eval_set(RngStream(3).normal((40, 6)), np.arange(40) % 4, src, class_count=4)
+            argv = ["simulate", "--features", f"file:{src}",
+                    "--patterns", str(_pattern_file(tmp_path, 4, 10)),
+                    "--k", "2", "--seed", "2", "--out", str(out), "--test-size", "30"]
+            assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "annotations.csv", "features.csv", "meta.json", "truth.csv"]
+
+    def test_stale_test_split_removal_keeps_foreign_files(self, tmp_path):
+        out = _simulate(tmp_path, "d", seed=1, test_size=30)
+        (out / "test" / "notes.txt").write_text("mine")
+        (out / "test" / "features.bin").write_bytes(b"old")
+        _simulate(tmp_path, "d", seed=2, test_size=0)
+        assert [p.name for p in (out / "test").iterdir()] == ["notes.txt"]
+        assert (out / "test" / "notes.txt").read_text() == "mine"
+
+    def test_test_directory_that_is_no_eval_set_is_left_alone(self, tmp_path):
+        out = _simulate(tmp_path, "d", seed=1, test_size=0)
+        _simulate(tmp_path, "d/test", seed=1, test_size=0)  # a dataset, r > 0
+        before = {p.name: p.read_bytes() for p in (out / "test").iterdir()}
+        _simulate(tmp_path, "d", seed=2, test_size=0)
+        assert {p.name: p.read_bytes() for p in (out / "test").iterdir()} == before
 
     @pytest.mark.parametrize("flag, value", [
         ("--features", "blobs:N=x,C=3,D=4"),
@@ -369,6 +406,20 @@ class TestTrain:
         assert (tmp_path / "run-ccc" / "groups.csv").exists()
         assert (tmp_path / "run-ccc" / "confusions.csv").read_text().splitlines()[0] \
             == "model,annotator,row,col,value"
+
+    def test_retrain_removes_the_earlier_algorithms_files(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "t")
+        out = tmp_path / "run"
+        assert main(_train_args(ds_dir, out, "ccc", epochs=2)) == 0
+        assert {"model2.bin", "confusions.csv", "groups.csv"} <= {p.name for p in out.iterdir()}
+        assert main(_train_args(ds_dir, out, "crowdlayer", epochs=2)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "confusions.csv", "curves.csv", "model1.bin", "run.json"]
+        assert main(_train_args(ds_dir, out, "majority", epochs=2)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "model1.bin", "run.json"]
+        again = tmp_path / "fresh"
+        assert main(_train_args(ds_dir, again, "majority", epochs=2)) == 0
+        assert (out / "model1.bin").read_bytes() == (again / "model1.bin").read_bytes()
 
     @pytest.mark.parametrize("algo", ["majority", "crowdlayer", "ccc"])
     def test_empty_dataset_or_eval_set_exit_code(self, tmp_path, capsys, algo):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccc import data
 from ccc.data import (CrowdDataset, _load_features_bin, _write_features_bin,
@@ -62,6 +63,69 @@ class TestValidate:
             break_it(ds)
         with pytest.raises(ContractError, match=message):
             ds.validate()
+
+    def test_duplicate_reported_before_coverage(self):
+        ds = _ds(3, 3, 2, [[0, 0, 0], [1, 1, 1], [1, 1, 0]])  # instance 2 uncovered too
+        with pytest.raises(ContractError, match="^duplicate"):
+            ds.validate()
+
+
+def repeats_oracle(key):
+    """The np.unique-based mask _repeats replaced: True on each row whose
+    key already appeared in an earlier row."""
+    out = np.ones(key.size, dtype=bool)
+    out[np.unique(key, return_index=True)[1]] = False  # first occurrences
+    return out
+
+
+def validate_oracle(ds):
+    """The message of the np.unique-based pair and coverage checks that
+    validate ran before, for a dataset whose ids are in range."""
+    pairs = ds.ann_instance * ds.annotator_count + ds.ann_annotator
+    if np.unique(pairs).size != pairs.size:
+        return "duplicate (instance, annotator) annotation"
+    if np.unique(ds.ann_instance).size != ds.n:
+        return "every instance needs at least one annotation"
+    return None
+
+
+_KEYS = st.one_of(
+    st.lists(st.integers(-2**40, 2**40), max_size=60),  # unsorted, negative, few repeats
+    st.lists(st.integers(-3, 3), max_size=60),           # many repeats
+    st.lists(st.integers(-3, 3), max_size=60).map(sorted),
+    st.builds(lambda v, n: [v] * n, st.integers(-5, 5), st.integers(0, 20)),  # all equal
+).map(lambda values: np.array(values, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_KEYS)
+@example(np.empty(0, dtype=np.int64))
+@example(np.array([7]))
+@example(np.array([-4, -4, -4]))
+@example(np.array([3, -1, 3, 2, -1, 3]))
+def test_repeats_equals_unique_oracle(key):
+    got = data._repeats(key)
+    assert got.dtype == bool and np.array_equal(got, repeats_oracle(key))
+
+
+@st.composite
+def _in_range_datasets(draw):
+    n, r = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, r - 1)),
+                          max_size=12)) if n else []
+    return _ds(n, 2, r, [(i, a, 0) for i, a in pairs])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_in_range_datasets())
+def test_validate_pair_and_coverage_rules_match_unique_oracle(ds):
+    want = validate_oracle(ds)
+    if want is None:
+        ds.validate()
+    else:
+        with pytest.raises(ContractError) as info:
+            ds.validate()
+        assert str(info.value) == want
 
 
 class TestNoiseRates:

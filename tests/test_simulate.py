@@ -256,6 +256,22 @@ class TestGenerate:
             tracemalloc.stop()
         assert peak < N * R * 8 / 2
 
+    def test_peak_memory_below_a_uint8_table_at_criterion_1_scale(self):
+        # 45,000 x 250 COR-I: phase 1 keeps one label array per annotator,
+        # so not even a uint8 (R, N) table of N * R bytes may be built.
+        N, R = 45_000, 250
+        pool = build_pool("COR-I", 10, R=R, rng=RngStream(18))
+        truth = _balanced_truth(N, 10)
+        features = np.zeros((N, 1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            generate(truth, features, pool, RngStream(19))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < N * R
+
     @pytest.mark.parametrize("C, dtype", [(10, np.uint8), (300, np.uint16)])
     def test_dense_table_in_narrowest_class_dtype(self, C, dtype):
         specs = [PatternSpec("symmetric", epsilon=0.5)] * 3 + [PatternSpec("opposite")]
