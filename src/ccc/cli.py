@@ -284,9 +284,20 @@ def _check_eval_set(X, c: int, against: str, classes: int, d: int) -> None:
             raise ConfigError(f"eval set {what} {got} != {against} {want}")
 
 
+RUN_FILES = ("run.json", "model1.bin", "model2.bin", "curves.csv", "confusions.csv",
+             "groups.csv")
+
+
+def _remove_run(directory: Path) -> None:
+    """Delete the files of a train run written to directory before."""
+    for name in RUN_FILES:
+        (directory / name).unlink(missing_ok=True)
+
+
 def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
     res = train(ds, cfg, eval_set)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once train has accepted the run
+    _remove_run(out_dir)  # an earlier run's files, some of which this run may not write
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
     _write_curves(out_dir / "curves.csv", res.curves)
@@ -297,11 +308,6 @@ def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
         write_csv(out_dir / "groups.csv", "epoch,annotator,group",
                   [(np.full(len(g), epoch), np.arange(len(g)), g)
                    for epoch, g in res.groups_by_epoch])
-    for name, wrote in (("model2.bin", "model2" in res.states),
-                        ("confusions.csv", bool(confusions)),
-                        ("groups.csv", bool(res.groups_by_epoch))):
-        if not wrote:  # an earlier run of another algorithm left it
-            (out_dir / name).unlink(missing_ok=True)
     payload = {
         "algo": cfg.algo, "seed": cfg.seed, "config": asdict(cfg),
         "wall_time_sec": res.wall_time_sec,
@@ -337,6 +343,13 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     if seeds is None:
         payload = _run_one_seed(ds, cfg, eval_set, out_dir)
+        # A --seeds run written here before: its aggregate and replicates
+        (out_dir / "aggregate.json").unlink(missing_ok=True)
+        for sub in out_dir.glob("seed-*"):
+            if (sub / "run.json").is_file():
+                _remove_run(sub)
+                if not any(sub.iterdir()):
+                    sub.rmdir()
         print(f"best: {payload['best']}  last: {payload['last']}")
         return EXIT_OK
 
@@ -352,6 +365,7 @@ def cmd_train(args) -> int:
     agg["config"] = payloads[0]["config"]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "aggregate.json", agg)
+    _remove_run(out_dir)  # a single run written here before
     for key in keys:
         print(f"{key}: best {agg['best'][key]['mean']:.4f}±{agg['best'][key]['std']:.4f} "
               f"last {agg['last'][key]['mean']:.4f}±{agg['last'][key]['std']:.4f}")

@@ -22,18 +22,24 @@ momentum. A correction lives for one step: it starts at zero, takes one
 meta update, shifts the transitions its step sees from T to
 M = T + V[group_of], and is then dropped.
 
-train owns two kernels.Workspaces and drops them when it returns. The
-batch step's forward, backprop and crowd_grads write their large
-temporaries into one; the meta step, which runs while the batch
-forward's arrays are in use, and the per-epoch forwards over whole sets
-use the other. Nothing train hands out, on_step's dT or the returned
-states, is a view of either.
+ccc's models share nothing between epoch boundaries, where the caller
+distills both meta sets and groups the annotators, so model2's epochs
+run in a forked worker beside model1's. A run with an on_step callback,
+or without fork, trains both in the caller, with the same outputs.
+
+Each process that trains owns two kernels.Workspaces and drops them when
+it is done. The batch step's forward, backprop and crowd_grads write
+their large temporaries into one; the meta step, which runs while the
+batch forward's arrays are in use, and the per-epoch forwards over whole
+sets use the other. Nothing train hands out, on_step's dT or the
+returned states, is a view of either.
 
 RNG streams are split per purpose (init/batches/meta per model, plus one
 for clustering), so ccc with corrections disabled (gamma=0) consumes
 batch randomness exactly like crowdlayer and reproduces its trajectory
 bit for bit. After each model's epoch the loop checks that its
-parameters are finite and stops a diverged run with ConfigError.
+parameters are finite and stops a diverged run with ConfigError,
+model1's first.
 
 Weight decay applies to classifier parameters only; transition matrices
 carry momentum but no decay, so annotators absent from a batch receive
@@ -43,6 +49,7 @@ untouched.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -372,6 +379,102 @@ def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
                           f"non-finite {', '.join(bad)} (try a smaller lr)")
 
 
+# A blow-up makes numpy warn at every overflowing op; _check_finite
+# reports it once, at the end of the epoch where it happens.
+@np.errstate(over="ignore", invalid="ignore")
+def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: ModelState,
+                 rngs: tuple[RngStream, RngStream], wss: tuple[Workspace, Workspace],
+                 job: tuple, on_step=None) -> None:
+    """One model's pass over ds, then its divergence check. job is (epoch,
+    lr, phase, meta set, group_of), the last two None outside the ccc
+    phase; rngs are the model's batches and meta streams."""
+    epoch, lr, phase, meta, group_of = job
+    ws, sets = wss
+    if phase == "ccc":
+        meta_batches = _meta_batches(meta, rngs[1], cfg.meta_batch)
+    perm = rngs[0].permutation(ds.n)
+    starts = range(0, ds.n, cfg.batch_size)
+    for step, lo in enumerate(starts, start=epoch * len(starts)):
+        idx = perm[lo:lo + cfg.batch_size]
+        if phase == "majority":
+            _, grads = loss_and_grads(state.clf, ds.features[idx], single_label_ce(mv[idx]), ws)
+            sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
+            continue
+        batch = make_batch(ds, idx, csr)
+        # The correction update leaves the classifier as it is, so one
+        # forward serves both stages.
+        fwd = batch_forward(state.clf, batch.features, ws)
+        M = state.T
+        if phase == "ccc":
+            meta_X, meta_y = next(meta_batches)
+            g_cor = correction_gradient(state.clf, state.T, group_of, cfg.groups, batch,
+                                        meta_X, meta_y, lr, fwd, sets)
+            eta_m = auto_meta_lr(state.T, g_cor, cfg.gamma)
+            # Skipping the zero update keeps M exactly T at gamma=0,
+            # where ccc reproduces crowdlayer.
+            if eta_m != 0.0:
+                M = state.T - (eta_m * g_cor)[group_of]
+        loss, dT = _crowd_step(state, batch, lr, cfg, fwd, M, ws)
+        if on_step is not None:
+            on_step({"model": tag, "epoch": epoch, "step": step, "phase": phase,
+                     "loss": loss, "dT": dT, "present": np.unique(batch.ann_annotator)})
+    _check_finite(state, epoch, tag, phase)
+
+
+def _worker(conn, parent_end, ds, cfg, csr, state: ModelState, rngs) -> None:
+    """model2's side of a forked run: answer each job with (params, T) or
+    the exception its epoch raised, and None with the whole state."""
+    import signal
+    parent_end.close()  # so that closing it in the parent ends conn.recv
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, and so this
+    wss = Workspace(), Workspace()
+    try:
+        while (job := conn.recv()) is not None:
+            try:
+                _model_epoch(ds, cfg, csr, None, "model2", state, rngs, wss, job)
+            except Exception as exc:
+                conn.send(exc)
+                return
+            conn.send((state.clf.params, state.T))
+        conn.send(state)
+    except (EOFError, OSError):
+        pass  # the parent has stopped the run
+
+
+@contextlib.contextmanager
+def _forked_worker(*args):
+    """The connection to a forked daemon running _worker(*args), or None
+    without fork. On exit the pipe closes, which ends an idle worker; one
+    still busy a second later is terminated."""
+    import multiprocessing  # here: commands that never train ccc skip its import
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_worker, args=(child_end, conn, *args), daemon=True)
+    proc.start()
+    child_end.close()
+    try:
+        yield conn
+    finally:
+        conn.close()
+        proc.join(timeout=1)
+        proc.terminate()  # a no-op once the worker has exited
+        proc.join()
+
+
+def _reply(conn):
+    """The worker's next answer; raises the exception it sent, or one if it died."""
+    try:
+        reply = conn.recv()
+    except EOFError:
+        raise RuntimeError("model2's worker process ended before answering") from None
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
+
+
 def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
           model_tag: str = "model1") -> RunResult:
     """Train cfg.algo on ds in one epoch loop over the run's models.
@@ -395,7 +498,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     mv = aggregate_majority(ds) if majority or ccc else None
     master = RngStream(cfg.seed)
     kmeans_rng = master.split("kmeans")
-    states, batch_rngs, meta_rngs = {}, {}, {}
+    states, rngs = {}, {}
     for tag in ("model1", "model2") if ccc else (model_tag,):
         clf = init_classifier(cfg.model, ds.d,
                               cfg.hidden_dim if cfg.model == "mlp" else 0,
@@ -404,20 +507,20 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         if not majority:
             state.T = _init_confusions(ds, cfg)
             state.T_mom = np.zeros_like(state.T)
-        batch_rngs[tag] = master.split(f"batches-{tag}")
-        meta_rngs[tag] = master.split(f"meta-{tag}")
+        rngs[tag] = master.split(f"batches-{tag}"), master.split(f"meta-{tag}")
     csr = None if majority else ds.instance_slices()
     curves = {tag: [] for tag in states}
     groups_by_epoch = []
-    steps = dict.fromkeys(states, 0)
+    # A callback sees each step in the caller's process, so it keeps model2 here.
+    forked = (_forked_worker(ds, cfg, csr, states["model2"], rngs["model2"])
+              if ccc and on_step is None else contextlib.nullcontext())
     ws, sets = Workspace(), Workspace()
 
-    # A blow-up makes numpy warn at every overflowing op; _check_finite
-    # reports it once, at the end of the epoch where it happens.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with forked as worker, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
+            meta_sets, group_of = dict.fromkeys(states), None
             if phase == "ccc":
                 m1, m2 = states["model1"], states["model2"]
                 # Each model learns from the meta set the other distills.
@@ -425,41 +528,20 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                              "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size, sets)}
                 group_of = group_annotators([m1.T, m2.T], G, kmeans_rng)
                 groups_by_epoch.append((epoch, group_of))
+            jobs = {tag: (epoch, lr, phase, meta_sets[tag], group_of) for tag in states}
+            if worker:  # before model1's epoch, so that the two run side by side
+                worker.send(jobs["model2"])
             for tag, state in states.items():
-                if phase == "ccc":
-                    meta_batches = _meta_batches(meta_sets[tag], meta_rngs[tag],
-                                                 cfg.meta_batch)
-                perm = batch_rngs[tag].permutation(ds.n)
-                for lo in range(0, ds.n, cfg.batch_size):
-                    idx = perm[lo:lo + cfg.batch_size]
-                    if majority:
-                        _, grads = loss_and_grads(state.clf, ds.features[idx],
-                                                  single_label_ce(mv[idx]), ws)
-                        sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
-                        continue
-                    batch = make_batch(ds, idx, csr)
-                    # The correction update leaves the classifier as it
-                    # is, so one forward serves both stages.
-                    fwd = batch_forward(state.clf, batch.features, ws)
-                    M = state.T
-                    if phase == "ccc":
-                        meta_X, meta_y = next(meta_batches)
-                        g_cor = correction_gradient(state.clf, state.T, group_of, G, batch,
-                                                    meta_X, meta_y, lr, fwd, sets)
-                        eta_m = auto_meta_lr(state.T, g_cor, cfg.gamma)
-                        # Skipping the zero update keeps M exactly T at
-                        # gamma=0, where ccc reproduces crowdlayer.
-                        if eta_m != 0.0:
-                            M = state.T - (eta_m * g_cor)[group_of]
-                    loss, dT = _crowd_step(state, batch, lr, cfg, fwd, M, ws)
-                    if on_step is not None:
-                        on_step({"model": tag, "epoch": epoch, "step": steps[tag],
-                                 "phase": phase, "loss": loss, "dT": dT,
-                                 "present": np.unique(batch.ann_annotator)})
-                    steps[tag] += 1
-                _check_finite(state, epoch, tag, phase)
+                if worker and tag == "model2":
+                    state.clf.params, state.T = _reply(worker)
+                else:
+                    _model_epoch(ds, cfg, csr, mv, tag, state, rngs[tag], (ws, sets),
+                                 jobs[tag], on_step)
             for tag, state in states.items():
                 curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y, sets))
+        if worker:
+            worker.send(None)
+            states["model2"] = _reply(worker)
 
     best = {k: float(max(v)) for k, v in curves.items()}
     last = {k: float(v[-1]) for k, v in curves.items()}

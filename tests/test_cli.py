@@ -9,6 +9,7 @@ import pytest
 from ccc.cli import main
 from ccc.data import (CrowdDataset, load_dataset, make_blobs, save_dataset, save_eval_set,
                       write_dense_labels)
+from ccc.errors import ConfigError
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import TrainConfig
@@ -486,6 +487,69 @@ class TestTrain:
                     assert runs[0] == runs[1]
                 else:
                     assert (alone / name).read_bytes() == (replicate / name).read_bytes()
+
+    def test_single_run_replaces_an_earlier_seeds_run(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "mix")
+        out = tmp_path / "mix-run"
+        argv = _train_args(ds_dir, out, "ccc", epochs=2)
+        argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", "1,2"]
+        assert main(argv) == 0
+        (out / "notes.txt").write_text("kept")
+        (out / "seed-2" / "notes.txt").write_text("kept")
+        (out / "seed-7").mkdir()  # holds no run.json: not a replicate
+        (out / "seed-7" / "model1.bin").write_text("kept")
+        assert main(_train_args(ds_dir, out, "ccc", epochs=2, seed=3)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "confusions.csv", "curves.csv", "groups.csv", "model1.bin", "model2.bin",
+            "notes.txt", "run.json", "seed-2", "seed-7"]
+        assert [p.name for p in (out / "seed-2").iterdir()] == ["notes.txt"]
+        assert [p.name for p in (out / "seed-7").iterdir()] == ["model1.bin"]
+
+    def test_seeds_run_replaces_an_earlier_single_run(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "mix")
+        out = tmp_path / "mix-run"
+        assert main(_train_args(ds_dir, out, "ccc", epochs=2, seed=3)) == 0
+        (out / "notes.txt").write_text("kept")
+        argv = _train_args(ds_dir, out, "ccc", epochs=2)
+        argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", "1,2"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.json", "notes.txt", "seed-1", "seed-2"]
+
+    def test_seeds_run_with_model2_in_process_writes_the_same(self, tmp_path, monkeypatch):
+        # A callback keeps ccc's model2 in the caller's process.
+        from ccc import cli, training
+
+        ds_dir = _simulate(tmp_path, "par")
+        outs = [tmp_path / "forked", tmp_path / "in-process"]
+        for out in outs:
+            argv = _train_args(ds_dir, out, "ccc", epochs=3, warmup=0)
+            argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", "1,2"]
+            assert main(argv) == 0
+            monkeypatch.setattr(cli, "train", lambda *args: training.train(
+                *args, on_step=lambda info: None))
+        assert (outs[0] / "aggregate.json").read_bytes() == \
+            (outs[1] / "aggregate.json").read_bytes()
+        for seed in (1, 2):
+            for name in ("curves.csv", "confusions.csv", "groups.csv", "model1.bin",
+                         "model2.bin"):
+                assert (outs[0] / f"seed-{seed}" / name).read_bytes() == \
+                    (outs[1] / f"seed-{seed}" / name).read_bytes()
+
+    def test_model2_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        from ccc import training
+
+        def failing(state, epoch, tag, phase):
+            if tag == "model2" and epoch == 2:
+                raise ConfigError(f"model2 failed in epoch {epoch}")
+
+        monkeypatch.setattr(training, "_check_finite", failing)  # the fork inherits it
+        ds_dir = _simulate(tmp_path, "fail")
+        capsys.readouterr()
+        out = tmp_path / "fail-run"
+        assert main(_train_args(ds_dir, out, "ccc", epochs=4)) == 2
+        assert capsys.readouterr().err == "config error: model2 failed in epoch 2\n"
+        assert not out.exists()
 
     def test_ccc_config_that_data_cannot_meet_exit_code(self, tmp_path):
         ds_dir = _simulate(tmp_path, "bad", c=4, r=10)

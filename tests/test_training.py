@@ -648,3 +648,95 @@ class TestWorkspace:
         train(ds, cfg)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults <= 4000
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_run(a, b):
+    assert (a.curves, a.best, a.last) == (b.curves, b.best, b.last)
+    assert [e for e, _ in a.groups_by_epoch] == [e for e, _ in b.groups_by_epoch]
+    assert all(_same_bits(g, h) for (_, g), (_, h) in zip(a.groups_by_epoch, b.groups_by_epoch))
+    assert list(a.states) == list(b.states)
+    for tag, s in a.states.items():
+        t = b.states[tag]
+        for name in s.clf.params:
+            assert _same_bits(s.clf.params[name], t.clf.params[name]), (tag, name)
+            assert _same_bits(s.clf.momentum[name], t.clf.momentum[name]), (tag, name)
+        assert _same_bits(s.T, t.T) and _same_bits(s.T_mom, t.T_mom), tag
+
+
+class TestModel2Worker:
+    """ccc trains model2 in a forked worker unless a callback is given."""
+
+    @pytest.mark.parametrize("model, c, warmup", [("linear", 2, 0), ("mlp", 2, 0),
+                                                  ("mlp", 4, 1), ("linear", 4, 2)])
+    def test_worker_run_equals_in_process_run_bitwise(self, model, c, warmup):
+        ds = _blob_crowd(seed=50, n=90, c=c)
+        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=warmup, model=model, hidden_dim=8,
+                        meta_size=8, seed=3)
+        _assert_same_run(train(ds, cfg), train(ds, cfg, on_step=lambda info: None))
+
+    def test_without_fork_trains_in_process(self, monkeypatch):
+        import multiprocessing
+
+        ds = _blob_crowd(seed=51)
+        cfg = _tiny_cfg(algo="ccc", epochs=3, warmup=1, seed=4)
+        forked = train(ds, cfg)
+        started = []
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda proc: started.append(proc))
+        _assert_same_run(forked, train(ds, cfg))
+        assert started == []
+
+    def test_no_child_process_outlives_train(self):
+        import multiprocessing
+
+        res = train(_blob_crowd(seed=52), _tiny_cfg(algo="ccc", epochs=3, warmup=1))
+        assert multiprocessing.active_children() == []
+        assert set(res.states) == {"model1", "model2"}
+
+    def test_model2_error_is_raised_with_its_text(self, monkeypatch):
+        check = training._check_finite
+
+        def failing(state, epoch, tag, phase):
+            if tag == "model2" and epoch == 2:
+                raise ConfigError(f"model2 failed in epoch {epoch}, {phase} phase")
+            check(state, epoch, tag, phase)
+
+        # The fork inherits the patched module.
+        monkeypatch.setattr(training, "_check_finite", failing)
+        ds = _blob_crowd(seed=53)
+        cfg = _tiny_cfg(algo="ccc", epochs=4, warmup=1)
+        for on_step in (None, lambda info: None):
+            with pytest.raises(ConfigError, match=r"^model2 failed in epoch 2, ccc phase$"):
+                train(ds, cfg, on_step=on_step)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_of_both_names_model1_as_in_process(self):
+        ds = _blob_crowd(seed=32)
+        cfg = _tiny_cfg(algo="ccc", lr=1e200, epochs=3)
+        messages = []
+        for on_step in (None, lambda info: None):
+            with pytest.raises(ConfigError, match="epoch 0, model1, warmup phase") as err:
+                train(ds, cfg, on_step=on_step)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_dead_worker_raises_promptly(self, monkeypatch):
+        import multiprocessing
+        import os
+        import time
+
+        def dying(state, epoch, tag, phase):
+            if tag == "model2":
+                os._exit(1)
+
+        monkeypatch.setattr(training, "_check_finite", dying)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="model2's worker process ended"):
+            train(_blob_crowd(seed=54), _tiny_cfg(algo="ccc", epochs=4, warmup=1))
+        assert time.perf_counter() - t0 < 10
+        assert multiprocessing.active_children() == []
