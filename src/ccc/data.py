@@ -27,7 +27,9 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataFormatError
-from .files import atomic_open
+from .files import atomic_open, forked
 from .models import Classifier, batch_forward
 from .rng import RngStream
 
@@ -217,6 +219,9 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 _ROWS_PER_WRITE = 256  # rows turned into text at once; bounds the live Python objects
+# A block of this many fields or more is formatted on two processes: 4x the
+# measured break-even (about 100,000), since a fork also slows what follows it.
+_SPLIT_FIELDS = 400_000
 
 
 def write_csv(path, header: str, blocks) -> None:
@@ -226,16 +231,40 @@ def write_csv(path, header: str, blocks) -> None:
     field per column. Values are written from their Python objects
     (tolist): ints and strings with str, floats with repr, the shortest
     text that reads back to the same bits (str of a Python float is its
-    repr).
+    repr). A block of _SPLIT_FIELDS fields or more is split by rows: a
+    forked child formats the second half into an unnamed file beside path
+    and this process appends it, or formats it too if the child fails.
     """
     with atomic_open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for block in blocks:
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
-            line = ",".join(["{}"] * sum(c.shape[1] for c in cols)) + "\n"
-            for lo in range(0, cols[0].shape[0], _ROWS_PER_WRITE):
-                fields = [f for c in cols for f in c[lo:lo + _ROWS_PER_WRITE].T.tolist()]
-                fh.writelines(map(line.format, *fields))
+            width = sum(c.shape[1] for c in cols)
+            line = ",".join(["{}"] * width) + "\n"
+            rows = cols[0].shape[0]
+            if rows * width < _SPLIT_FIELDS:
+                _write_rows(fh, cols, line)
+                continue
+            tail_cols = [c[rows // 2:] for c in cols]
+            with (tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="",
+                                         dir=Path(path).absolute().parent) as tail,
+                  forked(_write_rows, tail, tail_cols, line) as child):
+                _write_rows(fh, [c[:rows // 2] for c in cols], line)
+                if child:
+                    child.join()
+                if child and child.exitcode == 0:
+                    tail.buffer.seek(0)
+                    shutil.copyfileobj(tail.buffer, fh.buffer, 1 << 20)
+                else:
+                    _write_rows(fh, tail_cols, line)
+
+
+def _write_rows(fh, cols, line: str) -> None:
+    """Write the rows of cols, then flush, so that a forked child's text reaches its file."""
+    for lo in range(0, cols[0].shape[0], _ROWS_PER_WRITE):
+        fields = [f for c in cols for f in c[lo:lo + _ROWS_PER_WRITE].T.tolist()]
+        fh.writelines(map(line.format, *fields))
+    fh.flush()
 
 
 def _loadtxt(src, dtype) -> np.ndarray:

@@ -60,6 +60,7 @@ import numpy as np
 
 from .data import CrowdDataset, evaluate_accuracy
 from .errors import ConfigError, ContractError
+from .files import forked
 from .kernels import Workspace, crowd_grads, hyper_grads
 from .models import (PARAM_KEYS, Classifier, backprop, batch_forward,
                      hidden_layer, init_classifier, last_layer, loss_and_grads,
@@ -424,9 +425,7 @@ def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: M
 def _worker(conn, parent_end, ds, cfg, csr, state: ModelState, rngs) -> None:
     """model2's side of a forked run: answer each job with (params, T) or
     the exception its epoch raised, and None with the whole state."""
-    import signal
     parent_end.close()  # so that closing it in the parent ends conn.recv
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, and so this
     wss = Workspace(), Workspace()
     try:
         while (job := conn.recv()) is not None:
@@ -443,25 +442,13 @@ def _worker(conn, parent_end, ds, cfg, csr, state: ModelState, rngs) -> None:
 
 @contextlib.contextmanager
 def _forked_worker(*args):
-    """The connection to a forked daemon running _worker(*args), or None
-    without fork. On exit the pipe closes, which ends an idle worker; one
-    still busy a second later is terminated."""
-    import multiprocessing  # here: commands that never train ccc skip its import
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield None
-        return
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_worker, args=(child_end, conn, *args), daemon=True)
-    proc.start()
-    child_end.close()
-    try:
-        yield conn
-    finally:
-        conn.close()
-        proc.join(timeout=1)
-        proc.terminate()  # a no-op once the worker has exited
-        proc.join()
+    """The connection to a forked daemon running _worker(*args), or None where
+    files.forked starts none. On exit the pipe closes, which ends an idle worker."""
+    from multiprocessing import Pipe  # here: commands that never train ccc skip its import
+    conn, child_end = Pipe()
+    with forked(_worker, child_end, conn, *args) as proc, conn:
+        child_end.close()
+        yield conn if proc else None
 
 
 def _reply(conn):
@@ -512,11 +499,11 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     curves = {tag: [] for tag in states}
     groups_by_epoch = []
     # A callback sees each step in the caller's process, so it keeps model2 here.
-    forked = (_forked_worker(ds, cfg, csr, states["model2"], rngs["model2"])
-              if ccc and on_step is None else contextlib.nullcontext())
+    model2_side = (_forked_worker(ds, cfg, csr, states["model2"], rngs["model2"])
+                   if ccc and on_step is None else contextlib.nullcontext())
     ws, sets = Workspace(), Workspace()
 
-    with forked as worker, np.errstate(over="ignore", invalid="ignore"):
+    with model2_side as worker, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo

@@ -609,6 +609,210 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+def _hide_fork(mp):
+    import multiprocessing
+    mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
+def _count_starts(mp):
+    """Record each child process started from now on."""
+    import multiprocessing
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def recording(proc):
+        started.append(proc)
+        start(proc)
+
+    mp.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
+
+
+def _written(path, write, fork=True, split=True):
+    """The bytes write() leaves at path and the count of child processes it
+    started, with fork available or hidden, or with no block large enough
+    to split."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not fork:
+            _hide_fork(mp)
+        if not split:
+            mp.setattr(data, "_SPLIT_FIELDS", 10**18)
+        started = _count_starts(mp)
+        write()
+    return path.read_bytes(), len(started)
+
+
+def _csv_bytes(path, header, make_blocks, **how) -> bytes:
+    return _written(path, lambda: write_csv(path, header, make_blocks()), **how)[0]
+
+
+_CELLS = {
+    "int": st.integers(-2**63, 2**63 - 1),
+    "float": st.floats(),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+}
+_DTYPES = {"int": np.int64, "float": np.float64, "str": str}
+
+
+@st.composite
+def _csv_tables(draw):
+    """Blocks sharing one column layout: int, float and str columns, 1-D or 2-D."""
+    layout = draw(st.lists(st.tuples(st.sampled_from(sorted(_CELLS)), st.sampled_from([0, 1, 3])),
+                           min_size=1, max_size=3))
+    blocks = []
+    for rows in draw(st.lists(st.integers(0, 13), min_size=1, max_size=3)):
+        block = []
+        for kind, width in layout:
+            values = draw(st.lists(_CELLS[kind], min_size=rows * max(width, 1),
+                                   max_size=rows * max(width, 1)))
+            col = np.array(values, dtype=_DTYPES[kind])
+            block.append(col.reshape(rows, width) if width else col)
+        blocks.append(tuple(block))
+    return blocks
+
+
+class TestSplitWrite:
+    """A block of _SPLIT_FIELDS fields or more is formatted on two processes,
+    into the same bytes as in one."""
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_threshold_edges_equal_in_process(self, tmp_path, delta):
+        rows = data._SPLIT_FIELDS + delta  # odd, even, odd
+        path = tmp_path / "t.csv"
+        write = lambda: write_csv(path, "i", [(np.arange(rows),)])  # noqa: E731
+        in_process, _ = _written(path, write, fork=False)
+        assert _written(path, write, split=False) == (in_process, 0)
+        assert _written(path, write) == (in_process, int(delta >= 0))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=_csv_tables(), threshold=st.integers(1, 40), as_generator=st.booleans())
+    def test_split_equals_in_process(self, tmp_path_factory, blocks, threshold, as_generator):
+        path = tmp_path_factory.mktemp("split") / "t.csv"
+        make = (lambda: iter(blocks)) if as_generator else (lambda: blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_SPLIT_FIELDS", threshold)
+            in_process = _csv_bytes(path, "h", make, fork=False)
+            assert _csv_bytes(path, "h", make, split=False) == in_process
+            assert _csv_bytes(path, "h", make) == in_process
+        assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+    def test_criterion_1_features_csv_has_the_in_process_digest(self, tmp_path):
+        import hashlib
+
+        X, _ = make_blobs(45_000, 10, 16, 0.29, RngStream(1))
+        path = tmp_path / "features.csv"
+        digests, starts = set(), []
+        for fork, split in ((False, True), (True, False), (True, True)):
+            text, started = _written(path, lambda: data._write_features_csv(path, X),
+                                     fork=fork, split=split)
+            digests.add(hashlib.sha256(text).hexdigest())
+            starts.append(started)
+        assert len(digests) == 1
+        assert starts == [0, 0, 1]
+
+    @staticmethod
+    def _table():
+        return [(np.arange(101), np.linspace(0, 1, 202).reshape(101, 2))]
+
+    def test_failed_child_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        import os
+
+        monkeypatch.setattr(data, "_SPLIT_FIELDS", 10)
+        in_process = _csv_bytes(tmp_path / "t.csv", "a,b,c", self._table, split=False)
+
+        parent, write_rows = os.getpid(), data._write_rows
+
+        def dying_in_the_child(fh, cols, line):
+            if os.getpid() == parent:
+                return write_rows(fh, cols, line)
+            fh.write("half a row,")
+            fh.flush()
+            os._exit(1)
+
+        # The fork inherits the patched module.
+        monkeypatch.setattr(data, "_write_rows", dying_in_the_child)
+        started = _count_starts(monkeypatch)
+        write_csv(tmp_path / "t.csv", "a,b,c", self._table())
+        assert (tmp_path / "t.csv").read_bytes() == in_process
+        assert [p.exitcode for p in started] == [1]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_error_in_the_parents_half_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        import os
+
+        parent, write_rows = os.getpid(), data._write_rows
+
+        def failing(fh, cols, line):
+            if os.getpid() == parent:
+                raise OSError("disk full")
+            write_rows(fh, cols, line)
+
+        monkeypatch.setattr(data, "_SPLIT_FIELDS", 10)
+        monkeypatch.setattr(data, "_write_rows", failing)
+        started = _count_starts(monkeypatch)
+        path = tmp_path / "artifact"
+        path.write_bytes(b"earlier")
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(path, "a,b,c", self._table())
+        assert len(started) == 1
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_without_fork_no_child_is_started(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(data, "_SPLIT_FIELDS", 10)
+        forked = _csv_bytes(tmp_path / "t.csv", "a,b,c", self._table)
+        started = []
+        _hide_fork(monkeypatch)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda proc: started.append(proc))
+        write_csv(tmp_path / "t.csv", "a,b,c", self._table())
+        assert (tmp_path / "t.csv").read_bytes() == forked
+        assert started == []
+
+    def test_a_daemon_process_writes_in_process(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(data, "_SPLIT_FIELDS", 10)
+        want = _csv_bytes(tmp_path / "want.csv", "a,b,c", self._table, fork=False)
+        # A daemon may start no child: write_csv must not try.
+        proc = multiprocessing.get_context("fork").Process(
+            target=write_csv, args=(tmp_path / "t.csv", "a,b,c", self._table()), daemon=True)
+        proc.start()
+        proc.join(timeout=60)
+        assert not proc.is_alive() and proc.exitcode == 0
+        assert (tmp_path / "t.csv").read_bytes() == want
+
+
+class TestForked:
+    """files.forked: a daemon child that ignores Ctrl-C and never outlives the block."""
+
+    def test_child_ignores_ctrl_c(self):
+        import signal
+        from multiprocessing import Pipe
+
+        from ccc.files import forked
+
+        conn, child_end = Pipe()
+        with conn, child_end, forked(
+                lambda: child_end.send(signal.getsignal(signal.SIGINT) == signal.SIG_IGN)) as proc:
+            assert proc.daemon
+            assert conn.poll(30) and conn.recv() is True
+
+    def test_busy_child_is_terminated_on_exit(self):
+        import signal
+        import time
+
+        from ccc.files import forked
+
+        t0 = time.perf_counter()
+        with forked(time.sleep, 60) as proc:
+            pass
+        assert time.perf_counter() - t0 < 10
+        assert not proc.is_alive() and proc.exitcode == -signal.SIGTERM
+
+
 class TestMakeBlobs:
     def test_zero_spread_degenerate(self):
         X, y = make_blobs(12, 3, 5, 0.0, RngStream(0))
