@@ -29,7 +29,7 @@ from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
                    evaluate_accuracy, instance_noise_rate, load_dataset,
                    load_eval_set, make_blobs, remove_eval_set, save_dataset,
                    save_eval_set, true_confusion_matrices, write_csv,
-                   write_dense_labels, write_json)
+                   write_dense_labels, write_distances, write_json)
 from .errors import ConfigError, ContractError, DataFormatError
 from .models import load_model, save_model
 from .rng import RngStream
@@ -191,7 +191,9 @@ def cmd_simulate(args) -> int:
                       preset=args.preset, seed=seed)
     ds = result[0] if args.dump_dense else result
 
-    save_dataset(ds, out_dir, features_format=args.features_format)
+    # meta.json goes first and comes back last, so a failed write does not load
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "meta.json").unlink(missing_ok=True)
     if args.dump_dense:
         write_dense_labels(out_dir / "dense_labels.csv", result[1])
     else:  # an earlier run's table would not match this dataset
@@ -204,6 +206,7 @@ def cmd_simulate(args) -> int:
         remove_eval_set(out_dir / "test")
         if args.test_size:
             print("--test-size applies to blobs sources only; no test split written")
+    save_dataset(ds, out_dir, features_format=args.features_format)
 
     nr1 = instance_noise_rate(ds)
     nr2 = annotation_noise_rate(ds)
@@ -236,10 +239,8 @@ def cmd_inspect(args) -> int:
     if ds.truth is not None:
         stats["instance_noise_rate"] = instance_noise_rate(ds)
         stats["annotation_noise_rate"] = annotation_noise_rate(ds)
-        ids = np.arange(ds.annotator_count)
-        write_csv(out_dir / "cm_distances.csv", "annotator_a,annotator_b,mse",
-                  [(np.repeat(ids, ids.size), np.tile(ids, ids.size),
-                    confusion_distances(true_confusion_matrices(ds)).ravel())])
+        write_distances(out_dir / "cm_distances.csv",
+                        confusion_distances(true_confusion_matrices(ds)))
     else:
         print("no truth labels: noise rates and confusion distances omitted")
     write_json(out_dir / "stats.json", stats)
@@ -353,6 +354,7 @@ def cmd_train(args) -> int:
         print(f"best: {payload['best']}  last: {payload['last']}")
         return EXIT_OK
 
+    (out_dir / "aggregate.json").unlink(missing_ok=True)  # written after the last seed
     payloads = [_run_one_seed(ds, replace(cfg, seed=s), eval_set, out_dir / f"seed-{s}")
                 for s in seeds]
     keys = sorted(payloads[0]["best"])

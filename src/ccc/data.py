@@ -14,7 +14,8 @@ An evaluation set is a dataset directory with r = 0 and no
 annotations.csv: meta.json, features.csv and truth.csv (save_eval_set).
 
 Every csv file goes through one codec: write_csv writes a table a block
-of rows at a time, and CsvRows parses one with numpy's reader, streamed
+of rows at a time (write_distances writes the same text for the symmetric
+cm_distances.csv), and CsvRows parses one with numpy's reader, streamed
 from disk or, for lines that end at a lone \r or a bad row, from its
 lines, then checks it with array expressions. A line with nothing
 before its line end is blank. Numbers are plain ASCII decimals and
@@ -219,6 +220,7 @@ def make_blobs(N: int, C: int, D: int, spread: float, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 _ROWS_PER_WRITE = 256  # rows turned into text at once; bounds the live Python objects
+_DIGIT_ROWS = 4096  # rows of an integer block turned into one digit matrix at once
 # A block of this many fields or more is formatted on two processes: 4x the
 # measured break-even (about 100,000), since a fork also slows what follows it.
 _SPLIT_FIELDS = 400_000
@@ -228,20 +230,27 @@ def write_csv(path, header: str, blocks) -> None:
     """Write a header line, then one line per row of each block.
 
     A block is a tuple of equal-length columns; a 2-D column gives one
-    field per column. Values are written from their Python objects
-    (tolist): ints and strings with str, floats with repr, the shortest
-    text that reads back to the same bits (str of a Python float is its
-    repr). A block of _SPLIT_FIELDS fields or more is split by rows: a
-    forked child formats the second half into an unnamed file beside path
-    and this process appends it, or formats it too if the child fails.
+    field per column. Each value is written as the text of its Python
+    object (tolist): ints and strings by str, floats by repr, the shortest
+    text that reads back to the same bits. A block of integers in [0, 2**63)
+    alone, of any int or uint dtype, is turned into digits by numpy
+    (_digit_rows), in this process: it never forks. Any other block is
+    formatted a row at a time, and one of _SPLIT_FIELDS fields or more is
+    split by rows: a forked child formats the second half into an unnamed
+    file beside path and this process appends it, or formats it too if the
+    child fails.
     """
     with atomic_open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for block in blocks:
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
             width = sum(c.shape[1] for c in cols)
-            line = ",".join(["{}"] * width) + "\n"
             rows = cols[0].shape[0]
+            if width and all(c.dtype.kind in "iu" and (c.size == 0 or c.min() >= 0
+                                                       and int(c.max()) < 2**63) for c in cols):
+                fh.writelines(_digit_rows(cols))
+                continue
+            line = ",".join(["{}"] * width) + "\n"
             if rows * width < _SPLIT_FIELDS:
                 _write_rows(fh, cols, line)
                 continue
@@ -259,12 +268,56 @@ def write_csv(path, header: str, blocks) -> None:
                     _write_rows(fh, tail_cols, line)
 
 
+def _digit_rows(cols):
+    """The csv lines of columns of integers in [0, 2**63), as str writes them, one text
+    per _DIGIT_ROWS rows: a (chars, rows) matrix holds each field's digits, as many
+    places as its largest value has, and a separator; leading zeros are masked out."""
+    for lo in range(0, cols[0].shape[0], _DIGIT_ROWS):
+        fields = np.concatenate([c[lo:lo + _DIGIT_ROWS].T for c in cols], dtype=np.int64)
+        places = [len(str(top)) for top in fields.max(axis=1).tolist()]
+        text = np.empty((sum(places) + len(places), fields.shape[1]), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        at = 0
+        for values, n in zip(fields, places):
+            high = -ord("0")  # 10 x the leading digits before this place, less "0"
+            for k in range(n - 1, 0, -1):
+                lead = values // 10**k  # the digits before place k
+                np.subtract(lead, high, out=text[at], casting="unsafe")
+                np.greater(lead, 0, out=keep[at])
+                high = lead * 10 - ord("0")
+                at += 1
+            np.subtract(values, high, out=text[at], casting="unsafe")
+            text[at + 1] = ord(",")
+            at += 2
+        text[-1] = ord("\n")
+        yield text.T[keep.T].tobytes().decode("ascii")
+
+
 def _write_rows(fh, cols, line: str) -> None:
     """Write the rows of cols, then flush, so that a forked child's text reaches its file."""
     for lo in range(0, cols[0].shape[0], _ROWS_PER_WRITE):
         fields = [f for c in cols for f in c[lo:lo + _ROWS_PER_WRITE].T.tolist()]
         fh.writelines(map(line.format, *fields))
     fh.flush()
+
+
+def write_distances(path, dist: np.ndarray) -> None:
+    """Write a symmetric (R, R) table as write_csv writes rows (a, b, dist[a, b]), row-major,
+    under cm_distances.csv's header. repr runs once per unordered pair (upper triangle);
+    `above` holds column a's texts, as bytes, from start[a] until row a repeats them."""
+    R = dist.shape[0]
+    start = np.arange(R) * (np.arange(R) - 1) // 2
+    above = np.empty(R * (R - 1) // 2, dtype="S24")  # a float's repr has at most 24 characters
+    line = np.empty(R, dtype="S24")
+    prefixes = [b"%d," % a for a in range(R)]
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"annotator_a,annotator_b,mse\n")
+        for a, head in enumerate(prefixes):
+            line[:a] = above[start[a]:start[a] + a]
+            line[a:] = list(map(repr, dist[a, a:].tolist()))
+            above[start[a + 1:] + a] = line[a + 1:]
+            fh.write(head + (b"\n" + head).join(map(bytes.__add__, prefixes, line.tolist()))
+                     + b"\n")
 
 
 def _loadtxt(src, dtype) -> np.ndarray:
@@ -469,17 +522,14 @@ def write_dense_labels(path, dense: np.ndarray) -> None:
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory: annotations.csv, in (instance, annotator)
     order, only when r > 0, and truth.csv, which a truthless dataset removes,
-    as it removes the features file of the other format."""
+    as it removes the features file of the other format. meta.json is removed
+    first and written last, so a directory whose write failed does not load."""
     if features_format not in FEATURES_FORMATS:
         raise ContractError(f"unknown features format {features_format!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "meta.json").unlink(missing_ok=True)
     features_file = f"features.{features_format}"
-    write_json(directory / "meta.json", {
-        "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
-        "preset": ds.preset, "seed": ds.seed,
-        "format_version": FORMAT_VERSION, "features_file": features_file,
-    })
     write = _write_features_csv if features_format == "csv" else _write_features_bin
     write(directory / features_file, ds.features)
     for other in set(FEATURES_FORMATS) - {features_format}:
@@ -493,6 +543,11 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
         write_csv(directory / "truth.csv", "instance,label", [(np.arange(truth.shape[0]), truth)])
     else:
         (directory / "truth.csv").unlink(missing_ok=True)
+    write_json(directory / "meta.json", {
+        "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
+        "preset": ds.preset, "seed": ds.seed,
+        "format_version": FORMAT_VERSION, "features_file": features_file,
+    })
 
 
 def _load_features_csv(path: Path, n: int, d: int) -> np.ndarray:

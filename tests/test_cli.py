@@ -1,29 +1,31 @@
 import hashlib
+import itertools
 import json
+import shutil
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 
 from ccc.cli import main
-from ccc.data import (CrowdDataset, load_dataset, make_blobs, save_dataset, save_eval_set,
-                      write_dense_labels)
-from ccc.errors import ConfigError
+from ccc.data import (CrowdDataset, load_dataset, load_eval_set, make_blobs, save_dataset,
+                      save_eval_set, write_dense_labels)
+from ccc.errors import ConfigError, DataFormatError
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
 from ccc.training import TrainConfig
 
 
 def _simulate(tmp_path, name="d", seed=1, n=120, c=4, r=10, k=2,
-              extra=(), test_size=60):
+              extra=(), test_size=60, code=0):
     out = tmp_path / name
     argv = ["simulate",
             "--features", f"blobs:N={n},C={c},D=6,spread=0.2",
             "--patterns", str(_pattern_file(tmp_path, c, r)),
             "--k", str(k), "--seed", str(seed), "--out", str(out),
             "--test-size", str(test_size), *extra]
-    assert main(argv) == 0
+    assert main(argv) == code
     return out
 
 
@@ -344,6 +346,22 @@ class TestInspect:
         within = [dist[0, 1], dist[2, 3]]
         across = [dist[0, 2], dist[0, 3], dist[1, 2], dist[1, 3]]
         assert max(within) < min(across)
+
+    def test_criterion_1_tables_have_the_frozen_digests(self, tmp_path):
+        # Digests of the tables as the row-at-a-time formatter wrote them,
+        # str for each integer and repr for each distance.
+        out = tmp_path / "c1"
+        argv = ["simulate", "--features", "blobs:N=45000,C=10,D=16,spread=0.29",
+                "--preset", "COR-I", "--annotators", "250", "--k", "3", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert main(["inspect", "--data", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("annotations.csv", "truth.csv", "cm_distances.csv")} == {
+            "annotations.csv": "4f4821855920b8d68dfdabe415b5626cedead1e817226fd17b7817b853df6419",
+            "truth.csv": "67dab561b53ebb94454cf8eb6fe1ce37921ce3830f64ed570a75b3aaa3be463a",
+            "cm_distances.csv": "fb09d8b5190e0790cf51adc456ebbf146a61b3a2f225fc6e79e80a5a457c04ad",
+        }
 
     def test_malformed_dataset_exit_code(self, tmp_path):
         ds_dir = _simulate(tmp_path, "bad")
@@ -680,6 +698,124 @@ class TestTrain:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
         assert err == "config error: eval set class count 9 != dataset 4"
+
+
+def _fail_nth_write(mp, n):
+    """Make the nth whole-file write from now on raise OSError. Every artifact
+    is written through files.atomic_open; returns the paths whose writes began."""
+    from ccc import data, files, models
+
+    begun = []
+
+    def atomic_open(path, *args, **kwargs):
+        begun.append(path)
+        if len(begun) == n:
+            raise OSError(f"disk full writing {path}")
+        return files.atomic_open(path, *args, **kwargs)
+
+    for module in (data, models):
+        mp.setattr(module, "atomic_open", atomic_open)
+    return begun
+
+
+def _loaded(load, directory):
+    """The bytes of what load reads from directory, or None if it does not load."""
+    try:
+        got = load(directory)
+    except DataFormatError:
+        return None
+    values = astuple(got) if isinstance(got, CrowdDataset) else got
+    return [v.tobytes() + str(v.shape).encode() if isinstance(v, np.ndarray) else v
+            for v in values]
+
+
+def _seeds_run(out):
+    """Every file of a --seeds run directory, or None if it does not load: its
+    aggregate.json, or a replicate's run.json, is missing."""
+    if not (out / "aggregate.json").exists():
+        return None
+    seeds = json.loads((out / "aggregate.json").read_text())["seeds"]
+    if not all((out / f"seed-{s}" / "run.json").exists() for s in seeds):
+        return None
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestCrashConsistency:
+    """A command that fails partway leaves each directory it writes either
+    unloadable or loading as the previous complete run: it removes the
+    directory's marker (meta.json, aggregate.json) before its first write
+    and writes it after its last."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_simulate_failing_at_each_write(self, tmp_path, fmt):
+        extra = ("--dump-dense", "--features-format", fmt)
+        prev = _simulate(tmp_path, "prev", seed=1, extra=extra, test_size=30)
+        before = _loaded(load_dataset, prev), _loaded(load_eval_set, prev / "test")
+        # test/ is written whole before the dataset's meta.json, so it may
+        # also hold the failed run's complete test set
+        new_test = _loaded(load_eval_set, _simulate(tmp_path, "new", seed=2, extra=extra,
+                                                    test_size=30) / "test")
+        for n in itertools.count(1):
+            shutil.copytree(prev, tmp_path / "d")
+            with pytest.MonkeyPatch.context() as mp:
+                begun = _fail_nth_write(mp, n)
+                out = _simulate(tmp_path, "d", seed=2, extra=extra, test_size=30,
+                                code=0 if n > 8 else 4)
+            if len(begun) < n:
+                break
+            assert _loaded(load_dataset, out) in (None, before[0])
+            assert _loaded(load_eval_set, out / "test") in (None, before[1], new_test)
+            shutil.rmtree(out)
+        # dense_labels.csv, test/'s three files, then the dataset's four
+        assert n == 9 and len(begun) == 8 and begun[-1].name == "meta.json"
+
+    def test_failed_annotations_write_leaves_a_directory_that_does_not_load(
+            self, tmp_path, monkeypatch):
+        from ccc import data
+
+        out = _simulate(tmp_path, "d", seed=1)
+        write_csv = data.write_csv
+
+        def failing(path, *args):
+            if path.name == "annotations.csv":
+                raise OSError("disk full")
+            write_csv(path, *args)
+
+        monkeypatch.setattr(data, "write_csv", failing)
+        _simulate(tmp_path, "d", seed=2, code=4)
+        with pytest.raises(DataFormatError, match="missing meta.json"):
+            load_dataset(out)
+
+    def test_rejected_simulate_keeps_the_earlier_dataset(self, tmp_path):
+        out = _simulate(tmp_path, "d", seed=1)
+        before = _loaded(load_dataset, out), _loaded(load_eval_set, out / "test")
+        _simulate(tmp_path, "d", seed=2, k=99, code=2)  # k above the positive propensities
+        assert (_loaded(load_dataset, out), _loaded(load_eval_set, out / "test")) == before
+
+    def test_train_seeds_failing_at_each_write(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "t")
+
+        def argv(out, epochs):
+            args = _train_args(ds_dir, out, "ccc", epochs=epochs)
+            args[args.index("--seed"):args.index("--seed") + 2] = ["--seeds", "1,2"]
+            return args
+
+        prev = tmp_path / "prev"
+        assert main(argv(prev, 2)) == 0
+        before = _seeds_run(prev)
+        assert before is not None
+        for n in itertools.count(1):
+            out = tmp_path / "run"
+            shutil.copytree(prev, out)
+            with pytest.MonkeyPatch.context() as mp:
+                begun = _fail_nth_write(mp, n)
+                assert main(argv(out, 3)) == (0 if len(begun) < n else 4)
+            if len(begun) < n:
+                break
+            assert _seeds_run(out) in (None, before)
+            shutil.rmtree(out)
+        # six files per replicate, then aggregate.json
+        assert n == 14 and len(begun) == 13 and begun[-1].name == "aggregate.json"
 
 
 class TestConfigAndDefaults:

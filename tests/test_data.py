@@ -234,6 +234,16 @@ class TestConfusionDistance:
             for b in range(6):
                 assert dist[a, b] == ((cms[a] - cms[b]) ** 2).mean()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(st.floats(0, 1), min_size=r * c * c, max_size=r * c * c).map(
+            lambda v: np.array(v).reshape(r, c, c)))))
+    def test_bitwise_symmetric_with_a_positive_zero_diagonal(self, cms):
+        # write_distances formats the upper triangle only and mirrors its text
+        dist = confusion_distances(cms)
+        assert dist.tobytes() == np.ascontiguousarray(dist.T).tobytes()
+        assert np.diag(dist).tobytes() == np.zeros(len(cms)).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             confusion_distances([np.eye(2), np.eye(3)])
@@ -670,19 +680,132 @@ def _csv_tables(draw):
     return blocks
 
 
+def _str_oracle(header, blocks) -> bytes:
+    """The table write_csv must write, from str of each value's Python object."""
+    lines = [header]
+    for block in blocks:
+        cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
+        lines += [",".join(str(v) for c in cols for v in c[k].tolist())
+                  for k in range(cols[0].shape[0])]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _int_tables(draw, least=0):
+    """Blocks of integer columns of one layout, any int or uint dtype, 1-D or
+    2-D, with values at or above least (and at digit-count edges)."""
+    layout = draw(st.lists(st.tuples(st.sampled_from(_INT_DTYPES), st.sampled_from([0, 1, 3])),
+                           min_size=1, max_size=3))
+    blocks = []
+    for rows in draw(st.lists(st.integers(0, 13), min_size=0, max_size=3)):
+        block = []
+        for dtype, width in layout:
+            top = np.iinfo(dtype).max
+            edges = st.sampled_from([v for v in (0, 9, 10, 99, 100, 2**63 - 1, top)
+                                     if least <= v <= top])
+            cells = st.one_of(st.integers(max(least, np.iinfo(dtype).min), top), edges)
+            values = draw(st.lists(cells, min_size=rows * max(width, 1),
+                                   max_size=rows * max(width, 1)))
+            col = np.array(values, dtype=dtype)
+            block.append(col.reshape(rows, width) if width else col)
+        blocks.append(tuple(block))
+    return blocks
+
+
+def _count_digit_writes(mp):
+    calls, digit_rows = [], data._digit_rows
+    mp.setattr(data, "_digit_rows", lambda cols: calls.append(1) or digit_rows(cols))
+    return calls
+
+
+class TestDigitWrite:
+    """A block of integers in [0, 2**63) is written from a digit matrix, and
+    its bytes are those of str; any other integer block takes the row path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks=_int_tables(), chunk=st.integers(1, 5), as_generator=st.booleans())
+    def test_equals_str_of_each_value(self, tmp_path_factory, blocks, chunk, as_generator):
+        path = tmp_path_factory.mktemp("digits") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_DIGIT_ROWS", chunk)
+            write_csv(path, "h", iter(blocks) if as_generator else blocks)
+        assert path.read_bytes() == _str_oracle("h", blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=_int_tables(least=-2**63))
+    def test_a_block_with_a_value_outside_the_range_takes_the_row_path(self, tmp_path_factory,
+                                                                      blocks):
+        path = tmp_path_factory.mktemp("rows") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_digit_writes(mp)
+            write_csv(path, "h", blocks)
+        assert path.read_bytes() == _str_oracle("h", blocks)
+        # the digit path runs once per block whose columns it can take
+        assert len(calls) == sum(all(np.asarray(c).min(initial=0) >= 0
+                                     and int(np.asarray(c).max(initial=0)) < 2**63 for c in b)
+                                 for b in blocks)
+
+    @pytest.mark.parametrize("value", [-1, 2**63, 2**64 - 1])
+    def test_out_of_range_values_are_written_by_the_row_path(self, tmp_path, monkeypatch, value):
+        dtype = np.int64 if value < 0 else np.uint64
+        blocks = [(np.array([value, 0, 7], dtype=dtype), np.arange(3))]
+        calls = _count_digit_writes(monkeypatch)
+        write_csv(tmp_path / "t.csv", "a,b", blocks)
+        assert (tmp_path / "t.csv").read_bytes() == _str_oracle("a,b", blocks)
+        assert calls == []
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_edges(self, tmp_path, delta):
+        rows = data._DIGIT_ROWS + delta
+        blocks = [(np.arange(rows), np.arange(rows, dtype=np.uint8),
+                   np.arange(2 * rows, dtype=np.uint16).reshape(rows, 2))]
+        write_csv(tmp_path / "t.csv", "a,b,c,d", blocks)
+        assert (tmp_path / "t.csv").read_bytes() == _str_oracle("a,b,c,d", blocks)
+
+    def test_digit_count_edges_and_empty_blocks(self, tmp_path):
+        edges = np.array([0, 9, 10, 99, 100, 2**63 - 1])
+        blocks = [(edges, edges[::-1].astype(np.uint64)), (edges[:0], edges[:0]), (edges, edges)]
+        write_csv(tmp_path / "t.csv", "a,b", blocks)
+        assert (tmp_path / "t.csv").read_bytes() == _str_oracle("a,b", blocks)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:3] == ["0,9223372036854775807",
+                                                                      "9,100"]
+
+
+class TestWriteDistances:
+    @pytest.mark.parametrize("R", [1, 2, 3, 250])
+    def test_equals_the_write_csv_table(self, tmp_path, R):
+        dist = confusion_distances(RngStream(R).normal((R, 3, 3)))
+        ids = np.arange(R)
+        write_csv(tmp_path / "want.csv", "annotator_a,annotator_b,mse",
+                  [(np.repeat(ids, R), np.tile(ids, R), dist.ravel())])
+        data.write_distances(tmp_path / "got.csv", dist)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestSplitWrite:
-    """A block of _SPLIT_FIELDS fields or more is formatted on two processes,
-    into the same bytes as in one."""
+    """A block of _SPLIT_FIELDS fields or more that holds a float or str column
+    is formatted on two processes, into the same bytes as in one; an integer
+    block is never split."""
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_threshold_edges_equal_in_process(self, tmp_path, delta):
         rows = data._SPLIT_FIELDS + delta  # odd, even, odd
         path = tmp_path / "t.csv"
-        write = lambda: write_csv(path, "i", [(np.arange(rows),)])  # noqa: E731
+        write = lambda: write_csv(path, "x", [(np.arange(rows) / 4,)])  # noqa: E731
         in_process, _ = _written(path, write, fork=False)
         assert _written(path, write, split=False) == (in_process, 0)
         assert _written(path, write) == (in_process, int(delta >= 0))
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_an_integer_block_starts_no_child(self, tmp_path):
+        rows = data._SPLIT_FIELDS // 3 + 1
+        blocks = [(np.arange(rows), np.arange(rows) % 250, np.arange(rows, dtype=np.uint8) % 10)]
+        path = tmp_path / "t.csv"
+        assert _written(path, lambda: write_csv(path, "i,a,l", blocks)) == (
+            _str_oracle("i,a,l", blocks), 0)
 
     @settings(max_examples=40, deadline=None)
     @given(blocks=_csv_tables(), threshold=st.integers(1, 40), as_generator=st.booleans())
