@@ -13,14 +13,15 @@ A dataset directory contains:
 An evaluation set is a dataset directory with r = 0 and no
 annotations.csv: meta.json, features.csv and truth.csv (save_eval_set).
 
-Every csv file goes through one codec: write_csv writes a table a block
-of rows at a time (write_distances writes the same text for the symmetric
-cm_distances.csv), and CsvRows parses one with numpy's reader, streamed
-from disk or, for lines that end at a lone \r or a bad row, from its
-lines, then checks it with array expressions. A line with nothing
-before its line end is blank. Numbers are plain ASCII decimals and
-feature values must be finite. Each file is written to path.tmp, then
-moved onto path (files.atomic_open), so a failed write tears nothing.
+Every csv file goes through one codec: write_csv writes a table's bytes a
+block of rows at a time (write_distances writes the same bytes for the
+symmetric cm_distances.csv), and CsvRows parses one with numpy's reader as
+it streams from disk, whether its lines end at \n, \r\n or \r, and from
+its lines only to find a bad row, then checks it with array expressions.
+A line with nothing before its line end is blank. Numbers are plain ASCII
+decimals and feature values must be finite. Each file is written to
+path.tmp, then moved onto path (files.atomic_open), so a failed write
+tears nothing.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ def true_confusion_matrices(ds: CrowdDataset) -> np.ndarray:
 def confusion_distances(cms: np.ndarray) -> np.ndarray:
     """Mean squared difference between every pair of stacked matrices, (R, R).
 
-    Entry [a, b] compares cms[a] with cms[b]. One row of the table is
-    built at a time, so the working set stays at one stack's size.
+    Entry [a, b] compares cms[a] with cms[b]. One row of the upper
+    triangle is built at a time, so the working set stays at one stack's size.
     """
     try:
         cms = np.asarray(cms, dtype=np.float64)
@@ -167,8 +168,9 @@ def confusion_distances(cms: np.ndarray) -> np.ndarray:
         raise ContractError(f"expected a (R, C, C) stack, got shape {cms.shape}")
     flat = cms.reshape(cms.shape[0], -1)
     out = np.empty((flat.shape[0], flat.shape[0]))
-    for a, row in enumerate(flat):
-        out[a] = ((row - flat) ** 2).mean(axis=1)
+    for a, row in enumerate(flat):  # (x - y)**2 is symmetric: each pair once, mirrored
+        out[a, a:] = ((row - flat[a:]) ** 2).mean(axis=1)
+        out[a:, a] = out[a, a:]
     return out
 
 
@@ -227,7 +229,7 @@ _SPLIT_FIELDS = 400_000
 
 
 def write_csv(path, header: str, blocks) -> None:
-    """Write a header line, then one line per row of each block.
+    """Write a header line, then one line per row of each block, as bytes.
 
     A block is a tuple of equal-length columns; a 2-D column gives one
     field per column. Each value is written as the text of its Python
@@ -238,10 +240,10 @@ def write_csv(path, header: str, blocks) -> None:
     formatted a row at a time, and one of _SPLIT_FIELDS fields or more is
     split by rows: a forked child formats the second half into an unnamed
     file beside path and this process appends it, or formats it too if the
-    child fails.
+    child fails. Text is encoded as UTF-8.
     """
-    with atomic_open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    with atomic_open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for block in blocks:
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, block)]
             width = sum(c.shape[1] for c in cols)
@@ -255,22 +257,21 @@ def write_csv(path, header: str, blocks) -> None:
                 _write_rows(fh, cols, line)
                 continue
             tail_cols = [c[rows // 2:] for c in cols]
-            with (tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="",
-                                         dir=Path(path).absolute().parent) as tail,
+            with (tempfile.TemporaryFile(dir=Path(path).absolute().parent) as tail,
                   forked(_write_rows, tail, tail_cols, line) as child):
                 _write_rows(fh, [c[:rows // 2] for c in cols], line)
                 if child:
                     child.join()
                 if child and child.exitcode == 0:
-                    tail.buffer.seek(0)
-                    shutil.copyfileobj(tail.buffer, fh.buffer, 1 << 20)
+                    tail.seek(0)
+                    shutil.copyfileobj(tail, fh, 1 << 20)
                 else:
                     _write_rows(fh, tail_cols, line)
 
 
 def _digit_rows(cols):
-    """The csv lines of columns of integers in [0, 2**63), as str writes them, one text
-    per _DIGIT_ROWS rows: a (chars, rows) matrix holds each field's digits, as many
+    """The csv lines of columns of integers in [0, 2**63), as str writes them, one byte
+    array per _DIGIT_ROWS rows: a (chars, rows) matrix holds each field's digits, as many
     places as its largest value has, and a separator; leading zeros are masked out."""
     for lo in range(0, cols[0].shape[0], _DIGIT_ROWS):
         fields = np.concatenate([c[lo:lo + _DIGIT_ROWS].T for c in cols], dtype=np.int64)
@@ -290,14 +291,15 @@ def _digit_rows(cols):
             text[at + 1] = ord(",")
             at += 2
         text[-1] = ord("\n")
-        yield text.T[keep.T].tobytes().decode("ascii")
+        yield text.T[keep.T]
 
 
 def _write_rows(fh, cols, line: str) -> None:
-    """Write the rows of cols, then flush, so that a forked child's text reaches its file."""
+    """Write the rows of cols, one encode per _ROWS_PER_WRITE rows, then flush, so that a
+    forked child's bytes reach its file."""
     for lo in range(0, cols[0].shape[0], _ROWS_PER_WRITE):
         fields = [f for c in cols for f in c[lo:lo + _ROWS_PER_WRITE].T.tolist()]
-        fh.writelines(map(line.format, *fields))
+        fh.write("".join(map(line.format, *fields)).encode())
     fh.flush()
 
 
@@ -354,11 +356,12 @@ class CsvRows:
     `floats` feature values follow them. columns holds one int64 array
     per integer field, then a (rows, floats) float64 array when floats > 0.
 
-    The reader parses the file as it streams from disk. A file whose
-    header ends at a lone \r, and a file the reader rejects, are parsed
-    from their lines instead; if those fail to parse, the row numpy's
-    error names is checked, and only if it is not the first unreadable
-    one is each row parsed on its own.
+    The reader parses the file as it streams from disk, opened with
+    universal newlines, so every line reaches it ending at \n, and as
+    latin-1, so every byte is one character. A file the reader rejects
+    is parsed from its lines instead; if those fail to parse, the row
+    numpy's error names is checked, and only if it is not the first
+    unreadable one is each row parsed on its own.
 
     A row that cannot be read (a wrong field count, or a value that is not
     a plain ASCII decimal) ends the table: columns hold the rows before
@@ -378,19 +381,13 @@ class CsvRows:
             fields.append(("f", np.float64, (floats,)))
         self._dtype = np.dtype(fields)
         self._fault = None
-        with open(path, "rb") as fh:
-            # numpy's reader cannot end a line at a lone \r, so a file whose
-            # header does is read a line at a time. readline() stops only at
-            # a \n, so `line` may hold the whole file; it is dropped first.
-            line = fh.readline()
-            lone_cr = line.count(b"\r") > line.endswith(b"\r\n")
-            head = re.match(rb"[^\r\n]*", line)[0]
-            del line
-            if head != header.encode():
-                raise DataFormatError(f"bad {what} header {head.decode(errors='replace')!r}",
-                                      path, 1)
+        with open(path, encoding="latin-1", newline=None) as fh:
+            head = fh.readline().removesuffix("\n")
+            if head != header:
+                head = head.encode("latin-1").decode(errors="replace")
+                raise DataFormatError(f"bad {what} header {head!r}", path, 1)
             try:
-                table = self._read_lines() if lone_cr else _loadtxt(fh, self._dtype)
+                table = _loadtxt(fh, self._dtype)
             except ValueError:
                 table = self._read_lines()
         self.columns = [np.ascontiguousarray(table[name]) for name in self._dtype.names]
@@ -506,7 +503,7 @@ def _write_features_bin(path: Path, features: np.ndarray) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_FEATURES_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, N, D))
-        fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(features, dtype="<f8"))
 
 
 def write_dense_labels(path, dense: np.ndarray) -> None:

@@ -4,9 +4,14 @@ perfbench/spans.py wraps functions by module and name and reads the
 kernels' positional arguments for its annotation counters. A rename or
 signature change there would leave a traced benchmark pass silently
 empty, so one test runs the recorder around a tiny ccc run, and one
-pins the list of targets that name no function.
+pins the list of targets that name no function. A last test runs the
+whole harness at its smoke sizes, so a change that breaks one of its
+output checks fails here, not first in a benchmark run.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from ccc import training
@@ -75,3 +80,12 @@ def test_recorder_hooks_ccc_hot_path(monkeypatch):
     assert step_sizes["ccc"] > 0
     assert rec.counts["kernels.crowd_grads.ann"] == sum(step_sizes.values())
     assert rec.counts["kernels.hyper_grads.ann"] == step_sizes["ccc"]
+
+
+def test_smoke_run_of_every_workload_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "all", "--smoke",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600, cwd=PERFBENCH.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0, proc.stdout

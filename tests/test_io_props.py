@@ -5,17 +5,20 @@ compared as raw bits, so -0.0 and subnormals count), and saving the
 loaded data again must write byte-identical files, for csv and bin
 features alike. A damaged csv file must load the same, arrays or fault,
 whether numpy's reader streams it or the codec reads it a line at a
-time, as it does when every line ends at a lone \r.
+time, and whatever mix of \n, \r\n and \r ends its lines.
 """
 
+import io
 import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ccc import data as ccc_data
 from ccc.data import (CrowdDataset, load_dataset, load_eval_set, save_dataset,
                       save_eval_set)
 from ccc.errors import DataFormatError
@@ -121,37 +124,69 @@ def _outcome(directory: Path):
             ds.ann_label.tolist(), None if ds.truth is None else ds.truth.tolist()]
 
 
+def _save_damaged(ds, data, directory: Path) -> None:
+    """Save ds, then damage one row of one of its csv files, or none."""
+    save_dataset(ds, directory)
+    name = data.draw(st.sampled_from(sorted(p.name for p in directory.glob("*.csv"))))
+    lines = (directory / name).read_text(encoding="utf-8").split("\n")[:-1]
+    k = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[k].split(",")
+    ints = 1 if name == "features.csv" else len(fields)
+    kinds = ["none", "junk int", "field count", "id", "duplicate", "blank lines"]
+    kind = data.draw(st.sampled_from(kinds + ["junk float"] * (ints < len(fields))))
+    if kind == "junk int":
+        fields[data.draw(st.integers(0, ints - 1))] = data.draw(JUNK)
+    elif kind == "junk float":
+        fields[data.draw(st.integers(ints, len(fields) - 1))] = data.draw(JUNK)
+    elif kind == "field count":
+        fields = fields[:-1] if data.draw(st.booleans()) else fields + ["0"]
+    elif kind == "id":
+        fields[data.draw(st.integers(0, ints - 1))] = str(data.draw(st.integers(-2, 20)))
+    lines[k] = ",".join(fields)
+    if kind == "duplicate":
+        lines.insert(k, lines[data.draw(st.integers(1, len(lines) - 1))])
+    elif kind == "blank lines":
+        lines[k:k] = [""] * data.draw(st.integers(1, 3))
+    (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _line_path_outcome(directory: Path):
+    """_outcome with numpy's streaming read failing, so every csv file is read a
+    line at a time (the fault finder parses its lines from a BytesIO)."""
+    loadtxt = ccc_data._loadtxt
+
+    def no_stream(src, dtype):
+        if not isinstance(src, io.BytesIO):
+            raise ValueError("streaming read refused")
+        return loadtxt(src, dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ccc_data, "_loadtxt", no_stream)
+        return _outcome(directory)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ds=crowd_datasets(), data=st.data())
 def test_damaged_file_loads_the_same_on_the_fast_and_the_line_path(ds, data):
     with tempfile.TemporaryDirectory() as tmp:
-        fast, lines_path = Path(tmp, "fast"), Path(tmp, "lines")
-        save_dataset(ds, fast)
-        name = data.draw(st.sampled_from(sorted(p.name for p in fast.glob("*.csv"))))
-        lines = (fast / name).read_text(encoding="utf-8").split("\n")[:-1]
-        k = data.draw(st.integers(1, len(lines) - 1))
-        fields = lines[k].split(",")
-        ints = 1 if name == "features.csv" else len(fields)
-        kinds = ["junk int", "field count", "id", "duplicate", "blank lines"]
-        kind = data.draw(st.sampled_from(kinds + ["junk float"] * (ints < len(fields))))
-        if kind == "junk int":
-            fields[data.draw(st.integers(0, ints - 1))] = data.draw(JUNK)
-        elif kind == "junk float":
-            fields[data.draw(st.integers(ints, len(fields) - 1))] = data.draw(JUNK)
-        elif kind == "field count":
-            fields = fields[:-1] if data.draw(st.booleans()) else fields + ["0"]
-        elif kind == "id":
-            fields[data.draw(st.integers(0, ints - 1))] = str(data.draw(st.integers(-2, 20)))
-        lines[k] = ",".join(fields)
-        if kind == "duplicate":
-            lines.insert(k, lines[data.draw(st.integers(1, len(lines) - 1))])
-        elif kind == "blank lines":
-            lines[k:k] = [""] * data.draw(st.integers(1, 3))
-        (fast / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _save_damaged(ds, data, Path(tmp))
+        assert _line_path_outcome(Path(tmp)) == _outcome(Path(tmp))
 
-        shutil.copytree(fast, lines_path)
-        for path in lines_path.glob("*.csv"):
-            # numpy's reader cannot end a line at a lone \r, so the codec
-            # reads a file whose header ends at one a line at a time.
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
-        assert _outcome(lines_path) == _outcome(fast)
+
+@settings(max_examples=150, deadline=None)
+@given(ds=crowd_datasets(), data=st.data())
+def test_any_mix_of_line_ends_loads_as_the_lf_copy(ds, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        lf, mixed = Path(tmp, "lf"), Path(tmp, "mixed")
+        _save_damaged(ds, data, lf)
+        shutil.copytree(lf, mixed)
+        for path in mixed.glob("*.csv"):
+            out, end = [], b"\n"
+            for text in path.read_bytes().split(b"\n")[:-1]:
+                # A \n after a \r that ends the line before would join it into
+                # one \r\n line end, and a blank line would be lost.
+                ends = [b"\r", b"\r\n"] if end == b"\r" and not text else [b"\n", b"\r\n", b"\r"]
+                end = data.draw(st.sampled_from(ends))
+                out.append(text + end)
+            path.write_bytes(b"".join(out))
+        assert _outcome(mixed) == _outcome(lf)
