@@ -3,7 +3,9 @@
 Every run artifact embeds the fully resolved configuration and seed so
 that any two invocations with equal (config, seed, dataset) produce
 byte-identical numeric outputs. Exit codes are per error family:
-0 success, 2 configuration, 3 data validation, 4 I/O.
+0 success, 2 configuration, 3 data validation, 4 I/O. Each command first
+clears every file it may write (files.clear), its marker first, and writes
+the marker last: meta.json, stats.json, run.json or aggregate.json.
 
 Config files (--config on simulate and train) are flat key=value lines
 (# comments allowed); explicit command-line flags override file values,
@@ -31,6 +33,7 @@ from .data import (BLOBS_DEFAULTS, FEATURES_FORMATS, annotation_histogram,
                    save_eval_set, true_confusion_matrices, write_csv,
                    write_dense_labels, write_distances, write_json)
 from .errors import ConfigError, ContractError, DataFormatError
+from .files import clear
 from .models import load_model, save_model
 from .rng import RngStream
 from .simulate import PRESETS, PatternSpec, build_pool, generate
@@ -191,13 +194,10 @@ def cmd_simulate(args) -> int:
                       preset=args.preset, seed=seed)
     ds = result[0] if args.dump_dense else result
 
-    # meta.json goes first and comes back last, so a failed write does not load
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "meta.json").unlink(missing_ok=True)
+    # meta.json comes back last; an earlier run's tables would not match this one
+    clear(out_dir, ("meta.json", "dense_labels.csv", *INSPECT_FILES))
     if args.dump_dense:
         write_dense_labels(out_dir / "dense_labels.csv", result[1])
-    else:  # an earlier run's table would not match this dataset
-        (out_dir / "dense_labels.csv").unlink(missing_ok=True)
     if args.test_size and src_kind == "blobs":
         test_X, test_y = make_blobs(rng=master.split("test-features"),
                                     **{**src, "N": args.test_size})
@@ -223,10 +223,12 @@ def cmd_simulate(args) -> int:
 # inspect
 # ---------------------------------------------------------------------------
 
+INSPECT_FILES = ("stats.json", "cm_distances.csv")  # stats.json, the marker, is written last
+
+
 def cmd_inspect(args) -> int:
     ds = load_dataset(args.data)
-    out_dir = Path(args.out) if args.out else Path(args.data)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = clear(args.out or args.data, INSPECT_FILES)
     hist = annotation_histogram(ds)
     stats = {
         "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
@@ -289,16 +291,9 @@ RUN_FILES = ("run.json", "model1.bin", "model2.bin", "curves.csv", "confusions.c
              "groups.csv")
 
 
-def _remove_run(directory: Path) -> None:
-    """Delete the files of a train run written to directory before."""
-    for name in RUN_FILES:
-        (directory / name).unlink(missing_ok=True)
-
-
 def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
     res = train(ds, cfg, eval_set)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once train has accepted the run
-    _remove_run(out_dir)  # an earlier run's files, some of which this run may not write
+    clear(out_dir, RUN_FILES)  # only once train has accepted the run
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
     _write_curves(out_dir / "curves.csv", res.curves)
@@ -348,7 +343,7 @@ def cmd_train(args) -> int:
         (out_dir / "aggregate.json").unlink(missing_ok=True)
         for sub in out_dir.glob("seed-*"):
             if (sub / "run.json").is_file():
-                _remove_run(sub)
+                clear(sub, RUN_FILES)
                 if not any(sub.iterdir()):
                     sub.rmdir()
         print(f"best: {payload['best']}  last: {payload['last']}")
@@ -365,9 +360,8 @@ def cmd_train(args) -> int:
             agg[part][key] = {"values": vals, "mean": float(np.mean(vals)),
                               "std": float(np.std(vals))}
     agg["config"] = payloads[0]["config"]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    clear(out_dir, RUN_FILES)  # a single run written here before
     write_json(out_dir / "aggregate.json", agg)
-    _remove_run(out_dir)  # a single run written here before
     for key in keys:
         print(f"{key}: best {agg['best'][key]['mean']:.4f}±{agg['best'][key]['std']:.4f} "
               f"last {agg['last'][key]['mean']:.4f}±{agg['last'][key]['std']:.4f}")

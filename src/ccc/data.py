@@ -21,7 +21,8 @@ its lines only to find a bad row, then checks it with array expressions.
 A line with nothing before its line end is blank. Numbers are plain ASCII
 decimals and feature values must be finite. Each file is written to
 path.tmp, then moved onto path (files.atomic_open), so a failed write
-tears nothing.
+tears nothing; save_dataset first clears DATASET_FILES (files.clear) and
+writes meta.json last, so a failed save does not load.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataFormatError
-from .files import atomic_open, forked
+from .files import atomic_open, clear, forked
 from .models import Classifier, batch_forward
 from .rng import RngStream
 
 FORMAT_VERSION = 1
 FEATURES_FORMATS = ("csv", "bin")
+# Every file save_dataset may write, its marker first
+DATASET_FILES = ("meta.json", "features.csv", "features.bin", "annotations.csv", "truth.csv")
 _FEATURES_MAGIC = b"CCCD"
 BLOBS_DEFAULTS = {"spread": 0.28, "radius": 1.0}  # what a blobs: source may leave out
 
@@ -106,8 +109,7 @@ class CrowdDataset:
         order = np.lexsort((self.ann_annotator, self.ann_instance))
         ai = self.ann_instance[order]
         ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(ptr, ai + 1, 1)
-        np.cumsum(ptr, out=ptr)
+        np.cumsum(np.bincount(ai, minlength=self.n), out=ptr[1:])
         return ai, self.ann_annotator[order], self.ann_label[order], ptr
 
 
@@ -518,19 +520,15 @@ def write_dense_labels(path, dense: np.ndarray) -> None:
 
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory: annotations.csv, in (instance, annotator)
-    order, only when r > 0, and truth.csv, which a truthless dataset removes,
-    as it removes the features file of the other format. meta.json is removed
-    first and written last, so a directory whose write failed does not load."""
+    order, only when r > 0, and truth.csv only with truth. It first clears
+    every file of DATASET_FILES and writes meta.json last, so a directory
+    whose write failed does not load."""
     if features_format not in FEATURES_FORMATS:
         raise ContractError(f"unknown features format {features_format!r}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "meta.json").unlink(missing_ok=True)
+    directory = clear(directory, DATASET_FILES)
     features_file = f"features.{features_format}"
     write = _write_features_csv if features_format == "csv" else _write_features_bin
     write(directory / features_file, ds.features)
-    for other in set(FEATURES_FORMATS) - {features_format}:
-        (directory / f"features.{other}").unlink(missing_ok=True)
     if ds.annotator_count:
         order = np.lexsort((ds.ann_annotator, ds.ann_instance))
         write_csv(directory / "annotations.csv", "instance,annotator,label",
@@ -538,8 +536,6 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
     if ds.truth is not None:
         truth = np.asarray(ds.truth)
         write_csv(directory / "truth.csv", "instance,label", [(np.arange(truth.shape[0]), truth)])
-    else:
-        (directory / "truth.csv").unlink(missing_ok=True)
     write_json(directory / "meta.json", {
         "n": ds.n, "d": ds.d, "c": ds.class_count, "r": ds.annotator_count,
         "preset": ds.preset, "seed": ds.seed,
@@ -689,17 +685,16 @@ def save_eval_set(features: np.ndarray, labels: np.ndarray, directory,
 
 
 def remove_eval_set(directory) -> None:
-    """Remove the files save_eval_set writes if directory holds an eval
-    set (its meta.json loads, with r = 0), then the directory if that
-    left it empty. Any other file, and any other directory, stays."""
+    """Clear DATASET_FILES from directory if it holds an eval set (its
+    meta.json loads, with r = 0), then the directory if that left it
+    empty. Any other file, and any other directory, stays."""
     directory = Path(directory)
     try:
         if _load_meta(directory)["r"] != 0:
             return
     except DataFormatError:
         return
-    for name in (*_FEATURES_LOADERS, "truth.csv", "meta.json"):
-        (directory / name).unlink(missing_ok=True)
+    clear(directory, DATASET_FILES)
     if not any(directory.iterdir()):
         directory.rmdir()
 

@@ -1,20 +1,31 @@
-"""Whole-file writes, which leave no torn file behind, and forked children."""
+"""Whole-file writes, the one remover of a command's earlier outputs, and forked children."""
 
 import os
 from contextlib import contextmanager
+from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
+def atomic_open(path, mode: str = "w"):
     """Write path.tmp, then move it onto path; if the write raises, path is untouched."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def clear(directory, names) -> Path:
+    """Make directory and remove each of names in it, in order: a command lists
+    its marker first and writes it last, so a failed run does not load."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (directory / name).unlink(missing_ok=True)
+    return directory
 
 
 @contextmanager

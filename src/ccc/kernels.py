@@ -4,7 +4,7 @@ Every kernel is fully deterministic. All randomness is injected as
 pre-drawn uniform arrays; kernels consume no RNG state. crowd_grads, the
 training step, scatters per-annotation terms into per-row sums with
 np.bincount over flattened (row, column) indices, which adds each bin's
-terms in annotation order, the same per-bin order as np.add.at.
+terms in annotation order, the same per-bin order as an unbuffered add.
 hyper_grads, ccc's meta step, is one pass: it builds crowd_grads' dZ,
 calls the caller's meta_u(dZ) once for the meta-loss weights U, and sums
 the per-group dV by one GEMM over a table where each annotation's rows
@@ -68,8 +68,8 @@ class Workspace:
 def _scatter_rows(index, values, rows):
     """Sum values (A, ...) into a (rows, ...) array at the given row index.
 
-    Equal bit for bit to np.add.at on zeros: np.bincount adds each bin's
-    weights in input order, starting from 0.0, just as np.add.at does.
+    Equal bit for bit to an unbuffered add into zeros (ufunc.at): np.bincount
+    adds each bin's weights in input order, starting from 0.0, as that does.
     Rows no index names are exactly 0.
     """
     tail = values.shape[1:]

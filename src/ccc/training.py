@@ -154,8 +154,8 @@ class Batch:
 
 def aggregate_majority(ds: CrowdDataset) -> np.ndarray:
     """Modal label per instance; ties break toward the lowest class index."""
-    counts = np.zeros((ds.n, ds.class_count), dtype=np.int64)
-    np.add.at(counts, (ds.ann_instance, ds.ann_label), 1)
+    C = ds.class_count
+    counts = np.bincount(ds.ann_instance * C + ds.ann_label, minlength=ds.n * C).reshape(ds.n, C)
     if (counts.sum(axis=1) == 0).any():
         raise ContractError("every instance needs at least one annotation")
     return counts.argmax(axis=1).astype(np.int64)
@@ -178,16 +178,14 @@ def init_confusion_votes(ds: CrowdDataset) -> np.ndarray:
     (or rows) with no labeled mass come out log-uniform.
     """
     N, C, R = ds.n, ds.class_count, ds.annotator_count
-    counts = np.zeros((N, C))
-    np.add.at(counts, (ds.ann_instance, ds.ann_label), 1.0)
+    counts = np.bincount(ds.ann_instance * C + ds.ann_label, minlength=N * C).reshape(N, C)
     Q = counts / counts.sum(axis=1, keepdims=True)
-    num = np.zeros((R, C, C))
-    den = np.zeros((R, C))
-    Qa = Q[ds.ann_instance]
-    for p in range(C):
-        np.add.at(num[:, p, :], (ds.ann_annotator, ds.ann_label), Qa[:, p])
-        np.add.at(den[:, p], ds.ann_annotator, Qa[:, p])
-    return np.log((num + VOTES_SMOOTHING) / (den + C * VOTES_SMOOTHING)[:, :, None])
+    Qa = Q[ds.ann_instance].ravel()
+    row = (ds.ann_annotator[:, None] * C + np.arange(C)).ravel()  # bin (r, p) of each Qa term
+    den = np.bincount(row, Qa, minlength=R * C).reshape(R, C)
+    num = np.bincount(row * C + np.repeat(ds.ann_label, C), Qa, minlength=R * C * C)
+    return np.log((num.reshape(R, C, C) + VOTES_SMOOTHING)
+                  / (den + C * VOTES_SMOOTHING)[:, :, None])
 
 
 # ---------------------------------------------------------------------------

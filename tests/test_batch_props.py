@@ -1,15 +1,19 @@
-"""Property test: make_batch's CSR gather against a naive per-instance gather.
+"""Property tests: make_batch's CSR gather against a naive per-instance
+gather, and the np.bincount scatter-adds against np.add.at.
 
-The oracle scans every annotation for each batch position in turn and
-orders an instance's annotations by annotator id, the canonical
+The gather oracle scans every annotation for each batch position in turn
+and orders an instance's annotations by annotator id, the canonical
 (instance, annotator) order the trainers rely on for reproducible sums.
+The scatter-add oracle adds each term into zeros in annotation order,
+which np.bincount must match bit for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ccc.data import CrowdDataset
-from ccc.training import make_batch
+from ccc.training import (VOTES_SMOOTHING, aggregate_majority, init_confusion_votes,
+                          make_batch)
 
 
 @st.composite
@@ -66,3 +70,24 @@ def test_make_batch_matches_naive_gather(case):
                       (batch.ann_label, ann_label)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+@given(crowd_and_index())
+@settings(max_examples=200, deadline=None)
+def test_scatter_adds_match_an_add_at_oracle(case):
+    ds, _ = case
+    N, C, R = ds.n, ds.class_count, ds.annotator_count
+    ai, ar, al = ds.ann_instance, ds.ann_annotator, ds.ann_label
+    ptr = np.zeros(N + 1, dtype=np.int64)
+    np.add.at(ptr, ai + 1, 1)
+    assert np.array_equal(ds.instance_slices()[3], np.cumsum(ptr))
+    counts = np.zeros((N, C))
+    np.add.at(counts, (ai, al), 1.0)
+    assert np.array_equal(aggregate_majority(ds), counts.argmax(axis=1))
+    Qa = (counts / counts.sum(axis=1, keepdims=True))[ai]
+    num, den = np.zeros((R, C, C)), np.zeros((R, C))
+    for p in range(C):
+        np.add.at(num[:, p, :], (ar, al), Qa[:, p])
+        np.add.at(den[:, p], ar, Qa[:, p])
+    want = np.log((num + VOTES_SMOOTHING) / (den + C * VOTES_SMOOTHING)[:, :, None])
+    assert init_confusion_votes(ds).tobytes() == want.tobytes()

@@ -117,6 +117,14 @@ class TestSimulate:
         assert sorted(p.name for p in out.iterdir()) == [
             "annotations.csv", "features.bin", "meta.json", "truth.csv"]
 
+    def test_resimulate_removes_the_earlier_inspect_tables(self, tmp_path):
+        out = _simulate(tmp_path, "d", seed=1, test_size=0)
+        assert main(["inspect", "--data", str(out)]) == 0
+        (out / "notes.txt").write_text("mine")
+        _simulate(tmp_path, "d", seed=2, test_size=0)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "annotations.csv", "features.csv", "meta.json", "notes.txt", "truth.csv"]
+
     # sha256 of every file simulate and then inspect wrote, frozen from
     # the dense-phase-1 simulator and the np.unique-based loader checks;
     # a change to generation, RNG consumption, loading or the writers
@@ -362,6 +370,16 @@ class TestInspect:
             "truth.csv": "67dab561b53ebb94454cf8eb6fe1ce37921ce3830f64ed570a75b3aaa3be463a",
             "cm_distances.csv": "fb09d8b5190e0790cf51adc456ebbf146a61b3a2f225fc6e79e80a5a457c04ad",
         }
+
+    def test_truthless_inspect_removes_the_earlier_distances(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["inspect", "--data", str(_simulate(tmp_path, "a")), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine")
+        truthless = _simulate(tmp_path, "b", seed=2)
+        (truthless / "truth.csv").unlink()
+        assert main(["inspect", "--data", str(truthless), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "stats.json"]
+        assert json.loads((out / "stats.json").read_text())["seed"] == 2
 
     def test_malformed_dataset_exit_code(self, tmp_path):
         ds_dir = _simulate(tmp_path, "bad")
@@ -743,8 +761,8 @@ def _seeds_run(out):
 class TestCrashConsistency:
     """A command that fails partway leaves each directory it writes either
     unloadable or loading as the previous complete run: it removes the
-    directory's marker (meta.json, aggregate.json) before its first write
-    and writes it after its last."""
+    directory's marker (meta.json, stats.json, aggregate.json) before its
+    first write and writes it after its last."""
 
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
     def test_simulate_failing_at_each_write(self, tmp_path, fmt):
@@ -791,6 +809,29 @@ class TestCrashConsistency:
         before = _loaded(load_dataset, out), _loaded(load_eval_set, out / "test")
         _simulate(tmp_path, "d", seed=2, k=99, code=2)  # k above the positive propensities
         assert (_loaded(load_dataset, out), _loaded(load_eval_set, out / "test")) == before
+
+    def test_inspect_failing_at_each_write(self, tmp_path):
+        def inspect(data, out, code=0):
+            assert main(["inspect", "--data", str(data), "--out", str(out)]) == code
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "notes.txt"}
+
+        prev, new = tmp_path / "prev", _simulate(tmp_path, "new", seed=2)
+        before = inspect(_simulate(tmp_path, "old", seed=1), prev)
+        (prev / "notes.txt").write_text("mine")
+        after = inspect(new, tmp_path / "fresh")
+        for n in itertools.count(1):
+            out = tmp_path / "o"
+            shutil.copytree(prev, out)
+            with pytest.MonkeyPatch.context() as mp:
+                begun = _fail_nth_write(mp, n)
+                files = inspect(new, out, code=0 if n > 2 else 4)
+            if len(begun) < n:
+                break
+            assert "stats.json" not in files or files in (before, after)
+            assert (out / "notes.txt").read_text() == "mine"
+            shutil.rmtree(out)
+        # cm_distances.csv, then stats.json
+        assert files == after and n == 3 and begun[-1].name == "stats.json"
 
     def test_train_seeds_failing_at_each_write(self, tmp_path):
         ds_dir = _simulate(tmp_path, "t")

@@ -581,6 +581,14 @@ class TestIO:
         assert not (tmp_path / "d" / "truth.csv").exists()
         assert load_dataset(tmp_path / "d").truth is None
 
+    def test_eval_set_saved_over_a_dataset_removes_its_annotations(self, tmp_path):
+        ds = self._sample()
+        save_dataset(ds, tmp_path / "d")
+        (tmp_path / "d" / "notes.txt").write_text("mine")
+        save_eval_set(ds.features, ds.truth, tmp_path / "d", class_count=3)
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "features.csv", "meta.json", "notes.txt", "truth.csv"]
+
     @pytest.mark.parametrize("first, second", [("csv", "bin"), ("bin", "csv")])
     def test_save_removes_the_other_formats_features_file(self, tmp_path, first, second):
         ds = self._sample()
