@@ -291,9 +291,8 @@ RUN_FILES = ("run.json", "model1.bin", "model2.bin", "curves.csv", "confusions.c
              "groups.csv")
 
 
-def _run_one_seed(ds, cfg: TrainConfig, eval_set, out_dir: Path) -> dict:
-    res = train(ds, cfg, eval_set)
-    clear(out_dir, RUN_FILES)  # only once train has accepted the run
+def _write_run(res, cfg: TrainConfig, out_dir: Path) -> dict:
+    clear(out_dir, RUN_FILES)  # also a seed-<n> that a crash left without its run.json
     for tag, state in res.states.items():
         save_model(state.clf, out_dir / f"{tag}.bin")
     _write_curves(out_dir / "curves.csv", res.curves)
@@ -337,21 +336,23 @@ def cmd_train(args) -> int:
         _check_eval_set(X, c, "dataset", ds.class_count, ds.d)
         eval_set = (X, y)
     out_dir = Path(args.out)
+    runs = ([(cfg, out_dir)] if seeds is None else
+            [(replace(cfg, seed=s), out_dir / f"seed-{s}") for s in seeds])
+    payloads = []
+    for run_cfg, run_dir in runs:
+        res = train(ds, run_cfg, eval_set)
+        if not payloads:  # only once train has accepted a run: an earlier train's files
+            clear(out_dir, ("aggregate.json", *RUN_FILES))
+            for sub in out_dir.glob("seed-*"):
+                if (sub / "run.json").is_file():
+                    clear(sub, RUN_FILES)
+                    if not any(sub.iterdir()):
+                        sub.rmdir()
+        payloads.append(_write_run(res, run_cfg, run_dir))
     if seeds is None:
-        payload = _run_one_seed(ds, cfg, eval_set, out_dir)
-        # A --seeds run written here before: its aggregate and replicates
-        (out_dir / "aggregate.json").unlink(missing_ok=True)
-        for sub in out_dir.glob("seed-*"):
-            if (sub / "run.json").is_file():
-                clear(sub, RUN_FILES)
-                if not any(sub.iterdir()):
-                    sub.rmdir()
-        print(f"best: {payload['best']}  last: {payload['last']}")
+        print(f"best: {payloads[0]['best']}  last: {payloads[0]['last']}")
         return EXIT_OK
 
-    (out_dir / "aggregate.json").unlink(missing_ok=True)  # written after the last seed
-    payloads = [_run_one_seed(ds, replace(cfg, seed=s), eval_set, out_dir / f"seed-{s}")
-                for s in seeds]
     keys = sorted(payloads[0]["best"])
     agg = {"seeds": seeds, "best": {}, "last": {}}
     for part in ("best", "last"):
@@ -360,7 +361,6 @@ def cmd_train(args) -> int:
             agg[part][key] = {"values": vals, "mean": float(np.mean(vals)),
                               "std": float(np.std(vals))}
     agg["config"] = payloads[0]["config"]
-    clear(out_dir, RUN_FILES)  # a single run written here before
     write_json(out_dir / "aggregate.json", agg)
     for key in keys:
         print(f"{key}: best {agg['best'][key]['mean']:.4f}±{agg['best'][key]['std']:.4f} "

@@ -199,6 +199,8 @@ def load_model(path) -> Classifier:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ContractError(f"{path}: not a model blob (bad magic)")
+    if len(blob) < 24:
+        raise ContractError(f"{path}: truncated model blob")
     version, tag, input_dim, hidden_dim, class_count = struct.unpack("<IIIII", blob[4:24])
     if version != _VERSION:
         raise ContractError(f"{path}: unsupported model format version {version}")

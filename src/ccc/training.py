@@ -378,9 +378,6 @@ def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
                           f"non-finite {', '.join(bad)} (try a smaller lr)")
 
 
-# A blow-up makes numpy warn at every overflowing op; _check_finite
-# reports it once, at the end of the epoch where it happens.
-@np.errstate(over="ignore", invalid="ignore")
 def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: ModelState,
                  rngs: tuple[RngStream, RngStream], wss: tuple[Workspace, Workspace],
                  job: tuple, on_step=None) -> None:
@@ -421,27 +418,26 @@ def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: M
 
 
 def _worker(conn, parent_end, ds, cfg, csr, state: ModelState, rngs) -> None:
-    """model2's side of a forked run: answer each job with (params, T) or
-    the exception its epoch raised, and None with the whole state."""
+    """model2's side of a forked run: answer each job with the whole state or
+    the exception its epoch raised, until the parent closes the pipe."""
     parent_end.close()  # so that closing it in the parent ends conn.recv
     wss = Workspace(), Workspace()
     try:
-        while (job := conn.recv()) is not None:
+        while True:
+            job = conn.recv()
             try:
                 _model_epoch(ds, cfg, csr, None, "model2", state, rngs, wss, job)
+                conn.send(state)
             except Exception as exc:
                 conn.send(exc)
-                return
-            conn.send((state.clf.params, state.T))
-        conn.send(state)
     except (EOFError, OSError):
-        pass  # the parent has stopped the run
+        pass  # the parent has ended or stopped the run
 
 
 @contextlib.contextmanager
 def _forked_worker(*args):
     """The connection to a forked daemon running _worker(*args), or None where
-    files.forked starts none. On exit the pipe closes, which ends an idle worker."""
+    files.forked starts none. On exit the pipe closes, which ends the worker."""
     from multiprocessing import Pipe  # here: commands that never train ccc skip its import
     conn, child_end = Pipe()
     with forked(_worker, child_end, conn, *args) as proc, conn:
@@ -501,7 +497,10 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                    if ccc and on_step is None else contextlib.nullcontext())
     ws, sets = Workspace(), Workspace()
 
-    with model2_side as worker, np.errstate(over="ignore", invalid="ignore"):
+    # A blow-up makes numpy warn at every overflowing op; _check_finite
+    # reports it once, at the end of the epoch where it happens. Entered
+    # before the fork, so that the worker inherits it.
+    with np.errstate(over="ignore", invalid="ignore"), model2_side as worker:
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
@@ -518,15 +517,12 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                 worker.send(jobs["model2"])
             for tag, state in states.items():
                 if worker and tag == "model2":
-                    state.clf.params, state.T = _reply(worker)
+                    states["model2"] = _reply(worker)
                 else:
                     _model_epoch(ds, cfg, csr, mv, tag, state, rngs[tag], (ws, sets),
                                  jobs[tag], on_step)
             for tag, state in states.items():
                 curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y, sets))
-        if worker:
-            worker.send(None)
-            states["model2"] = _reply(worker)
 
     best = {k: float(max(v)) for k, v in curves.items()}
     last = {k: float(v[-1]) for k, v in curves.items()}

@@ -424,6 +424,12 @@ def _train_args(ds_dir, out, algo, **kw):
     return argv
 
 
+def _seeds_args(ds_dir, out, seeds, algo="ccc", epochs=2):
+    argv = _train_args(ds_dir, out, algo, epochs=epochs)
+    argv[argv.index("--seed"):argv.index("--seed") + 2] = ["--seeds", seeds]
+    return argv
+
+
 class TestTrain:
     def test_three_algorithms_produce_run_dirs(self, tmp_path):
         ds_dir = _simulate(tmp_path, "t")
@@ -551,6 +557,31 @@ class TestTrain:
         assert main(argv) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "aggregate.json", "notes.txt", "seed-1", "seed-2"]
+
+    def test_seeds_run_replaces_an_earlier_seeds_run(self, tmp_path):
+        ds_dir = _simulate(tmp_path, "mix")
+        out = tmp_path / "mix-run"
+        assert main(_seeds_args(ds_dir, out, "1,2,3")) == 0
+        (out / "notes.txt").write_text("kept")
+        (out / "seed-2" / "notes.txt").write_text("kept")
+        assert main(_seeds_args(ds_dir, out, "4,5")) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.json", "notes.txt", "seed-2", "seed-4", "seed-5"]
+        assert [p.name for p in (out / "seed-2").iterdir()] == ["notes.txt"]
+        assert json.loads((out / "aggregate.json").read_text())["seeds"] == [4, 5]
+
+    def test_seeds_run_rejected_in_its_first_seed_keeps_the_earlier_run(self, tmp_path, capsys):
+        ds_dir = _simulate(tmp_path, "rej")
+        out = tmp_path / "rej-run"
+        assert main(_seeds_args(ds_dir, out, "1,2")) == 0
+        before = _seeds_run(out)
+        assert before is not None
+        argv = _seeds_args(ds_dir, out, "3,4")
+        argv[argv.index("--lr") + 1] = "1e200"
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "diverged in epoch 0" in capsys.readouterr().err
+        assert _seeds_run(out) == before
 
     def test_seeds_run_with_model2_in_process_writes_the_same(self, tmp_path, monkeypatch):
         # A callback keeps ccc's model2 in the caller's process.
@@ -985,6 +1016,14 @@ class TestEval:
                      "--data", str(tmp_path / "data")]) == 2
         err = capsys.readouterr().err.strip()
         assert err == "config error: eval set feature dim 2 != model 3"
+
+    def test_truncated_model_header_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"CCCM\x01\x00")
+        save_eval_set(np.zeros((4, 2)), np.zeros(4, dtype=int), tmp_path / "data",
+                      class_count=2)
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path / "data")]) == 3
+        assert capsys.readouterr().err == f"validation error: {model}: truncated model blob\n"
 
     def test_empty_eval_set_exit_code(self, tmp_path, capsys):
         from ccc.models import init_classifier, save_model

@@ -230,3 +230,11 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContractError):
             load_model(path)
+
+    @pytest.mark.parametrize("size", [4, 6, 23])
+    def test_truncated_header(self, tmp_path, size):
+        path = tmp_path / "model.bin"
+        save_model(init_classifier("linear", 4, 0, 3, RngStream(12)), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ContractError, match=r"model\.bin: truncated model blob$"):
+            load_model(path)

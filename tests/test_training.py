@@ -725,6 +725,23 @@ class TestModel2Worker:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_worker_inherits_the_warning_silence(self, monkeypatch):
+        # train silences numpy's overflow warnings before it forks model2's
+        # worker; here model2 overflows once an epoch, in either process.
+        check = training._check_finite
+
+        def overflowing(state, epoch, tag, phase):
+            if tag == "model2":
+                np.exp(np.array([1e3]))
+            check(state, epoch, tag, phase)
+
+        monkeypatch.setattr(training, "_check_finite", overflowing)
+        ds = _blob_crowd(seed=55)
+        cfg = _tiny_cfg(algo="ccc", epochs=3, warmup=1)
+        runs = [train(ds, cfg, on_step=on_step) for on_step in (None, lambda info: None)]
+        _assert_same_run(*runs)
+
     def test_dead_worker_raises_promptly(self, monkeypatch):
         import multiprocessing
         import os
