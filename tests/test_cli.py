@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -8,13 +9,14 @@ from dataclasses import asdict, astuple
 import numpy as np
 import pytest
 
+from ccc import cli
 from ccc.cli import main
 from ccc.data import (CrowdDataset, load_dataset, load_eval_set, make_blobs, save_dataset,
                       save_eval_set, write_dense_labels)
 from ccc.errors import ConfigError, DataFormatError
 from ccc.rng import RngStream
 from ccc.simulate import PatternSpec, build_pool, generate
-from ccc.training import TrainConfig
+from ccc.training import TrainConfig, train
 
 
 def _simulate(tmp_path, name="d", seed=1, n=120, c=4, r=10, k=2,
@@ -1053,3 +1055,71 @@ class TestPipelineDeterminism:
                 json.dumps(run, sort_keys=True),
             )
         assert artifacts["one"] == artifacts["two"]
+
+
+class TestRunDigests:
+    """sha256 of every file `train` writes at criterion 10's size (300
+    instances, 15 annotators) with the mlp, 8 epochs and warmup 2; run.json
+    is hashed without its wall time. A change to what training computes, to
+    its RNG consumption or to the run writers shows here.
+
+    Frozen with numpy 2.4.6 on scipy-openblas 0.3.31 (DYNAMIC_ARCH build,
+    default threads) under Python 3.11, on a 2-core x86-64 machine. The bits depend on that build: on
+    another numpy or BLAS a mismatch is a finding to report, not a case to
+    skip."""
+
+    GOLDEN = {
+        "majority": {
+            "curves.csv": "f4efeeb50364133dbe96318ff3010f43a2ff4f7109eb999936fade20c28c10db",
+            "model1.bin": "af97d9b037127ee9ba8801f375099995dc0e25a38bf8f209fa3611376e06d120",
+            "run.json": "939048d97df21b0df8b0594daec657812a22cd1b703139bcdb926220f3a802a5",
+        },
+        "crowdlayer": {
+            "confusions.csv": "5177527912f5819bafe20c1b3ee54a23f947379103ba2571b97304a5424e4ffb",
+            "curves.csv": "33491f23ec07e197c8f0975b661158ca36086061eefd4811418a18a8e1ad4aaa",
+            "model1.bin": "bc1f496bb16787acb7843b8d80e0675700070701d067757f9dadabcaf42a4750",
+            "run.json": "f9e34a93910fd1aff0357d5997da6ea858d8c46686c0519880cef29f30eb05d3",
+        },
+        "ccc": {
+            "confusions.csv": "6fa56a698f502f81a277e27c970f0e3a3306c5e9a5b2fc870062dac1e613f9e6",
+            "curves.csv": "09d85cbe49fcd1ab33e2cdffdab524803fff492ec46b268b896d5a57f326489b",
+            "groups.csv": "32889d90a71dc1624f7270f3c4c6d693363c37309ede3efea09c5aba40f8416c",
+            "model1.bin": "154b96c3d09d717a433f1dcbb1572ec9d53cfdf3cced3258c05ed84d45530089",
+            "model2.bin": "619e3a4b55e11d60a9651aa001ae5ec36f031b5150e75acdb7789bc9a11359f7",
+            "run.json": "469dcf1201a61a6f9a7233a62109d912918bacb00c83fc77e3b1c736f6fdc77c",
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("digests") / "ds"
+        assert main(["simulate", "--features", "blobs:N=300,C=10,D=6,spread=0.25",
+                     "--preset", "IND-I", "--annotators", "15", "--k", "3",
+                     "--seed", "17", "--out", str(out), "--test-size", "150"]) == 0
+        return out
+
+    @staticmethod
+    def _digests(ds_dir, out, algo) -> dict[str, str]:
+        assert main(["train", "--data", str(ds_dir), "--test", str(ds_dir / "test"),
+                     "--algo", algo, "--out", str(out), "--seed", "17", "--model", "mlp",
+                     "--epochs", "8", "--warmup", "2", "--batch-size", "64",
+                     "--lr", "0.05", "--meta-size", "50", "--groups", "3",
+                     "--lr-decay-epoch", "-1"]) == 0
+        digests = {}
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.name == "run.json":
+                run = json.loads(data)
+                run.pop("wall_time_sec")
+                data = json.dumps(run, sort_keys=True).encode()
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        return digests
+
+    @pytest.mark.parametrize("algo", sorted(GOLDEN))
+    def test_run_files_have_the_frozen_digests(self, dataset, tmp_path, monkeypatch, algo):
+        assert self._digests(dataset, tmp_path / "run", algo) == self.GOLDEN[algo]
+        if algo == "ccc":  # again with model2 in the caller, where a callback keeps it
+            steps = []
+            monkeypatch.setattr(cli, "train", functools.partial(train, on_step=steps.append))
+            assert self._digests(dataset, tmp_path / "in-process", algo) == self.GOLDEN[algo]
+            assert {info["model"] for info in steps} == {"model1", "model2"}

@@ -593,6 +593,52 @@ class TestTrainCcc:
         assert all(np.isfinite(v) for v in res.curves["model1"])
 
 
+def _same_params(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+class TestCoupling:
+    """ccc's two mechanisms that accuracy at desk scale does not show, spied
+    on in an in-process run: each model learns from the meta set that the
+    other model's classifier distills, and one clustering of both models'
+    transitions groups the annotators."""
+
+    def test_each_model_is_distilled_for_by_the_other_and_grouped_with_it(self, monkeypatch):
+        ends, scorers, grouped = {}, [], []
+        check = training._check_finite
+        distill = training.distill_meta_set
+        group = training.group_annotators
+
+        def ending(state, epoch, tag, phase):
+            ends[epoch, tag] = copy.deepcopy(state.clf.params), state.T.copy()
+            check(state, epoch, tag, phase)
+
+        def distilling(ds, mv, scorer, M, ws=None):
+            scorers.append(copy.deepcopy(scorer.params))
+            return distill(ds, mv, scorer, M, ws)
+
+        def grouping(Ts, G, rng, restarts=1):
+            grouped.append([T.copy() for T in Ts])
+            return group(Ts, G, rng, restarts)
+
+        monkeypatch.setattr(training, "_check_finite", ending)
+        monkeypatch.setattr(training, "distill_meta_set", distilling)
+        monkeypatch.setattr(training, "group_annotators", grouping)
+        cfg = _tiny_cfg(algo="ccc", epochs=5, warmup=2, model="mlp", hidden_dim=8, seed=6)
+        train(_blob_crowd(seed=56), cfg, on_step=lambda info: None)
+        epochs = range(cfg.warmup, cfg.epochs)
+        # model1's meta set is distilled first, then model2's, once an epoch.
+        assert len(scorers) == 2 * len(epochs) and len(grouped) == len(epochs)
+        for i, epoch in enumerate(epochs):
+            # Each model starts an epoch as it ended the one before.
+            (params1, T1), (params2, T2) = ends[epoch - 1, "model1"], ends[epoch - 1, "model2"]
+            assert not _same_params(params1, params2)
+            assert _same_params(scorers[2 * i], params2), f"model1's meta set, epoch {epoch}"
+            assert _same_params(scorers[2 * i + 1], params1), f"model2's meta set, epoch {epoch}"
+            assert len(grouped[i]) == 2, f"epoch {epoch} grouped from one model"
+            assert np.array_equal(grouped[i][0], T1) and np.array_equal(grouped[i][1], T2)
+
+
 class TestWorkspace:
     def test_nothing_handed_out_is_a_view_of_the_workspace(self, monkeypatch):
         buffers = {}
