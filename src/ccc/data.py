@@ -186,7 +186,7 @@ def evaluate_accuracy(clf: Classifier, features: np.ndarray, labels: np.ndarray,
     """Argmax accuracy; argmax ties break toward the lowest class index."""
     if len(labels) == 0:
         raise ContractError("accuracy needs a nonempty eval set")
-    _, _, P = batch_forward(clf, features, ws)
+    _, P = batch_forward(clf, features, ws)
     pred = P.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 

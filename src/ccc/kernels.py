@@ -12,10 +12,10 @@ are assigned to its group's block. BLAS orders that sum its own way, so
 dV equals an annotation-order sum to rounding, not bit for bit. Both
 kernels share _annotation_terms and _logit_grads.
 
-training.train owns a run's Workspaces, float64 buffers by name, and
-drops them on return. The kernels, models.batch_forward and models.backprop
-write their large temporaries into one with out=, so results stay bit
-for bit; without one they allocate. No result but batch_forward's views it.
+training.train and model2's worker each own two Workspaces, float64 buffers
+by name. The kernels, models.batch_forward (one hidden array and the logits)
+and models.backprop write their temporaries into one with out=; without one
+they allocate, with the same bits. No result but batch_forward's views it.
 
 The transition convention used throughout: an annotation (i, r, y)
 with classifier output p = P[i] and transition matrix M[r] (rows = true

@@ -3,7 +3,8 @@
 Two kinds: plain linear softmax and a one-hidden-layer ReLU MLP. Both
 expose the penultimate representation and the last-layer parameters so
 the training code can run its virtual step and meta gradient through the
-last layer alone while treating everything below as constant.
+last layer alone while treating everything below as constant. The
+mlp's forward keeps one hidden array, H, in its workspace; backprop masks by H.
 
 param_shapes gives each kind's parameter layout, in declaration order,
 which is also the serialization order.
@@ -73,17 +74,14 @@ def init_classifier(kind: str, input_dim: int, hidden_dim: int, class_count: int
 
 
 def hidden_layer(clf: Classifier, X: np.ndarray, ws=None):
-    """(pre_act, penultimate) of a (n, D) float batch.
-
-    pre_act is the hidden pre-activation for the mlp kind (needed for the
-    ReLU mask in backprop) and None for linear, whose penultimate is X.
-    """
+    """Penultimate H of a (n, D) float batch: X for linear; for the mlp, the
+    ReLU taken in place over the pre-activation, one (n, hidden) array."""
     if clf.kind == "linear":
-        return None, X
+        return X
     ws = Workspace() if ws is None else ws
-    pre = np.matmul(X, clf.params["W1"], out=ws.array("pre", (X.shape[0], clf.hidden_dim)))
-    pre += clf.params["b1"]
-    return pre, np.maximum(pre, 0.0, out=ws.array("hidden", pre.shape))
+    H = np.matmul(X, clf.params["W1"], out=ws.array("hidden", (X.shape[0], clf.hidden_dim)))
+    H += clf.params["b1"]
+    return np.maximum(H, 0.0, out=H)
 
 
 def last_layer(clf: Classifier):
@@ -94,26 +92,27 @@ def last_layer(clf: Classifier):
 
 
 def batch_forward(clf: Classifier, X: np.ndarray, ws=None):
-    """Forward a (n, D) batch; returns (pre_act, penultimate, probs), views of ws if given."""
+    """Forward a (n, D) batch; returns (penultimate, probs), views of ws if given."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.input_dim:
         raise ContractError(
             f"expected features of dim {clf.input_dim}, got shape {X.shape}")
     ws = Workspace() if ws is None else ws
-    pre, H = hidden_layer(clf, X, ws)
+    H = hidden_layer(clf, X, ws)
     W, b = last_layer(clf)
     Z = np.matmul(H, W, out=ws.array("logits", (X.shape[0], clf.class_count)))
     Z += b
-    return pre, H, softmax_rows(Z, out=Z)
+    return H, softmax_rows(Z, out=Z)
 
 
-def backprop(clf: Classifier, X: np.ndarray, pre, H, dZ, ws=None) -> dict[str, np.ndarray]:
-    """Parameter gradients, new arrays, from accumulated logit gradients dZ (n, C)."""
+def backprop(clf: Classifier, X: np.ndarray, H, dZ, ws=None) -> dict[str, np.ndarray]:
+    """Parameter gradients, new arrays, from accumulated logit gradients dZ (n, C).
+    The ReLU mask H > 0 equals pre-activation > 0 bit for bit, NaN included."""
     if clf.kind == "linear":
         return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
     ws = Workspace() if ws is None else ws
-    dA = np.matmul(dZ, clf.params["W2"].T, out=ws.array("d_hidden", pre.shape))
-    dA *= pre > 0.0
+    dA = np.matmul(dZ, clf.params["W2"].T, out=ws.array("d_hidden", H.shape))
+    dA *= H > 0.0
     return {
         "W1": X.T @ dA,
         "b1": dA.sum(axis=0),
@@ -151,10 +150,10 @@ def loss_and_grads(clf: Classifier, X: np.ndarray, loss_def, ws=None):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ContractError("batch must be a nonempty (n, D) array")
-    pre, H, P = batch_forward(clf, X, ws)
+    H, P = batch_forward(clf, X, ws)
     losses, dZ = loss_def(P)
     n = X.shape[0]
-    grads = backprop(clf, X, pre, H, dZ / n, ws)
+    grads = backprop(clf, X, H, dZ / n, ws)
     return float(losses.mean()), grads
 
 

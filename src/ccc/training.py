@@ -22,17 +22,19 @@ momentum. A correction lives for one step: it starts at zero, takes one
 meta update, shifts the transitions its step sees from T to
 M = T + V[group_of], and is then dropped.
 
-ccc's models share nothing between epoch boundaries, where the caller
-distills both meta sets and groups the annotators, so model2's epochs
-run in a forked worker beside model1's. A run with an on_step callback,
-or without fork, trains both in the caller, with the same outputs.
+ccc's models meet only at epoch boundaries, where the caller groups the
+annotators and hands each model a snapshot of the other's classifier.
+The rest of an epoch, meta-set distillation by that snapshot and
+evaluation included, runs where the model lives: model2's in a forked
+worker beside model1's. A run with an on_step callback, or without fork,
+trains both in the caller, with the same outputs.
 
 Each process that trains owns two kernels.Workspaces and drops them when
 it is done. The batch step's forward, backprop and crowd_grads write
 their large temporaries into one; the meta step, which runs while the
-batch forward's arrays are in use, and the per-epoch forwards over whole
-sets use the other. Nothing train hands out, on_step's dT or the
-returned states, is a view of either.
+batch forward's arrays are in use, and the epoch's whole-set forwards,
+distillation and evaluation, use the other. Nothing train hands out,
+on_step's dT or the returned states, is a view of either.
 
 RNG streams are split per purpose (init/batches/meta per model, plus one
 for clustering), so ccc with corrections disabled (gamma=0) consumes
@@ -50,6 +52,7 @@ untouched.
 from __future__ import annotations
 
 import contextlib
+import copy
 import itertools
 import logging
 import math
@@ -234,11 +237,11 @@ def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
     batch_forward(state.clf, batch.features) at the current parameters.
     Returns (mean loss, normalized dT).
     """
-    pre, H, P = forward
+    H, P = forward
     loss_sum, dZ, dM = crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                                    batch.ann_label, M, state.T.shape[0], ws=ws)
     a = max(batch.ann_instance.shape[0], 1)
-    grads = backprop(state.clf, batch.features, pre, H, dZ / a, ws=ws)
+    grads = backprop(state.clf, batch.features, H, dZ / a, ws=ws)
     sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
     dT = dM / a
     state.T_mom *= cfg.momentum
@@ -260,7 +263,7 @@ def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
     against c; the floor(M/C) smallest-loss ones enter the meta set with
     pseudo-label c. Returns the meta set's (features, labels).
     """
-    _, _, P = batch_forward(scorer, ds.features, ws=ws)
+    _, P = batch_forward(scorer, ds.features, ws=ws)
     losses, _ = single_label_ce(mv)(P)
     keep = []
     for c in range(ds.class_count):
@@ -326,8 +329,8 @@ def correction_gradient(clf: Classifier, M: np.ndarray, group_of: np.ndarray,
     if a == 0 or m == 0:
         return np.zeros((G, *M.shape[1:]))
     W, b = last_layer(clf)
-    _, H, P = forward
-    _, Hm = hidden_layer(clf, meta_features, ws)
+    H, P = forward
+    Hm = hidden_layer(clf, meta_features, ws)
 
     def meta_u(dZ):
         W_hat = W - eta_v * (H.T @ dZ / a)
@@ -378,15 +381,17 @@ def _check_finite(state: ModelState, epoch: int, tag: str, phase: str) -> None:
                           f"non-finite {', '.join(bad)} (try a smaller lr)")
 
 
-def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: ModelState,
-                 rngs: tuple[RngStream, RngStream], wss: tuple[Workspace, Workspace],
-                 job: tuple, on_step=None) -> None:
-    """One model's pass over ds, then its divergence check. job is (epoch,
-    lr, phase, meta set, group_of), the last two None outside the ccc
-    phase; rngs are the model's batches and meta streams."""
-    epoch, lr, phase, meta, group_of = job
+def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, evals, tag: str,
+                 state: ModelState, rngs: tuple[RngStream, RngStream],
+                 wss: tuple[Workspace, Workspace], job: tuple, on_step=None) -> float:
+    """One model's epoch: in the ccc phase its meta set, distilled by the job's
+    scorer; its pass over ds; its divergence check; and its accuracy on evals,
+    returned. job is (epoch, lr, phase, scorer, group_of), the last two None
+    outside the ccc phase; rngs are the model's batches and meta streams."""
+    epoch, lr, phase, scorer, group_of = job
     ws, sets = wss
     if phase == "ccc":
+        meta = distill_meta_set(ds, mv, scorer, cfg.meta_size, sets)
         meta_batches = _meta_batches(meta, rngs[1], cfg.meta_batch)
     perm = rngs[0].permutation(ds.n)
     starts = range(0, ds.n, cfg.batch_size)
@@ -415,19 +420,20 @@ def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, tag: str, state: M
             on_step({"model": tag, "epoch": epoch, "step": step, "phase": phase,
                      "loss": loss, "dT": dT, "present": np.unique(batch.ann_annotator)})
     _check_finite(state, epoch, tag, phase)
+    return evaluate_accuracy(state.clf, *evals, sets)
 
 
-def _worker(conn, parent_end, ds, cfg, csr, state: ModelState, rngs) -> None:
-    """model2's side of a forked run: answer each job with the whole state or
-    the exception its epoch raised, until the parent closes the pipe."""
+def _worker(conn, parent_end, ds, cfg, csr, mv, evals, state: ModelState, rngs) -> None:
+    """model2's side of a forked run: answer each job with (whole state, accuracy)
+    or the exception its epoch raised, until the parent closes the pipe."""
     parent_end.close()  # so that closing it in the parent ends conn.recv
     wss = Workspace(), Workspace()
     try:
         while True:
             job = conn.recv()
             try:
-                _model_epoch(ds, cfg, csr, None, "model2", state, rngs, wss, job)
-                conn.send(state)
+                acc = _model_epoch(ds, cfg, csr, mv, evals, "model2", state, rngs, wss, job)
+                conn.send((state, acc))
             except Exception as exc:
                 conn.send(exc)
     except (EOFError, OSError):
@@ -465,8 +471,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     its entries in the result. `on_step` receives one dict per crowd step.
     """
     t0 = time.perf_counter()
-    eval_X, eval_y = _resolve_eval(ds, eval_set)
-    if ds.n == 0 or len(eval_y) == 0:
+    evals = _resolve_eval(ds, eval_set)
+    if ds.n == 0 or len(evals[1]) == 0:
         raise ContractError("training needs a nonempty dataset and a nonempty eval set")
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
     ccc = cfg.algo == "ccc"
@@ -493,7 +499,7 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     curves = {tag: [] for tag in states}
     groups_by_epoch = []
     # A callback sees each step in the caller's process, so it keeps model2 here.
-    model2_side = (_forked_worker(ds, cfg, csr, states["model2"], rngs["model2"])
+    model2_side = (_forked_worker(ds, cfg, csr, mv, evals, states["model2"], rngs["model2"])
                    if ccc and on_step is None else contextlib.nullcontext())
     ws, sets = Workspace(), Workspace()
 
@@ -504,25 +510,24 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
             phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
-            meta_sets, group_of = dict.fromkeys(states), None
+            scorers, group_of = dict.fromkeys(states), None
             if phase == "ccc":
                 m1, m2 = states["model1"], states["model2"]
-                # Each model learns from the meta set the other distills.
-                meta_sets = {"model1": distill_meta_set(ds, mv, m2.clf, cfg.meta_size, sets),
-                             "model2": distill_meta_set(ds, mv, m1.clf, cfg.meta_size, sets)}
+                # Each model learns from the meta set the other distills. In one
+                # process model1's epoch runs first, so model2's scorer is a copy.
+                scorers = {"model1": m2.clf, "model2": copy.deepcopy(m1.clf)}
                 group_of = group_annotators([m1.T, m2.T], G, kmeans_rng)
                 groups_by_epoch.append((epoch, group_of))
-            jobs = {tag: (epoch, lr, phase, meta_sets[tag], group_of) for tag in states}
+            jobs = {tag: (epoch, lr, phase, scorers[tag], group_of) for tag in states}
             if worker:  # before model1's epoch, so that the two run side by side
                 worker.send(jobs["model2"])
             for tag, state in states.items():
                 if worker and tag == "model2":
-                    states["model2"] = _reply(worker)
+                    states["model2"], acc = _reply(worker)
                 else:
-                    _model_epoch(ds, cfg, csr, mv, tag, state, rngs[tag], (ws, sets),
-                                 jobs[tag], on_step)
-            for tag, state in states.items():
-                curves[tag].append(evaluate_accuracy(state.clf, eval_X, eval_y, sets))
+                    acc = _model_epoch(ds, cfg, csr, mv, evals, tag, state, rngs[tag],
+                                       (ws, sets), jobs[tag], on_step)
+                curves[tag].append(acc)
 
     best = {k: float(max(v)) for k, v in curves.items()}
     last = {k: float(v[-1]) for k, v in curves.items()}

@@ -125,12 +125,12 @@ def test_criterion_03_hypergradient_oracle():
     def primal(Vx):
         W, b = last_layer(clf)
         M = T + Vx[group_of]
-        _, H, P = batch_forward(clf, X)
+        H, P = batch_forward(clf, X)
         _, dZ, _ = kernels.crowd_grads(P, ann_i, ann_r, ann_y, M, R)
         a = ann_i.shape[0]
         W_hat = W - eta_v * (H.T @ dZ / a)
         b_hat = b - eta_v * (dZ.sum(axis=0) / a)
-        Pm = softmax_rows(hidden_layer(clf, Xm)[1] @ W_hat + b_hat)
+        Pm = softmax_rows(hidden_layer(clf, Xm) @ W_hat + b_hat)
         return float(-np.log(np.maximum(Pm[np.arange(m), ym], CE_FLOOR)).mean())
 
     t0 = time.perf_counter()
@@ -206,7 +206,7 @@ def test_criterion_05_sparsity_gradient_law():
 
 def test_criterion_06_first_order_gradient_oracle():
     def mean_loss(clf, X, loss_def):
-        _, _, P = batch_forward(clf, X)
+        _, P = batch_forward(clf, X)
         losses, _ = loss_def(P)
         return float(losses.mean())
 

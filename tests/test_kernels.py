@@ -88,8 +88,8 @@ class TestWorkspace:
             X = RngStream(seed).normal((n, 3))
             fwd = batch_forward(clf, X, ws=ws)
             assert all(map(_same_bits, fwd, batch_forward(clf, X)))
-            grads = backprop(clf, X, *fwd[:2], got[1], ws=ws)
-            want = backprop(clf, X, *batch_forward(clf, X)[:2], got[1])
+            grads = backprop(clf, X, fwd[0], got[1], ws=ws)
+            want = backprop(clf, X, batch_forward(clf, X)[0], got[1])
             assert all(_same_bits(grads[k], want[k]) for k in want)
             handed_out += [*got[1:], *got_h, *grads.values()]
         # Later calls on the same workspace leave earlier results alone.
@@ -99,7 +99,7 @@ class TestWorkspace:
             kernels.crowd_grads(P, ai, ar, ay, M, 5, ws=ws)
             kernels.hyper_grads(P, lambda dZ: U, ai, ar, ay, M, groups, 2, ws=ws)
             fwd = batch_forward(clf, RngStream(seed).normal((n, 3)), ws=ws)
-            backprop(clf, RngStream(seed).normal((n, 3)), *fwd[:2], fwd[2], ws=ws)
+            backprop(clf, RngStream(seed).normal((n, 3)), fwd[0], fwd[1], ws=ws)
         assert all(map(_same_bits, handed_out, kept))
 
     def test_grows_only_and_views_a_smaller_shape(self):

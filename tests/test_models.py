@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccc.errors import ContractError
-from ccc.models import (PARAM_KEYS, batch_forward, hidden_layer, init_classifier,
-                        last_layer, load_model, loss_and_grads, save_model,
-                        sgd_step, single_label_ce)
+from ccc.models import (PARAM_KEYS, backprop, batch_forward, hidden_layer,
+                        init_classifier, last_layer, load_model, loss_and_grads,
+                        save_model, sgd_step, single_label_ce)
 from ccc.rng import RngStream
 
 
 def _mean_loss(clf, X, loss_def):
     """Primal-only evaluation, independent of the backprop path."""
-    _, _, P = batch_forward(clf, X)
+    _, P = batch_forward(clf, X)
     losses, _ = loss_def(P)
     return float(losses.mean())
 
@@ -75,7 +76,7 @@ class TestForward:
     def test_zero_weights_uniform(self):
         clf = init_classifier("linear", 3, 0, 4, RngStream(0))
         clf.params["W"][:] = 0.0
-        _, _, P = batch_forward(clf, np.array([[1.0, -2.0, 0.5]]))
+        _, P = batch_forward(clf, np.array([[1.0, -2.0, 0.5]]))
         assert P.shape == (1, 4)
         assert np.allclose(P[0], 0.25)
 
@@ -85,7 +86,7 @@ class TestForward:
         clf.params["b1"][:] = 0.0
         clf.params["W2"][:] = np.eye(2)
         clf.params["b2"][:] = 0.0
-        _, H, P = batch_forward(clf, np.array([[1.0, -2.0]]))
+        H, P = batch_forward(clf, np.array([[1.0, -2.0]]))
         # hand: hidden = relu([1, -2]) = [1, 0]; logits = [1, 0]
         assert np.array_equal(H, [[1.0, 0.0]])
         e = np.exp(1.0)
@@ -93,7 +94,7 @@ class TestForward:
 
     def test_probabilities_sum_to_one(self):
         clf = init_classifier("mlp", 5, 7, 6, RngStream(4))
-        _, _, P = batch_forward(clf, RngStream(5).normal((20, 5)))
+        _, P = batch_forward(clf, RngStream(5).normal((20, 5)))
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dim_mismatch(self):
@@ -195,15 +196,58 @@ class TestLastLayerSnapshot:
         assert W is clf.params["W"]
         assert b is clf.params["b"]
         X = RngStream(6).normal((4, 3))
-        assert np.array_equal(hidden_layer(clf, X)[1], X)
+        assert np.array_equal(hidden_layer(clf, X), X)
 
     def test_mlp_structure(self):
         clf = init_classifier("mlp", 3, 4, 2, RngStream(7))
         W, b = last_layer(clf)
         assert W is clf.params["W2"] and b is clf.params["b2"]
         X = RngStream(8).normal((5, 3))
-        _, H, _ = batch_forward(clf, X)
-        assert np.array_equal(hidden_layer(clf, X)[1], H)
+        H, _ = batch_forward(clf, X)
+        assert np.array_equal(hidden_layer(clf, X), H)
+
+
+# Pre-activations where a mask read from the ReLU's output could part from
+# one read from its input: both zeros, the smallest subnormals, NaN.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, np.nan, 1.0, -1.0]
+
+
+@st.composite
+def relu_cases(draw):
+    n, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(_EDGES), st.floats(-2.0, 2.0))
+    pre = np.array(draw(st.lists(value, min_size=n * h, max_size=n * h))).reshape(n, h)
+    scale = np.array(draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, 3.0]),
+                                   min_size=n, max_size=n)))
+    return pre, scale, c, draw(st.integers(0, 2**32 - 1))
+
+
+def _oracle_grads(clf, X, pre, dZ):
+    """backprop's hidden-layer gradients with the ReLU mask taken from pre."""
+    dA = (dZ @ clf.params["W2"].T) * (pre > 0.0)
+    return {"W1": X.T @ dA, "b1": dA.sum(axis=0)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(relu_cases())
+def test_backprop_masks_with_H_as_with_the_pre_activation(case):
+    pre, scale, c, seed = case
+    (n, h), rng = pre.shape, RngStream(seed)
+    clf = init_classifier("mlp", 1, h, c, rng.split("init"))
+    dZ = rng.normal((n, c))
+    # One input feature: each forward pre-activation is scale * W1 + b1, one
+    # product and one sum, so the drawn edges reach it. BLAS writes no -0.0.
+    clf.params["W1"][:] = pre[:1]
+    clf.params["b1"][:] = pre[-1]
+    X = scale[:, None]
+    forward_pre = X @ clf.params["W1"] + clf.params["b1"]
+    H = hidden_layer(clf, X)
+    assert np.array_equal(H, np.maximum(forward_pre, 0.0), equal_nan=True)
+    # The drawn matrix itself, -0.0 included, through the ReLU hidden_layer takes.
+    for got_pre, got_H in ((forward_pre, H), (pre, np.maximum(pre, 0.0))):
+        grads, want = backprop(clf, X, got_H, dZ), _oracle_grads(clf, X, got_pre, dZ)
+        for key, value in want.items():
+            assert grads[key].tobytes() == value.tobytes(), key
 
 
 class TestSerialization:

@@ -250,7 +250,7 @@ class TestDistillation:
         M = 16
         mv = aggregate_majority(ds)
         meta_features, meta_labels = distill_meta_set(ds, mv, scorer, M)
-        _, _, P = batch_forward(scorer, ds.features)
+        _, P = batch_forward(scorer, ds.features)
         losses = -np.log(np.maximum(P[np.arange(ds.n), mv], CE_FLOOR))
         quota = M // 4
         # oracle: full sort per class
@@ -344,13 +344,13 @@ def _meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v):
     """Independent primal: meta loss after one virtual last-layer step."""
     W, b = last_layer(clf)
     M = T + V[group_of]
-    _, H, P = batch_forward(clf, batch.features)
+    H, P = batch_forward(clf, batch.features)
     _, dZ, _ = kernels.crowd_grads(P, batch.ann_instance, batch.ann_annotator,
                                    batch.ann_label, M, T.shape[0])
     a = batch.ann_instance.shape[0]
     W_hat = W - eta_v * (H.T @ dZ / a)
     b_hat = b - eta_v * (dZ.sum(axis=0) / a)
-    Pm = softmax_rows(hidden_layer(clf, Xm)[1] @ W_hat + b_hat)
+    Pm = softmax_rows(hidden_layer(clf, Xm) @ W_hat + b_hat)
     py = np.maximum(Pm[np.arange(len(ym)), ym], CE_FLOOR)
     return float(-np.log(py).mean())
 
