@@ -18,11 +18,13 @@ block of rows at a time (write_distances writes the same bytes for the
 symmetric cm_distances.csv), and CsvRows parses one with numpy's reader as
 it streams from disk, whether its lines end at \n, \r\n or \r, and from
 its lines only to find a bad row, then checks it with array expressions.
-A line with nothing before its line end is blank. Numbers are plain ASCII
-decimals and feature values must be finite. Each file is written to
-path.tmp, then moved onto path (files.atomic_open), so a failed write
-tears nothing; save_dataset first clears DATASET_FILES (files.clear) and
-writes meta.json last, so a failed save does not load.
+A line with nothing before its line end is blank; one of only spaces or
+tabs is a row of one field. Numbers are plain ASCII decimals, with or
+without whitespace (what str.isspace accepts in latin-1) around them, and
+feature values must be finite. Each file is written to path.tmp, then
+moved onto path (files.atomic_open), so a failed write tears nothing;
+save_dataset first clears DATASET_FILES (files.clear) and writes
+meta.json last, so a failed save does not load.
 """
 
 from __future__ import annotations
@@ -103,14 +105,13 @@ class CrowdDataset:
     def instance_slices(self):
         """CSR view of annotations grouped by instance.
 
-        Returns (order-applied arrays sorted by (instance, annotator),
-        ptr) where annotations of instance i live at [ptr[i], ptr[i+1]).
+        Returns (annotators, labels, ptr), the annotations sorted by
+        (instance, annotator): instance i's live at [ptr[i], ptr[i+1]).
         """
         order = np.lexsort((self.ann_annotator, self.ann_instance))
-        ai = self.ann_instance[order]
         ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ai, minlength=self.n), out=ptr[1:])
-        return ai, self.ann_annotator[order], self.ann_label[order], ptr
+        np.cumsum(np.bincount(self.ann_instance, minlength=self.n), out=ptr[1:])
+        return self.ann_annotator[order], self.ann_label[order], ptr
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +367,16 @@ class CsvRows:
     unreadable one is each row parsed on its own.
 
     A row that cannot be read (a wrong field count, or a value that is not
-    a plain ASCII decimal) ends the table: columns hold the rows before
-    it, and check() reports it unless it finds a fault in an earlier row,
-    so an error always names the first bad line. count_fault words a wrong
-    field count from `width` and `got`.
+    a plain ASCII decimal with or without whitespace around it) ends the
+    table: columns hold the rows before it, and check() reports it unless
+    it finds a fault in an earlier row, so an error always names the first
+    bad line. A wrong field count reads "expected {width} fields, got {got}".
     """
 
-    def __init__(self, path: Path, what: str, header: str, ints, floats: int = 0,
-                 count_fault: str = "expected {width} fields"):
+    def __init__(self, path: Path, what: str, header: str, ints, floats: int = 0):
         self.path = path
         self.ints = tuple(ints)
         self.width = len(self.ints) + floats
-        self.count_fault = count_fault
         fields = [(f"i{j}", np.int64) for j in range(len(self.ints))]
         if floats:
             fields.append(("f", np.float64, (floats,)))
@@ -441,7 +440,7 @@ class CsvRows:
         wrong field count)."""
         fields = line.split(b",")
         if len(fields) != self.width:
-            return DataFormatError(self.count_fault.format(width=self.width, got=len(fields)),
+            return DataFormatError(f"expected {self.width} fields, got {len(fields)}",
                                    self.path, lineno), 0
         for j, text in enumerate(fields):
             if j < len(self.ints) and not _reads_as(text, np.int64):
@@ -546,8 +545,7 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
 def _load_features_csv(path: Path, n: int, d: int) -> np.ndarray:
     if not path.exists():
         raise DataFormatError("missing features file", path)
-    rows = CsvRows(path, "features", _features_header(d), ["instance id"], floats=d,
-                   count_fault="expected {width} fields, got {got}")
+    rows = CsvRows(path, "features", _features_header(d), ["instance id"], floats=d)
     ids = rows.columns[0]
     features = rows.columns[1] if d else np.empty((ids.size, 0))
     rows.check(

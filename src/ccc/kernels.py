@@ -200,7 +200,8 @@ SELECT_K_ROWS = 1024
 
 def _count_at_or_below(cums, rows, t):
     """Per i, the count of entries of the nondecreasing row cums[rows[i]]
-    at or below t[i]: they form a prefix, found by binary search."""
+    (rows may be one row for all i) at or below t[i]: they form a prefix,
+    found by binary search."""
     R = cums.shape[1]
     count = np.zeros(t.shape, dtype=np.int64)
     step = 1 << (R.bit_length() - 1)
@@ -218,29 +219,27 @@ def select_k(weights, U):
     weights (R,) nonnegative with at least k positive, U (N, k) uniforms.
     A row's pick is the count of entries of its cumsum, picked weights
     zeroed, at or below u * total. Returns int64 picks (N, k), equal to
-    that recipe run one row at a time. Draw 1 shares one cumsum across
-    rows. Draw 2 looks each row up in an (R, R) table whose row j is the
-    cumsum with weight j zeroed, since a row's weights then depend only
-    on its first pick. Later draws sum SELECT_K_ROWS rows at a time in
-    an (R, rows) block, one annotator at a time, so each add runs across
-    rows and each entry gets np.cumsum's additions in np.cumsum's order.
-    Rounding can push u * total up to the total, which counts all R
-    entries; such a row lands on its last positive weight instead.
+    that recipe run one row at a time. Draws 1 and 2 look each row up in
+    one (R + 1, R) table of cumsums: row j has weight j zeroed and row R
+    has none zeroed. Draw 1 reads row R, and draw 2 the row of the
+    first pick, since a row's weights then depend only on that pick.
+    Later draws sum SELECT_K_ROWS rows at a time in an (R, rows) block,
+    one annotator at a time, so each add runs across rows and each entry
+    gets np.cumsum's additions in np.cumsum's order. Rounding can push
+    u * total up to the total, which counts all R entries; such a row
+    lands on its last positive weight instead.
     """
     R = weights.shape[0]
     N, k = U.shape
     positive = np.flatnonzero(weights > 0.0)
     out = np.empty((N, k), dtype=np.int64)
+    table = np.repeat(weights[None, :], R + 1, axis=0)
+    np.fill_diagonal(table, 0.0)  # a tall matrix's diagonal ends at row R - 1
+    table = np.cumsum(table, axis=1)
     for d in range(k):
-        if d == 0:
-            cum = np.cumsum(weights)
-            sel = np.searchsorted(cum, U[:, 0] * cum[-1], side="right")
-        elif d == 1:
-            table = np.repeat(weights[None, :], R, axis=0)
-            np.fill_diagonal(table, 0.0)
-            table = np.cumsum(table, axis=1)
-            first = out[:, 0]
-            sel = _count_at_or_below(table, first, U[:, 1] * table[first, -1])
+        if d < 2:
+            prev = out[:, 0] if d else R
+            sel = _count_at_or_below(table, prev, U[:, d] * table[prev, -1])
         else:
             sel = np.empty(N, dtype=np.int64)
             for lo in range(0, N, SELECT_K_ROWS):

@@ -200,7 +200,7 @@ def make_batch(ds: CrowdDataset, idx: np.ndarray, csr) -> Batch:
 
     csr is ds.instance_slices().
     """
-    _, ar, al, ptr = csr
+    ar, al, ptr = csr
     idx = np.asarray(idx, dtype=np.int64)
     counts = ptr[idx + 1] - ptr[idx]
     total = int(counts.sum())
@@ -529,11 +529,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
                                        (ws, sets), jobs[tag], on_step)
                 curves[tag].append(acc)
 
-    best = {k: float(max(v)) for k, v in curves.items()}
-    last = {k: float(v[-1]) for k, v in curves.items()}
-    if ccc:
-        mean_curve = [(a + b) / 2 for a, b in zip(*curves.values())]
-        best["mean"] = float(max(mean_curve))
-        last["mean"] = float(mean_curve[-1])
+    scored = dict(curves, mean=[(a + b) / 2 for a, b in zip(*curves.values())]) if ccc else curves
+    best = {k: float(max(v)) for k, v in scored.items()}
+    last = {k: float(v[-1]) for k, v in scored.items()}
     return RunResult(curves=curves, best=best, last=last, states=states,
                      wall_time_sec=time.perf_counter() - t0, groups_by_epoch=groups_by_epoch)

@@ -80,7 +80,7 @@ def test_scatter_adds_match_an_add_at_oracle(case):
     ai, ar, al = ds.ann_instance, ds.ann_annotator, ds.ann_label
     ptr = np.zeros(N + 1, dtype=np.int64)
     np.add.at(ptr, ai + 1, 1)
-    assert np.array_equal(ds.instance_slices()[3], np.cumsum(ptr))
+    assert np.array_equal(ds.instance_slices()[2], np.cumsum(ptr))
     counts = np.zeros((N, C))
     np.add.at(counts, (ai, al), 1.0)
     assert np.array_equal(aggregate_majority(ds), counts.argmax(axis=1))

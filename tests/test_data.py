@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import re
 import tracemalloc
@@ -384,6 +385,7 @@ class TestIO:
         ("annotations.csv", "0,x,1", "annotator id is not an integer: 'x'"),
         ("annotations.csv", "0,9,1", "annotator id 9 out of range [0, 4)"),
         ("annotations.csv", "0,1", "expected 3 fields"),
+        ("annotations.csv", " \t", "expected 3 fields, got 1"),
         ("annotations.csv", "0,1,2.7", "label is not an integer: '2.7'"),
         ("annotations.csv", "1e0,1,2", "instance id is not an integer: '1e0'"),
         ("truth.csv", "1,x", "label is not an integer: 'x'"),
@@ -493,6 +495,26 @@ class TestIO:
             header_end = newline if whole_file else b"\n"
             path.write_bytes(header + header_end + body.replace(b"\n", newline))
         _assert_same_arrays(load_dataset(tmp_path / "d"), want)
+
+    def test_numbers_may_carry_spaces_and_tabs(self, tmp_path):
+        ds = self._sample()
+        ds.features = RngStream(6).normal((8, 3))
+        save_dataset(ds, tmp_path / "d")
+        want = load_dataset(tmp_path / "d")
+        pads = itertools.cycle([(b" ", b""), (b"", b" "), (b"\t", b""), (b" \t", b"\t ")])
+        for name in ("features.csv", "annotations.csv", "truth.csv"):
+            path = tmp_path / "d" / name
+            header, *rows = path.read_bytes().splitlines()
+            rows = [b",".join(left + field + right for field, (left, right)
+                              in zip(row.split(b","), pads)) for row in rows]
+            path.write_bytes(b"\n".join([header] + rows) + b"\n")
+        _assert_same_arrays(load_dataset(tmp_path / "d"), want)
+        # Read a line at a time, as after a bad row, padded rows read the same.
+        with open(tmp_path / "d" / "annotations.csv", "ab") as fh:
+            fh.write(b"0,x,1\n")
+        with pytest.raises(DataFormatError, match="annotator id is not an integer") as info:
+            load_dataset(tmp_path / "d")
+        assert info.value.line == 2 + want.annotation_count
 
     @pytest.mark.parametrize("blank", [b"\r\n", b"\r", b"\r\n\r\n", b"\r\r\n"],
                              ids=["\r\n", "\r", "two-\r\n", "\r-then-\r\n"])

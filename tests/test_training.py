@@ -4,9 +4,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ccc.data import CrowdDataset, make_blobs
 from ccc.errors import ConfigError, ContractError
+from ccc.kernels import EPS, GRAD_FLOOR
 from ccc.models import batch_forward, hidden_layer, init_classifier, last_layer
 from ccc.numerics import CE_FLOOR, kmeans, softmax_rows
 from ccc.rng import RngStream
@@ -355,7 +357,69 @@ def _meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v):
     return float(-np.log(py).mean())
 
 
+# How far the descent property's meta step moves the largest correction entry.
+DESCENT_STEP = 1e-6
+
+
+@st.composite
+def descent_cases(draw):
+    """A correction_gradient input: linear or mlp, C from 2, at least one
+    annotation, eta_v 0 (a zero gradient) or not, and transitions as in
+    tests/test_kernel_props.py: plain, or with one column per annotator,
+    reported by half the annotations, whose q lies just above the
+    GRAD_FLOOR band or is clamped at EPS."""
+    model = draw(st.sampled_from(["linear", "mlp"]))
+    C, R = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    G = draw(st.integers(1, R))
+    n, m, A = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    mode = draw(st.sampled_from(["plain", "above-band", "clamped"]))
+    eta_v = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = 4
+    clf = init_classifier(model, D, 5 if model == "mlp" else 0, C,
+                          RngStream(int(rng.integers(2**32))))
+    batch = Batch(features=rng.normal(size=(n, D)), ann_instance=rng.integers(0, n, A),
+                  ann_annotator=rng.integers(0, R, A), ann_label=rng.integers(0, C, A))
+    T = np.eye(C) + 0.1 * rng.normal(size=(R, C, C))
+    col = rng.integers(0, C, R)
+    low = {"above-band": (2 * GRAD_FLOOR, 1e-2), "clamped": (-1.0, -0.1)}
+    if mode != "plain":
+        T[np.arange(R), :, col] = rng.uniform(*low[mode], (R, C))
+        batch.ann_label[::2] = col[batch.ann_annotator[::2]]
+    group_of = rng.integers(0, G, R)
+    meta = rng.normal(size=(m, D)), rng.integers(0, C, m)
+    return clf, T, group_of, G, batch, meta, eta_v
+
+
 class TestOuterStep:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(descent_cases())
+    def test_meta_step_lowers_the_meta_loss(self, case):
+        # Criterion 3's primal at the virtual point, before and after one meta
+        # step V = -eta g that moves no entry by more than DESCENT_STEP. Where
+        # the step's first-order drop eta |g|^2 is below what float64 resolves
+        # in the loss (g of rounding size, 1e-14, at a clamped column), the
+        # loss may only move by rounding.
+        clf, T, group_of, G, batch, (Xm, ym), eta_v = case
+        fwd = batch_forward(clf, batch.features)
+        q = np.einsum("ac,acj->aj", fwd[1][batch.ann_instance], T[batch.ann_annotator])
+        q_y = q[np.arange(q.shape[0]), batch.ann_label]
+        # In the GRAD_FLOOR band the kernel floors dV's 1/q^2 as it floors
+        # dZ's 1/q, so dV is not the derivative of the floored loss there.
+        assume(not ((q_y > EPS) & (q_y < GRAD_FLOOR)).any())
+        g = correction_gradient(clf, T, group_of, G, batch, Xm, ym, eta_v, forward=fwd)
+        top = np.abs(g).max()
+        eta = DESCENT_STEP / top if top else 1.0
+        before, after = (_meta_after_virtual(clf, T, V, group_of, batch, Xm, ym, eta_v)
+                         for V in (np.zeros_like(g), -eta * g))
+        resolution = 1e-12 * max(before, 1.0)
+        if not top:
+            assert after == before
+        elif eta * (g ** 2).sum() > resolution:
+            assert after < before
+        else:
+            assert abs(after - before) <= resolution
+
     def test_zero_virtual_lr_gives_zero_gradient(self):
         clf, T, group_of, batch, Xm, ym = _outer_fixture()
         g = correction_gradient(clf, T, group_of, 1, batch,
@@ -600,8 +664,9 @@ def _same_params(a: dict, b: dict) -> bool:
 class TestCoupling:
     """ccc's two mechanisms that accuracy at desk scale does not show, spied
     on in an in-process run: each model learns from the meta set that the
-    other model's classifier distills, and one clustering of both models'
-    transitions groups the annotators."""
+    other model's classifier distills, one clustering of both models'
+    transitions groups the annotators, and both models' corrections in that
+    epoch use the groups it returned."""
 
     def test_each_model_is_distilled_for_by_the_other_and_grouped_with_it(self, monkeypatch):
         ends, scorers, grouped = {}, [], []
@@ -637,6 +702,45 @@ class TestCoupling:
             assert _same_params(scorers[2 * i + 1], params1), f"model2's meta set, epoch {epoch}"
             assert len(grouped[i]) == 2, f"epoch {epoch} grouped from one model"
             assert np.array_equal(grouped[i][0], T1) and np.array_equal(grouped[i][1], T2)
+
+    def test_each_epochs_corrections_use_the_groups_it_returned(self, monkeypatch):
+        returned, pending, received = [], [], {}
+        group = training.group_annotators
+        gradient = training.correction_gradient
+
+        def grouping(Ts, G, rng, restarts=1):
+            group_of = group(Ts, G, rng, restarts)
+            returned.append((group_of, group_of.copy()))
+            return group_of
+
+        def correcting(clf, M, group_of, *args, **kwargs):
+            pending.append(group_of)
+            return gradient(clf, M, group_of, *args, **kwargs)
+
+        def stepped(info):  # a step's correction is computed before its callback
+            received.setdefault((info["epoch"], info["model"]), []).append(pending[:])
+            pending.clear()
+
+        monkeypatch.setattr(training, "group_annotators", grouping)
+        monkeypatch.setattr(training, "correction_gradient", correcting)
+        cfg = _tiny_cfg(algo="ccc", epochs=5, warmup=2, groups=3, seed=6)
+        ds = _blob_crowd(seed=57)
+        train(ds, cfg, on_step=stepped)
+        epochs = range(cfg.warmup, cfg.epochs)
+        assert len(returned) == len(epochs)
+        steps = -(-ds.n // cfg.batch_size)
+        for epoch in range(cfg.epochs):
+            for tag in ("model1", "model2"):
+                calls = received[epoch, tag]
+                assert len(calls) == steps
+                if epoch < cfg.warmup:
+                    assert all(step == [] for step in calls), f"{tag} corrected in warmup"
+                    continue
+                group_of, as_returned = returned[epoch - cfg.warmup]
+                assert np.array_equal(group_of, as_returned), f"epoch {epoch}'s groups changed"
+                assert np.unique(group_of).size == cfg.groups
+                assert all(len(step) == 1 and step[0] is group_of for step in calls), \
+                    f"{tag}'s corrections in epoch {epoch} used other groups"
 
 
 class TestWorkspace:
