@@ -102,16 +102,22 @@ class CrowdDataset:
             if self.truth.size and (self.truth.min() < 0 or self.truth.max() >= c):
                 raise ContractError("truth label out of range")
 
+    def annotation_order(self) -> np.ndarray | None:
+        """None if already in (instance, annotator) order, else the stable argsort into it."""
+        key = self.ann_instance * self.annotator_count + self.ann_annotator
+        return None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
+
     def instance_slices(self):
         """CSR view of annotations grouped by instance.
 
-        Returns (annotators, labels, ptr), the annotations sorted by
-        (instance, annotator): instance i's live at [ptr[i], ptr[i+1]).
+        Returns (annotators, labels, ptr) in (instance, annotator) order, the
+        dataset's own arrays if already so: instance i's at [ptr[i], ptr[i+1]).
         """
-        order = np.lexsort((self.ann_annotator, self.ann_instance))
+        order = self.annotation_order()
         ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.ann_instance, minlength=self.n), out=ptr[1:])
-        return self.ann_annotator[order], self.ann_label[order], ptr
+        ar, al = self.ann_annotator, self.ann_label
+        return (ar, al, ptr) if order is None else (ar[order], al[order], ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +535,9 @@ def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> N
     write = _write_features_csv if features_format == "csv" else _write_features_bin
     write(directory / features_file, ds.features)
     if ds.annotator_count:
-        order = np.lexsort((ds.ann_annotator, ds.ann_instance))
+        columns, order = (ds.ann_instance, ds.ann_annotator, ds.ann_label), ds.annotation_order()
         write_csv(directory / "annotations.csv", "instance,annotator,label",
-                  [(ds.ann_instance[order], ds.ann_annotator[order], ds.ann_label[order])])
+                  [columns if order is None else tuple(c[order] for c in columns)])
     if ds.truth is not None:
         truth = np.asarray(ds.truth)
         write_csv(directory / "truth.csv", "instance,label", [(np.arange(truth.shape[0]), truth)])

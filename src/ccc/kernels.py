@@ -13,8 +13,9 @@ dV equals an annotation-order sum to rounding, not bit for bit. Both
 kernels share _annotation_terms and _logit_grads.
 
 training.train and model2's worker each own two Workspaces, float64 buffers
-by name. The kernels, models.batch_forward (one hidden array and the logits)
-and models.backprop write their temporaries into one with out=; without one
+by name. The kernels (M[ann_r], then over it the outer products or group
+table), models.batch_forward (one hidden array and the logits) and
+models.backprop write their temporaries into one with out=; without one
 they allocate, with the same bits. No result but batch_forward's views it.
 
 The transition convention used throughout: an annotation (i, r, y)
@@ -80,16 +81,17 @@ def _scatter_rows(index, values, rows):
     return out.reshape((rows,) + tail)
 
 
-def _annotation_terms(P, ann_i, ann_r, ann_y, M):
+def _annotation_terms(P, ann_i, ann_r, ann_y, M, ws, name):
     """Per-annotation terms of the transition loss (any A >= 0).
 
-    Returns p = P[ann_i], Ma = M[ann_r], the clamp mask m, S and q[y]
-    floored at GRAD_FLOOR, the loss ratio q[y] / S, and g_q = dloss/dq_raw
-    (zero where the ratio is at the clamp).
+    Returns p = P[ann_i], Ma = M[ann_r] in ws's buffer `name`, the clamp
+    mask m, S and q[y] floored at GRAD_FLOOR, the loss ratio q[y] / S, and
+    g_q = dloss/dq_raw (zero where the ratio is at the clamp). train checks
+    every annotator id, so "clip" never clips; unlike "raise", it takes no copy.
     """
     idx = np.arange(ann_i.shape[0])
     p = P[ann_i]
-    Ma = M[ann_r]
+    Ma = np.take(M, ann_r, axis=0, mode="clip", out=ws.array(name, ann_r.shape + M.shape[1:]))
     q_raw = np.einsum("ac,acj->aj", p, Ma)
     qc = np.maximum(q_raw, EPS)
     m = (q_raw > EPS).astype(np.float64)
@@ -121,11 +123,11 @@ def crowd_grads(P, ann_i, ann_r, ann_y, M, R, ws=None):
     empty batch (A = 0) gives a zero loss and all-zero gradients.
     """
     ws = Workspace() if ws is None else ws
-    p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
+    p, Ma, _, _, _, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M, ws, "outer")
     loss_sum = float(-np.log(np.maximum(ratio, EPS)).sum())
-    outer = np.einsum("ac,aj->acj", p, g_q, out=ws.array("outer", Ma.shape))
-    dM = _scatter_rows(ann_r, outer, R)
-    return loss_sum, _logit_grads(ann_i, p, Ma, g_q, P.shape[0]), dM
+    dZ = _logit_grads(ann_i, p, Ma, g_q, P.shape[0])  # Ma's last read: outer overwrites it
+    dM = _scatter_rows(ann_r, np.einsum("ac,aj->acj", p, g_q, out=Ma), R)
+    return loss_sum, dZ, dM
 
 
 def _logit_grads(ann_i, p, Ma, g_q, n):
@@ -153,7 +155,7 @@ def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G, ws=None):
     step's factor; callers scale by -eta_v / annotation_count.
     """
     ws = Workspace() if ws is None else ws
-    p, Ma, m, Sg, qyg, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M)
+    p, Ma, m, Sg, qyg, ratio, g_q = _annotation_terms(P, ann_i, ann_r, ann_y, M, ws, "groups")
     A_count, C = p.shape
     idx = np.arange(A_count)
     dZ = _logit_grads(ann_i, p, Ma, g_q, P.shape[0])
@@ -168,7 +170,7 @@ def hyper_grads(P, meta_u, ann_i, ann_r, ann_y, M, group_of, G, ws=None):
     t[~(ratio > EPS)] = 0.0
 
     # Rows (g_q; t) of annotation a fill group_of[ann_r[a]]'s C columns.
-    Y = ws.array("groups", (2, A_count, G, C))
+    Y = ws.array("groups", (2, A_count, G, C))  # over Ma, last read by Avec and t
     Y.fill(0.0)
     cols = group_of[ann_r]
     Y[0, idx, cols], Y[1, idx, cols] = g_q, t

@@ -36,6 +36,7 @@ recipe.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -255,13 +256,13 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
     """Run both phases and assemble a CrowdDataset.
 
     Every instance ends with exactly pool.k annotations, stored in
-    (instance, annotator) order. The picks come first, from selection
-    uniforms read ahead of phase 1's. Phase 1 then draws its uniforms as
-    documented but labels each annotator only where _layout says its
-    labels are read, into one array per annotator, and the stream ends
-    past the selection uniforms. With return_dense=True every annotator
-    labels every instance, and the stacked labels are returned alongside
-    for auditing as an (N, R) view of an annotator-major (R, N) array.
+    (instance, annotator) order. The picks come first: the stream skips
+    phase 1's uniforms to draw the selection uniforms, so it ends past
+    them. Phase 1 draws its uniforms as documented, from a copy taken
+    before the skip, labeling each annotator only where _layout says its
+    labels are read, into one array per annotator. With return_dense=True
+    every annotator labels every instance, and the stacked labels are
+    returned, for auditing, as an (N, R) view of an annotator-major array.
     Phase-1 labels are stored as np.min_scalar_type(C - 1) (uint8 for
     C <= 256, else uint16); the dataset's ann_label is int64.
     """
@@ -280,7 +281,9 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         raise ContractError(f"k={pool.k} exceeds the annotators with positive propensity")
 
     drawing = sum(spec.kind != "copy" for spec in pool.specs)
-    picks = select_k(pool.propensities, rng.uniform_ahead(N * drawing, (N, pool.k)))
+    phase1 = copy.deepcopy(rng)
+    rng.skip(N * drawing)
+    picks = select_k(pool.propensities, rng.uniform((N, pool.k)))
     picks = np.sort(picks, axis=1)  # canonical per-instance annotator order
     ann_instance = np.repeat(np.arange(N, dtype=np.int64), pool.k)
     ann_annotator = picks.reshape(-1)
@@ -294,7 +297,7 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         if not spec.independent:
             continue
         cum = np.cumsum(pattern_matrix(spec, C), axis=1)
-        labels[r] = draw_labels(cum, truth[at[r]], rng.uniform(N)[at[r]]).astype(dtype)
+        labels[r] = draw_labels(cum, truth[at[r]], phase1.uniform(N)[at[r]]).astype(dtype)
     for r, spec in enumerate(pool.specs):
         if spec.independent:
             continue
@@ -302,12 +305,11 @@ def generate(truth, features, pool: AnnotatorPool, rng: RngStream,
         if spec.kind == "copy":
             labels[r] = target
             continue
-        u = rng.uniform(N)[at[r]]
+        u = phase1.uniform(N)[at[r]]
         uniform_label = np.minimum((u * C).astype(np.int64), C - 1)
         right = target == truth[at[r]]
         keep_truth = right if spec.kind == "supportive" else ~right
         labels[r] = np.where(keep_truth, truth[at[r]], uniform_label).astype(dtype)
-    rng.uniform((N, pool.k))  # step past the selection uniforms read above
     ann_label = np.empty(ann_annotator.size, dtype=np.int64)
     ann_label[order] = np.concatenate([lab[mine] for lab, mine in zip(labels, own)])
     dense = np.stack(labels) if return_dense else None

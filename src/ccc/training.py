@@ -475,6 +475,8 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     if ds.n == 0 or len(evals[1]) == 0:
         raise ContractError("training needs a nonempty dataset and a nonempty eval set")
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
+    if ds.annotation_count and not 0 <= ds.ann_annotator.min() <= ds.ann_annotator.max() < R:
+        raise ContractError("annotation annotator id out of range")  # the kernels' gathers clip
     ccc = cfg.algo == "ccc"
     if ccc and cfg.meta_size < C:
         raise ConfigError(f"meta_size={cfg.meta_size} is below the class count {C}: "

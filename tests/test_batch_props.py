@@ -1,5 +1,6 @@
 """Property tests: make_batch's CSR gather against a naive per-instance
-gather, and the np.bincount scatter-adds against np.add.at.
+gather, the annotation order against np.lexsort, and the np.bincount
+scatter-adds against np.add.at.
 
 The gather oracle scans every annotation for each batch position in turn
 and orders an instance's annotations by annotator id, the canonical
@@ -8,10 +9,14 @@ The scatter-add oracle adds each term into zeros in annotation order,
 which np.bincount must match bit for bit.
 """
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ccc.data import CrowdDataset
+from ccc.data import CrowdDataset, save_dataset, write_csv
 from ccc.training import (VOTES_SMOOTHING, aggregate_majority, init_confusion_votes,
                           make_batch)
 
@@ -70,6 +75,28 @@ def test_make_batch_matches_naive_gather(case):
                       (batch.ann_label, ann_label)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+@given(crowd_and_index())
+@settings(max_examples=100, deadline=None)
+def test_annotation_order_matches_a_lexsort_oracle(case):
+    shuffled, _ = case
+    columns = (shuffled.ann_instance, shuffled.ann_annotator, shuffled.ann_label)
+    ai, ar, al = (c[np.lexsort((shuffled.ann_annotator, shuffled.ann_instance))]
+                  for c in columns)
+    ordered = replace(shuffled, ann_instance=ai, ann_annotator=ar, ann_label=al)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp, "oracle.csv"), "instance,annotator,label", [(ai, ar, al)])
+        want = Path(tmp, "oracle.csv").read_bytes()
+        for ds in (shuffled, ordered):
+            got_ar, got_al, _ = ds.instance_slices()
+            assert np.array_equal(got_ar, ar) and np.array_equal(got_al, al)
+            save_dataset(ds, Path(tmp, "ds"))
+            assert Path(tmp, "ds", "annotations.csv").read_bytes() == want
+    assert ordered.annotation_order() is None
+    got_ar, got_al, _ = ordered.instance_slices()
+    assert np.shares_memory(got_ar, ordered.ann_annotator)
+    assert np.shares_memory(got_al, ordered.ann_label)
 
 
 @given(crowd_and_index())

@@ -8,6 +8,9 @@ what it removes and in what order.
 Only files.py starts a process, through files.forked, which two callers
 use: write_csv's split (data.py) and ccc's model2 worker (training.py).
 These are the program's only two forked children.
+
+Only CrowdDataset.annotation_order decides whether annotations need
+sorting into (instance, annotator) order, so no module calls np.lexsort.
 """
 
 import ast
@@ -52,3 +55,9 @@ def test_only_the_csv_split_and_the_model2_worker_fork():
     starts = [(path.name, name) for path in sorted(SRC.glob("*.py"))
               for name, _, _ in _calls(path) if name in ("forked", "Process", "fork", "Popen")]
     assert starts == [("data.py", "forked"), ("files.py", "Process"), ("training.py", "forked")]
+
+
+def test_no_module_lexsorts_the_annotations():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for name, _, line in _calls(path) if name == "lexsort"]
+    assert found == []

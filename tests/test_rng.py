@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 
 from ccc.rng import RngStream
@@ -54,16 +56,29 @@ def test_permutation_deterministic():
     assert np.array_equal(RngStream(9).permutation(20), RngStream(9).permutation(20))
 
 
-def test_uniform_ahead_reads_past_skip_without_moving():
+def test_a_copy_reads_past_a_skip_without_moving_the_stream():
     s = RngStream(12)
     s.uniform(3)  # an odd offset, so the read-ahead starts mid-stream
     state = s.gen.bit_generator.state
-    ahead = s.uniform_ahead(1000, (40, 3))
+    ahead = copy.deepcopy(s)
+    ahead.skip(1000)
+    read = ahead.uniform((40, 3))
     assert s.gen.bit_generator.state == state
     s.uniform(1000)
-    assert np.array_equal(ahead, s.uniform((40, 3)))
+    assert np.array_equal(read, s.uniform((40, 3)))
 
 
-def test_uniform_ahead_of_zero_is_the_next_draw():
+def test_skip_of_zero_leaves_the_next_draw():
     s = RngStream(13)
-    assert np.array_equal(s.uniform_ahead(0, 5), s.uniform(5))
+    s.skip(0)
+    assert np.array_equal(s.uniform(5), RngStream(13).uniform(5))
+
+
+def test_skip_leaves_the_stream_where_the_draws_would():
+    s, t = RngStream(14), RngStream(14)
+    s.uniform(3)
+    t.uniform(3)
+    s.skip(1001)
+    t.uniform((7, 143))
+    assert s.gen.bit_generator.state == t.gen.bit_generator.state
+    assert np.array_equal(s.uniform(5), t.uniform(5))

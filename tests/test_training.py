@@ -1,12 +1,15 @@
 import copy
+import os
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ccc.data import CrowdDataset, make_blobs
+from ccc.data import CrowdDataset, make_blobs, save_dataset
 from ccc.errors import ConfigError, ContractError
 from ccc.kernels import EPS, GRAD_FLOOR
 from ccc.models import batch_forward, hidden_layer, init_classifier, last_layer
@@ -561,6 +564,16 @@ class TestConfigValidation:
                   on_step=steps.append)
         assert steps == []
 
+    @pytest.mark.parametrize("annotator", [-1, 8])
+    def test_annotator_out_of_range_rejected_before_training(self, annotator):
+        # The kernels gather transitions with mode="clip", which would not raise.
+        ds = _blob_crowd(seed=35)
+        ds.ann_annotator[5] = annotator
+        steps = []
+        with pytest.raises(ContractError, match="annotator id out of range"):
+            train(ds, _tiny_cfg(confusion_init="identity"), on_step=steps.append)
+        assert steps == []
+
 
 class TestTrainCcc:
     def test_meta_size_below_class_count_rejected_before_training(self):
@@ -798,6 +811,31 @@ class TestWorkspace:
         train(ds, cfg)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults <= 4000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_fresh_crowdlayer_train_takes_few_page_faults(self, tmp_path):
+        import resource
+
+        # A fresh process, as users run it. Allocating each step's gathered
+        # transitions anew made glibc trim the heap top and fault it back in
+        # every step; with more BLAS threads the cycle does not show.
+        master = RngStream(43)
+        X, y = make_blobs(2000, 10, 16, 0.29, master.split("features"))
+        save_dataset(generate(y, X, build_pool("IND-I", 10, R=50, k=3, rng=master.split("pool")),
+                              master.split("labels")), tmp_path / "data")
+        src = str(Path(training.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "ccc.cli", "train", "--data", str(tmp_path / "data"),
+                "--algo", "crowdlayer", "--out", str(tmp_path / "run"), "--model", "mlp",
+                "--hidden-dim", "128", "--epochs", "20", "--batch-size", "128", "--lr", "0.05",
+                "--momentum", "0.9", "--weight-decay", "0", "--lr-decay-epoch", "-1",
+                "--confusion-init", "identity", "--seed", "1"]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        assert faults <= 20_000
 
 
 def _same_bits(a, b) -> bool:
