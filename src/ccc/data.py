@@ -47,7 +47,6 @@ from .models import Classifier, batch_forward
 from .rng import RngStream
 
 FORMAT_VERSION = 1
-FEATURES_FORMATS = ("csv", "bin")
 # Every file save_dataset may write, its marker first
 DATASET_FILES = ("meta.json", "features.csv", "features.bin", "annotations.csv", "truth.csv")
 _FEATURES_MAGIC = b"CCCD"
@@ -525,15 +524,16 @@ def write_dense_labels(path, dense: np.ndarray) -> None:
 
 def save_dataset(ds: CrowdDataset, directory, features_format: str = "csv") -> None:
     """Write the dataset directory: annotations.csv, in (instance, annotator)
-    order, only when r > 0, and truth.csv only with truth. It first clears
-    every file of DATASET_FILES and writes meta.json last, so a directory
-    whose write failed does not load."""
-    if features_format not in FEATURES_FORMATS:
-        raise ContractError(f"unknown features format {features_format!r}")
-    directory = clear(directory, DATASET_FILES)
+    order, only when r > 0, and truth.csv only with truth. A dataset with r > 0
+    is first checked by ds.validate(); then DATASET_FILES are cleared and
+    meta.json is written last, so a directory whose write failed does not load."""
     features_file = f"features.{features_format}"
-    write = _write_features_csv if features_format == "csv" else _write_features_bin
-    write(directory / features_file, ds.features)
+    if features_file not in _FEATURES:
+        raise ContractError(f"unknown features format {features_format!r}")
+    if ds.annotator_count:
+        ds.validate()
+    directory = clear(directory, DATASET_FILES)
+    _FEATURES[features_file][0](directory / features_file, ds.features)
     if ds.annotator_count:
         columns, order = (ds.ann_instance, ds.ann_annotator, ds.ann_label), ds.annotation_order()
         write_csv(directory / "annotations.csv", "instance,annotator,label",
@@ -588,8 +588,10 @@ def _load_features_bin(path: Path, n: int, d: int) -> np.ndarray:
     return features
 
 
-# The features files a dataset directory may name, with their loaders.
-_FEATURES_LOADERS = {"features.csv": _load_features_csv, "features.bin": _load_features_bin}
+# The features files a dataset directory may name, with their (writer, loader).
+_FEATURES = {"features.csv": (_write_features_csv, _load_features_csv),
+             "features.bin": (_write_features_bin, _load_features_bin)}
+FEATURES_FORMATS = tuple(name.removeprefix("features.") for name in _FEATURES)
 
 
 def _load_meta(directory: Path) -> dict:
@@ -618,15 +620,15 @@ def _load_meta(directory: Path) -> dict:
         raise DataFormatError(
             f"unsupported format_version {meta['format_version']}", meta_path)
     name = meta.setdefault("features_file", "features.csv")
-    if not (isinstance(name, str) and name in _FEATURES_LOADERS):
+    if not (isinstance(name, str) and name in _FEATURES):
         raise DataFormatError(f"meta.json field 'features_file' must be "
-                              f"{' or '.join(_FEATURES_LOADERS)}, got {name!r}", meta_path)
+                              f"{' or '.join(_FEATURES)}, got {name!r}", meta_path)
     return meta
 
 
 def _load_features(directory: Path, meta: dict) -> np.ndarray:
     name = meta["features_file"]
-    return _FEATURES_LOADERS[name](directory / name, meta["n"], meta["d"])
+    return _FEATURES[name][1](directory / name, meta["n"], meta["d"])
 
 
 def _load_truth(path: Path, n: int, c: int) -> np.ndarray:

@@ -121,39 +121,28 @@ def backprop(clf: Classifier, X: np.ndarray, H, dZ, ws=None) -> dict[str, np.nda
     }
 
 
-def single_label_ce(labels: np.ndarray):
-    """Loss definition: per-instance cross entropy against fixed labels.
-
-    Returns a callable mapping softmax outputs P (n, C) to per-instance
-    losses and per-instance logit gradients, with the CE_FLOOR clamp's
-    zero-gradient branch handled exactly.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-
-    def loss_def(P: np.ndarray):
-        n = P.shape[0]
-        py = P[np.arange(n), labels]
-        losses = -np.log(np.maximum(py, CE_FLOOR))
-        dZ = P.copy()
-        dZ[np.arange(n), labels] -= 1.0
-        dZ[py <= CE_FLOOR] = 0.0
-        return losses, dZ
-
-    return loss_def
+def single_label_ce(P: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instance cross entropy of softmax outputs P (n, C) against fixed
+    labels: (losses, logit gradients dZ), with the CE_FLOOR clamp's
+    zero-gradient branch handled exactly."""
+    rows, labels = np.arange(P.shape[0]), np.asarray(labels, dtype=np.int64)
+    py = P[rows, labels]
+    losses = -np.log(np.maximum(py, CE_FLOOR))
+    dZ = P.copy()
+    dZ[rows, labels] -= 1.0
+    dZ[py <= CE_FLOOR] = 0.0
+    return losses, dZ
 
 
-def loss_and_grads(clf: Classifier, X: np.ndarray, loss_def, ws=None):
-    """Mean loss over the batch and its exact parameter gradients.
-
-    loss_def(P) must return (per-instance losses, per-instance dloss/dlogits).
-    """
+def loss_and_grads(clf: Classifier, X: np.ndarray, labels, ws=None):
+    """Mean single_label_ce of the (n, D) batch X against labels, and its
+    exact parameter gradients."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ContractError("batch must be a nonempty (n, D) array")
     H, P = batch_forward(clf, X, ws)
-    losses, dZ = loss_def(P)
-    n = X.shape[0]
-    grads = backprop(clf, X, H, dZ / n, ws)
+    losses, dZ = single_label_ce(P, labels)
+    grads = backprop(clf, X, H, dZ / X.shape[0], ws)
     return float(losses.mean()), grads
 
 

@@ -214,18 +214,12 @@ def make_batch(ds: CrowdDataset, idx: np.ndarray, csr) -> Batch:
     )
 
 
-def _lr_at(cfg: TrainConfig, epoch: int) -> float:
-    if cfg.lr_decay_epoch is not None and epoch >= cfg.lr_decay_epoch:
-        return cfg.lr / 10.0
-    return cfg.lr
-
-
-def _resolve_eval(ds: CrowdDataset, eval_set):
-    if eval_set is not None:
-        return eval_set
-    if ds.truth is not None:
-        return ds.features, ds.truth
-    raise ConfigError("accuracy curves need an eval set or dataset truth labels")
+def _schedule(cfg: TrainConfig, epoch: int) -> tuple[float, str]:
+    """The epoch's (lr, phase): lr divided by 10 from cfg.lr_decay_epoch on; the
+    phase cfg.algo, except ccc's, "warmup" before cfg.warmup and "ccc" after."""
+    decayed = cfg.lr_decay_epoch is not None and epoch >= cfg.lr_decay_epoch
+    phase = ("warmup" if epoch < cfg.warmup else "ccc") if cfg.algo == "ccc" else cfg.algo
+    return cfg.lr / 10.0 if decayed else cfg.lr, phase
 
 
 def _crowd_step(state: ModelState, batch: Batch, lr: float, cfg: TrainConfig,
@@ -264,7 +258,7 @@ def distill_meta_set(ds: CrowdDataset, mv: np.ndarray, scorer: Classifier,
     pseudo-label c. Returns the meta set's (features, labels).
     """
     _, P = batch_forward(scorer, ds.features, ws=ws)
-    losses, _ = single_label_ce(mv)(P)
+    losses, _ = single_label_ce(P, mv)
     keep = []
     for c in range(ds.class_count):
         cand = np.flatnonzero(mv == c)
@@ -335,7 +329,7 @@ def correction_gradient(clf: Classifier, M: np.ndarray, group_of: np.ndarray,
     def meta_u(dZ):
         W_hat = W - eta_v * (H.T @ dZ / a)
         b_hat = b - eta_v * (dZ.sum(axis=0) / a)
-        _, dZm = single_label_ce(meta_labels)(softmax_rows(Hm @ W_hat + b_hat))
+        _, dZm = single_label_ce(softmax_rows(Hm @ W_hat + b_hat), meta_labels)
         return H @ (Hm.T @ dZm / m) + dZm.sum(axis=0) / m
 
     _, dV = hyper_grads(P, meta_u, batch.ann_instance, batch.ann_annotator,
@@ -385,10 +379,11 @@ def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, evals, tag: str,
                  state: ModelState, rngs: tuple[RngStream, RngStream],
                  wss: tuple[Workspace, Workspace], job: tuple, on_step=None) -> float:
     """One model's epoch: in the ccc phase its meta set, distilled by the job's
-    scorer; its pass over ds; its divergence check; and its accuracy on evals,
-    returned. job is (epoch, lr, phase, scorer, group_of), the last two None
-    outside the ccc phase; rngs are the model's batches and meta streams."""
-    epoch, lr, phase, scorer, group_of = job
+    scorer; its pass over ds at _schedule's lr; its divergence check; and its
+    accuracy on evals, returned. job is (epoch, scorer, group_of), the last two
+    None outside the ccc phase; rngs are the model's batches and meta streams."""
+    epoch, scorer, group_of = job
+    lr, phase = _schedule(cfg, epoch)
     ws, sets = wss
     if phase == "ccc":
         meta = distill_meta_set(ds, mv, scorer, cfg.meta_size, sets)
@@ -398,7 +393,7 @@ def _model_epoch(ds: CrowdDataset, cfg: TrainConfig, csr, mv, evals, tag: str,
     for step, lo in enumerate(starts, start=epoch * len(starts)):
         idx = perm[lo:lo + cfg.batch_size]
         if phase == "majority":
-            _, grads = loss_and_grads(state.clf, ds.features[idx], single_label_ce(mv[idx]), ws)
+            _, grads = loss_and_grads(state.clf, ds.features[idx], mv[idx], ws)
             sgd_step(state.clf, grads, lr, cfg.momentum, cfg.weight_decay)
             continue
         batch = make_batch(ds, idx, csr)
@@ -471,12 +466,13 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     its entries in the result. `on_step` receives one dict per crowd step.
     """
     t0 = time.perf_counter()
-    evals = _resolve_eval(ds, eval_set)
+    if eval_set is None and ds.truth is None:
+        raise ConfigError("accuracy curves need an eval set or dataset truth labels")
+    evals = (ds.features, ds.truth) if eval_set is None else eval_set
     if ds.n == 0 or len(evals[1]) == 0:
         raise ContractError("training needs a nonempty dataset and a nonempty eval set")
+    ds.validate()  # the kernels' mode="clip" gathers rely on in-range ids
     C, R, G = ds.class_count, ds.annotator_count, cfg.groups
-    if ds.annotation_count and not 0 <= ds.ann_annotator.min() <= ds.ann_annotator.max() < R:
-        raise ContractError("annotation annotator id out of range")  # the kernels' gathers clip
     ccc = cfg.algo == "ccc"
     if ccc and cfg.meta_size < C:
         raise ConfigError(f"meta_size={cfg.meta_size} is below the class count {C}: "
@@ -510,17 +506,15 @@ def train(ds: CrowdDataset, cfg: TrainConfig, eval_set=None, on_step=None,
     # before the fork, so that the worker inherits it.
     with np.errstate(over="ignore", invalid="ignore"), model2_side as worker:
         for epoch in range(cfg.epochs):
-            lr = _lr_at(cfg, epoch)
-            phase = ("warmup" if epoch < cfg.warmup else "ccc") if ccc else cfg.algo
             scorers, group_of = dict.fromkeys(states), None
-            if phase == "ccc":
+            if _schedule(cfg, epoch)[1] == "ccc":
                 m1, m2 = states["model1"], states["model2"]
                 # Each model learns from the meta set the other distills. In one
                 # process model1's epoch runs first, so model2's scorer is a copy.
                 scorers = {"model1": m2.clf, "model2": copy.deepcopy(m1.clf)}
                 group_of = group_annotators([m1.T, m2.T], G, kmeans_rng)
                 groups_by_epoch.append((epoch, group_of))
-            jobs = {tag: (epoch, lr, phase, scorers[tag], group_of) for tag in states}
+            jobs = {tag: (epoch, scorers[tag], group_of) for tag in states}
             if worker:  # before model1's epoch, so that the two run side by side
                 worker.send(jobs["model2"])
             for tag, state in states.items():

@@ -79,7 +79,7 @@ def test_criterion_02_algorithm_ordering():
         perm = rng.permutation(2000)
         for lo in range(0, 2000, 128):
             sel = perm[lo:lo + 128]
-            _, g = loss_and_grads(lin, X[sel], single_label_ce(y[sel]))
+            _, g = loss_and_grads(lin, X[sel], y[sel])
             sgd_step(lin, g, lr, 0.9, 5e-4)
     clean_acc = evaluate_accuracy(lin, Xt, yt)
     assert 0.92 <= clean_acc <= 0.98, f"clean linear accuracy {clean_acc:.3f}"
@@ -205,9 +205,9 @@ def test_criterion_05_sparsity_gradient_law():
 
 
 def test_criterion_06_first_order_gradient_oracle():
-    def mean_loss(clf, X, loss_def):
+    def mean_loss(clf, X, labels):
         _, P = batch_forward(clf, X)
-        losses, _ = loss_def(P)
+        losses, _ = single_label_ce(P, labels)
         return float(losses.mean())
 
     t0 = time.perf_counter()
@@ -220,8 +220,7 @@ def test_criterion_06_first_order_gradient_oracle():
             clf = init_classifier(kind, D, hidden, C, rng.split(f"c{trial}"))
             X = rng.split(f"x{trial}").normal((6, D))
             labels = rng.gen.integers(0, C, 6).astype(np.int64)
-            loss_def = single_label_ce(labels)
-            _, grads = loss_and_grads(clf, X, loss_def)
+            _, grads = loss_and_grads(clf, X, labels)
             h = 1e-5
             for key in PARAM_KEYS[kind]:
                 arr = clf.params[key]
@@ -230,9 +229,9 @@ def test_criterion_06_first_order_gradient_oracle():
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    lp = mean_loss(clf, X, loss_def)
+                    lp = mean_loss(clf, X, labels)
                     flat[idx] = orig - h
-                    lm = mean_loss(clf, X, loss_def)
+                    lm = mean_loss(clf, X, labels)
                     flat[idx] = orig
                     fd = (lp - lm) / (2 * h)
                     rel = abs(g[idx] - fd) / max(abs(g[idx]), abs(fd), 1e-8)

@@ -17,8 +17,7 @@ from ccc.data import (CrowdDataset, _load_features_bin, _write_features_bin,
                       load_dataset, load_eval_set, make_blobs, save_dataset,
                       save_eval_set, true_confusion_matrices, write_csv, write_json)
 from ccc.errors import ContractError, DataFormatError
-from ccc.models import (init_classifier, loss_and_grads, save_model, sgd_step,
-                        single_label_ce)
+from ccc.models import init_classifier, loss_and_grads, save_model, sgd_step
 from ccc.rng import RngStream
 
 
@@ -611,6 +610,25 @@ class TestIO:
         assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
             "features.csv", "meta.json", "notes.txt", "truth.csv"]
 
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("ann_label", 0, 3, "annotation label out of range"),
+        ("ann_annotator", 1, 0, "duplicate (instance, annotator) annotation"),
+        ("ann_annotator", 0, 4, "annotation annotator id out of range"),
+    ], ids=["label-C", "duplicate-pair", "annotator-r"])
+    def test_rejected_save_keeps_the_earlier_dataset(self, tmp_path, column, row, value,
+                                                      message):
+        # save_dataset checks with validate() before it clears the directory,
+        # so that it never writes a dataset that load_dataset rejects.
+        ds = self._sample()  # instance 0's annotators are 0 and 2
+        save_dataset(ds, tmp_path / "d")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        bad = getattr(ds, column).copy()
+        bad[row] = value
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            save_dataset(replace(ds, **{column: bad}), tmp_path / "d")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
+        _assert_same_arrays(load_dataset(tmp_path / "d"), ds)
+
     @pytest.mark.parametrize("first, second", [("csv", "bin"), ("bin", "csv")])
     def test_save_removes_the_other_formats_features_file(self, tmp_path, first, second):
         ds = self._sample()
@@ -998,8 +1016,7 @@ class TestMakeBlobs:
         assert dist[~np.eye(5, dtype=bool)].min() > 6 * spread
 
         clf = init_classifier("linear", 8, 0, 5, RngStream(5))
-        ld = single_label_ce(y)
         for _ in range(200):
-            _, grads = loss_and_grads(clf, X, ld)
+            _, grads = loss_and_grads(clf, X, y)
             sgd_step(clf, grads, lr=1.0, momentum=0.9, weight_decay=0.0)
         assert evaluate_accuracy(clf, X, y) >= 0.99

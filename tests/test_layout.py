@@ -11,6 +11,9 @@ These are the program's only two forked children.
 
 Only CrowdDataset.annotation_order decides whether annotations need
 sorting into (instance, annotator) order, so no module calls np.lexsort.
+
+Only training._schedule turns an epoch into its learning rate and phase,
+so outside TrainConfig no code reads lr_decay_epoch or warmup.
 """
 
 import ast
@@ -31,6 +34,22 @@ def _calls(path: Path):
             yield func.attr, owner, node.lineno
         else:
             yield getattr(func, "id", None), None, node.lineno
+
+
+def _attribute_reads(path: Path, names):
+    """Qualified name of the innermost class or function around each read of
+    an attribute in names in path, None at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    and isinstance(child.ctx, ast.Load)):
+                yield scope
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
 
 
 def _removals(path: Path) -> list[int]:
@@ -61,3 +80,9 @@ def test_no_module_lexsorts_the_annotations():
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for name, _, line in _calls(path) if name == "lexsort"]
     assert found == []
+
+
+def test_only_the_config_and_the_schedule_read_the_decay_epoch_and_warmup():
+    readers = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+               for scope in _attribute_reads(path, {"lr_decay_epoch", "warmup"})}
+    assert readers == {("training.py", "TrainConfig.__post_init__"), ("training.py", "_schedule")}

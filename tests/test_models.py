@@ -9,14 +9,14 @@ from ccc.models import (PARAM_KEYS, backprop, batch_forward, hidden_layer,
 from ccc.rng import RngStream
 
 
-def _mean_loss(clf, X, loss_def):
+def _mean_loss(clf, X, labels):
     """Primal-only evaluation, independent of the backprop path."""
     _, P = batch_forward(clf, X)
-    losses, _ = loss_def(P)
+    losses, _ = single_label_ce(P, labels)
     return float(losses.mean())
 
 
-def _fd_grads(clf, X, loss_def, h=1e-5):
+def _fd_grads(clf, X, labels, h=1e-5):
     out = {}
     for key in PARAM_KEYS[clf.kind]:
         arr = clf.params[key]
@@ -26,9 +26,9 @@ def _fd_grads(clf, X, loss_def, h=1e-5):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp = _mean_loss(clf, X, loss_def)
+            lp = _mean_loss(clf, X, labels)
             flat[idx] = orig - h
-            lm = _mean_loss(clf, X, loss_def)
+            lm = _mean_loss(clf, X, labels)
             flat[idx] = orig
             gflat[idx] = (lp - lm) / (2 * h)
         out[key] = g
@@ -113,18 +113,16 @@ class TestLossAndGrads:
             clf = init_classifier(kind, D, hidden, C, rng.split(f"clf{trial}"))
             X = rng.split(f"x{trial}").normal((5, D))
             labels = rng.gen.integers(0, C, 5).astype(np.int64)
-            loss_def = single_label_ce(labels)
-            _, grads = loss_and_grads(clf, X, loss_def)
-            fd = _fd_grads(clf, X, loss_def)
+            _, grads = loss_and_grads(clf, X, labels)
+            fd = _fd_grads(clf, X, labels)
             for key in PARAM_KEYS[kind]:
                 _assert_close_rel(grads[key], fd[key])
 
     def test_duplicate_instances_equal_single(self):
         clf = init_classifier("linear", 3, 0, 2, RngStream(7))
         x = RngStream(8).normal((1, 3))
-        ld = single_label_ce(np.array([1]))
-        _, g1 = loss_and_grads(clf, x, ld)
-        _, g2 = loss_and_grads(clf, np.vstack([x, x]), single_label_ce(np.array([1, 1])))
+        _, g1 = loss_and_grads(clf, x, np.array([1]))
+        _, g2 = loss_and_grads(clf, np.vstack([x, x]), np.array([1, 1]))
         for key in PARAM_KEYS["linear"]:
             np.testing.assert_allclose(g1[key], g2[key], rtol=1e-12)
 
@@ -132,14 +130,14 @@ class TestLossAndGrads:
         clf = init_classifier("linear", 2, 0, 2, RngStream(0))
         clf.params["W"][:] = np.array([[30.0, -30.0], [0.0, 0.0]])
         x = np.array([[1.0, 0.0]])
-        _, grads = loss_and_grads(clf, x, single_label_ce(np.array([0])))
+        _, grads = loss_and_grads(clf, x, np.array([0]))
         norm = np.sqrt(sum((g**2).sum() for g in grads.values()))
         assert norm < 1e-8
 
     def test_empty_batch(self):
         clf = init_classifier("linear", 2, 0, 2, RngStream(0))
         with pytest.raises(ContractError):
-            loss_and_grads(clf, np.empty((0, 2)), single_label_ce(np.empty(0, dtype=int)))
+            loss_and_grads(clf, np.empty((0, 2)), np.empty(0, dtype=int))
 
 
 class TestSgdStep:
@@ -178,12 +176,11 @@ class TestSgdStep:
         X = np.vstack([rng.normal((30, 2)) + [3, 0], rng.normal((30, 2)) + [-3, 0]])
         y = np.array([0] * 30 + [1] * 30)
         clf = init_classifier("linear", 2, 0, 2, rng.split("init"))
-        ld = single_label_ce(y)
-        loss0, _ = loss_and_grads(clf, X, ld)
+        loss0, _ = loss_and_grads(clf, X, y)
         for _ in range(100):
-            _, grads = loss_and_grads(clf, X, ld)
+            _, grads = loss_and_grads(clf, X, y)
             sgd_step(clf, grads, lr=0.5, momentum=0.9, weight_decay=0.0)
-        loss1, _ = loss_and_grads(clf, X, ld)
+        loss1, _ = loss_and_grads(clf, X, y)
         assert loss1 < loss0
 
 

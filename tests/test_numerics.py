@@ -17,7 +17,7 @@ def _softmax_row(logits):
 
 def _ce(p, label):
     """The majority trainer's per-instance loss on one (1, C) row."""
-    losses, _ = single_label_ce([label])(np.asarray(p, dtype=np.float64)[None, :])
+    losses, _ = single_label_ce(np.asarray(p, dtype=np.float64)[None, :], [label])
     return float(losses[0])
 
 

@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -544,6 +545,18 @@ class TestDivergenceGuard:
         assert {info["epoch"] for info in steps} == {0, 1}
 
 
+# Faults in a _blob_crowd(seed=35) dataset: (column, row, value, validate()'s
+# message); a value of None copies row 0's annotator to row 1, so that
+# instance 0's first (instance, annotator) pair appears twice.
+_BAD_DATASETS = {
+    "label-C": ("ann_label", 5, 4, "annotation label out of range"),
+    "label--1": ("ann_label", 5, -1, "annotation label out of range"),
+    "instance-n": ("ann_instance", -1, 120, "annotation instance id out of range"),
+    "duplicate-pair": ("ann_annotator", 1, None, "duplicate (instance, annotator) annotation"),
+    "truth-C": ("truth", 5, 4, "truth label out of range"),
+}
+
+
 class TestConfigValidation:
     def test_config_is_frozen_and_checked_when_built(self):
         cfg = TrainConfig()
@@ -564,15 +577,49 @@ class TestConfigValidation:
                   on_step=steps.append)
         assert steps == []
 
-    @pytest.mark.parametrize("annotator", [-1, 8])
-    def test_annotator_out_of_range_rejected_before_training(self, annotator):
-        # The kernels gather transitions with mode="clip", which would not raise.
-        ds = _blob_crowd(seed=35)
-        ds.ann_annotator[5] = annotator
+    @pytest.mark.parametrize("algo, column, row, value, message", [
+        pytest.param("crowdlayer", "ann_annotator", 5, -1, "annotation annotator id out of range",
+                     id="-1"),
+        pytest.param("crowdlayer", "ann_annotator", 5, 8, "annotation annotator id out of range",
+                     id="8"),
+        *(pytest.param(algo, *case, id=f"{algo}-{name}")
+          for algo in ("majority", "crowdlayer") for name, case in _BAD_DATASETS.items()),
+    ])
+    def test_annotator_out_of_range_rejected_before_training(self, algo, column, row, value,
+                                                              message):
+        # train checks the dataset with validate(): the kernels gather transitions
+        # with mode="clip", which would not raise, and majority's vote count
+        # would read a label of C as the next instance's class 0.
+        ds = _blob_crowd(seed=35)  # 120 instances, 4 classes, 8 annotators
+        column = getattr(ds, column)
+        column[row] = column[0] if value is None else value
         steps = []
-        with pytest.raises(ContractError, match="annotator id out of range"):
-            train(ds, _tiny_cfg(confusion_init="identity"), on_step=steps.append)
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            train(ds, _tiny_cfg(algo=algo, confusion_init="identity"), on_step=steps.append)
         assert steps == []
+
+
+class TestSchedule:
+    """The learning rate's decay, which no benchmark workload reaches."""
+
+    @pytest.mark.parametrize("algo, on_step", [
+        ("majority", None), ("crowdlayer", None), ("ccc", None), ("ccc", lambda info: None),
+    ], ids=["majority", "crowdlayer", "ccc-forked", "ccc-on-step"])
+    def test_decay_divides_the_lr_by_ten_from_its_epoch(self, algo, on_step):
+        ds = _blob_crowd(seed=56)
+        cfg = _tiny_cfg(algo=algo, epochs=4, warmup=1, seed=6)
+        decayed, tenth = (train(ds, c, on_step=on_step)
+                          for c in (replace(cfg, lr_decay_epoch=0), replace(cfg, lr=cfg.lr / 10.0)))
+        assert decayed.curves == tenth.curves
+        for tag, s in decayed.states.items():
+            t = tenth.states[tag]
+            assert all(_same_bits(s.clf.params[k], t.clf.params[k]) for k in s.clf.params), tag
+            assert s.T is t.T is None or _same_bits(s.T, t.T), tag
+        late = train(ds, replace(cfg, lr_decay_epoch=2), on_step=on_step)
+        plain = train(ds, cfg, on_step=on_step)
+        assert all(late.curves[tag][:2] == plain.curves[tag][:2] for tag in plain.curves)
+        assert not _same_bits(late.states["model1"].clf.params["W"],
+                              plain.states["model1"].clf.params["W"])
 
 
 class TestTrainCcc:
